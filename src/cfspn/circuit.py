@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -32,8 +32,23 @@ class CircuitFormatError(ValueError):
     """A model document could not be parsed into a valid circuit."""
 
 
-@dataclass(eq=False)
-class GaussianLeaf:
+def _frozen_array(values) -> np.ndarray:
+    """A private read-only float64 copy, so no caller can write through it."""
+    out = np.array(values, dtype=np.float64)
+    out.flags.writeable = False
+    return out
+
+
+class _Immutable:
+    """Copies and unpickled instances go through the constructor, so their
+    arrays are read-only too."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass(frozen=True, eq=False)
+class GaussianLeaf(_Immutable):
     variable: int
     mean: float
     variance: float
@@ -41,41 +56,45 @@ class GaussianLeaf:
     kind = "gaussian"
 
 
-@dataclass(eq=False)
-class BernoulliLeaf:
+@dataclass(frozen=True, eq=False)
+class BernoulliLeaf(_Immutable):
     variable: int
     p: float
 
     kind = "bernoulli"
 
 
-@dataclass(eq=False)
-class CategoricalLeaf:
+@dataclass(frozen=True, eq=False)
+class CategoricalLeaf(_Immutable):
     variable: int
     probabilities: np.ndarray
 
     kind = "categorical"
 
     def __post_init__(self):
-        self.probabilities = np.asarray(self.probabilities, dtype=np.float64)
+        object.__setattr__(self, "probabilities", _frozen_array(self.probabilities))
 
 
-@dataclass(eq=False)
-class SumNode:
-    children: list[int]
+@dataclass(frozen=True, eq=False)
+class SumNode(_Immutable):
+    children: tuple[int, ...]
     log_weights: np.ndarray
 
     kind = "sum"
 
     def __post_init__(self):
-        self.log_weights = np.asarray(self.log_weights, dtype=np.float64)
+        object.__setattr__(self, "children", tuple(self.children))
+        object.__setattr__(self, "log_weights", _frozen_array(self.log_weights))
 
 
-@dataclass(eq=False)
-class ProductNode:
-    children: list[int]
+@dataclass(frozen=True, eq=False)
+class ProductNode(_Immutable):
+    children: tuple[int, ...]
 
     kind = "product"
+
+    def __post_init__(self):
+        object.__setattr__(self, "children", tuple(self.children))
 
 
 LeafNode = Union[GaussianLeaf, BernoulliLeaf, CategoricalLeaf]
@@ -86,30 +105,35 @@ def uniform_log_weights(n: int) -> np.ndarray:
     return np.full(n, -math.log(n), dtype=np.float64)
 
 
-@dataclass(eq=False)
-class Circuit:
+@dataclass(frozen=True, eq=False)
+class Circuit(_Immutable):
     """Flat-arena circuit with per-class roots.
 
     ``nodes`` must list children before parents so one bottom-up pass
-    evaluates the whole DAG.  Instances are treated as immutable after
-    construction; training works on a private copy.
+    evaluates the whole DAG.  Circuits and their nodes are immutable:
+    sequences are stored as tuples and parameter arrays are read-only, so a
+    compiled form cached per instance can never go stale.  To change a
+    parameter, build a new circuit (``dataclasses.replace`` reuses every
+    node left as it is).  Constructors do not validate; see :func:`validate`.
     """
 
-    nodes: list[Node]
-    class_roots: list[int]
+    nodes: tuple[Node, ...]
+    class_roots: tuple[int, ...]
     log_prior: np.ndarray
     num_variables: int
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        self.log_prior = np.asarray(self.log_prior, dtype=np.float64)
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "class_roots", tuple(self.class_roots))
+        object.__setattr__(self, "log_prior", _frozen_array(self.log_prior))
 
     @property
     def num_classes(self) -> int:
         return len(self.class_roots)
 
     @cached_property
-    def scopes(self) -> list[frozenset[int]]:
+    def scopes(self) -> tuple[frozenset[int], ...]:
         """Variable scope of every node, computed bottom-up.
 
         Assumes valid child references and topological order; use
@@ -124,7 +148,7 @@ class Circuit:
                 for c in node.children:
                     merged |= scopes[c]
                 scopes.append(frozenset(merged))
-        return scopes
+        return tuple(scopes)
 
 
 @dataclass
@@ -311,11 +335,9 @@ def _node_from_dict(obj: dict, index: int) -> Node:
         if kind == "bernoulli":
             return BernoulliLeaf(int(obj["variable"]), float(obj["p"]))
         if kind == "categorical":
-            return CategoricalLeaf(int(obj["variable"]),
-                                   np.asarray(obj["probabilities"], dtype=np.float64))
+            return CategoricalLeaf(int(obj["variable"]), obj["probabilities"])
         if kind == "sum":
-            return SumNode([int(c) for c in obj["children"]],
-                           np.asarray(obj["log_weights"], dtype=np.float64))
+            return SumNode([int(c) for c in obj["children"]], obj["log_weights"])
         if kind == "product":
             return ProductNode([int(c) for c in obj["children"]])
     except (KeyError, TypeError, ValueError) as exc:
@@ -365,7 +387,7 @@ def load(source: str | Path) -> Circuit:
         circuit = Circuit(
             nodes=[_node_from_dict(o, i) for i, o in enumerate(doc["nodes"])],
             class_roots=[int(r) for r in doc["class_roots"]],
-            log_prior=np.asarray(doc["log_prior"], dtype=np.float64),
+            log_prior=doc["log_prior"],
             num_variables=int(doc["num_variables"]),
             format_version=int(version),
         )
@@ -382,7 +404,7 @@ def load(source: str | Path) -> Circuit:
 def structural_equal(a: Circuit, b: Circuit) -> bool:
     """Node-by-node equality with bit-exact parameter comparison."""
     if (a.num_variables != b.num_variables or a.format_version != b.format_version
-            or list(a.class_roots) != list(b.class_roots)
+            or a.class_roots != b.class_roots
             or not np.array_equal(a.log_prior, b.log_prior)
             or len(a.nodes) != len(b.nodes)):
         return False
@@ -400,10 +422,10 @@ def structural_equal(a: Circuit, b: Circuit) -> bool:
                                                                 nb.probabilities):
                 return False
         elif isinstance(na, SumNode):
-            if (list(na.children) != list(nb.children)
+            if (na.children != nb.children
                     or not np.array_equal(na.log_weights, nb.log_weights)):
                 return False
         else:
-            if list(na.children) != list(nb.children):
+            if na.children != nb.children:
                 return False
     return True

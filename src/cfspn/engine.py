@@ -5,6 +5,10 @@ child-index matrices grouped by topological level.  ``forward`` evaluates
 every node on a batch in log space; ``backward`` propagates adjoints down
 the DAG to input coordinates and, optionally, to leaf and sum parameters.
 
+Sum-node log-weights live in one (K, M) array per level (``sum_log_weights``)
+and their gradients come back in the same layout, so a trainer can update
+every sum node of a level with one array operation.
+
 Padding convention: a sentinel row (index ``len(nodes)``) holds log value
 0.0.  Product pads point at the sentinel; sum pads point at the sentinel
 with log weight -inf, so padded edges contribute nothing in either pass.
@@ -38,6 +42,14 @@ def _logsumexp_mid(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(m), out, m)
 
 
+def _pad(rows: list, fill, dtype=np.float64) -> np.ndarray:
+    """Stack variable-length rows into a (len(rows), max length) array."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=dtype)
+    for r, values in enumerate(rows):
+        out[r, :len(values)] = values
+    return out
+
+
 @dataclass
 class _Level:
     sum_ids: np.ndarray
@@ -56,7 +68,7 @@ class BackwardResult:
 
     input_grads: np.ndarray | None = None       # (B, d)
     adjoints: np.ndarray | None = None          # (n_nodes + 1, B)
-    sum_log_weight_grads: dict[int, np.ndarray] | None = None
+    sum_log_weight_grads: list[np.ndarray] | None = None  # like sum_log_weights, pads 0
     gaussian_mean_grads: np.ndarray | None = None      # aligned with gaussian_ids
     gaussian_variance_grads: np.ndarray | None = None
     bernoulli_p_grads: np.ndarray | None = None
@@ -65,9 +77,10 @@ class BackwardResult:
 class CompiledCircuit:
     """Padded-array form of a circuit, reusable across evaluations.
 
-    Parameters live in numpy arrays owned by this object; after mutating the
-    source circuit's parameters call :meth:`refresh_parameters`.  Structure
-    changes require recompilation.
+    Parameters are copied into numpy arrays owned by this object.  Writing
+    into them changes what this instance computes and nothing else; a trainer
+    does so on a private instance and reads the result back with
+    :meth:`to_circuit`.
     """
 
     def __init__(self, circuit: Circuit):
@@ -103,18 +116,10 @@ class CompiledCircuit:
 
         self.categorical_ids = np.asarray([c[0] for c in cat], dtype=np.int64)
         self.categorical_vars = np.asarray([c[1] for c in cat], dtype=np.int64)
-        if cat:
-            width = max(c[2].size for c in cat)
-            P = np.zeros((len(cat), width))
-            for row, (_, _, probs) in enumerate(cat):
-                P[row, : probs.size] = probs
-            with np.errstate(divide="ignore"):
-                self.categorical_log_probs = np.log(P)
-            self.categorical_sizes = np.asarray([c[2].size for c in cat],
-                                                dtype=np.int64)
-        else:
-            self.categorical_log_probs = np.zeros((0, 0))
-            self.categorical_sizes = np.zeros(0, dtype=np.int64)
+        with np.errstate(divide="ignore"):
+            self.categorical_log_probs = np.log(_pad([c[2] for c in cat], 0.0))
+        self.categorical_sizes = np.asarray([c[2].size for c in cat],
+                                            dtype=np.int64)
 
         self._gauss_input_scatter = self._var_scatter(self.gaussian_vars)
         self._bern_input_scatter = self._var_scatter(self.bernoulli_vars)
@@ -125,39 +130,19 @@ class CompiledCircuit:
                   and isinstance(nodes[i], (SumNode, ProductNode))]
             sums = [i for i in at if isinstance(nodes[i], SumNode)]
             prods = [i for i in at if isinstance(nodes[i], ProductNode)]
+            sum_children = _pad([nodes[i].children for i in sums], n, np.int64)
+            prod_children = _pad([nodes[i].children for i in prods], n, np.int64)
             self.levels.append(_Level(
                 sum_ids=np.asarray(sums, dtype=np.int64),
-                sum_children=self._pad_children(sums),
-                sum_log_weights=self._pad_weights(sums),
+                sum_children=sum_children,
+                sum_log_weights=_pad([nodes[i].log_weights for i in sums], -np.inf),
                 sum_child_counts=np.asarray(
                     [len(nodes[i].children) for i in sums], dtype=np.int64),
-                sum_scatter=self._scatter(self._pad_children(sums)),
+                sum_scatter=self._scatter(sum_children),
                 prod_ids=np.asarray(prods, dtype=np.int64),
-                prod_children=self._pad_children(prods),
-                prod_scatter=self._scatter(self._pad_children(prods)),
+                prod_children=prod_children,
+                prod_scatter=self._scatter(prod_children),
             ))
-
-    def _pad_children(self, ids: list[int]) -> np.ndarray:
-        if not ids:
-            return np.zeros((0, 0), dtype=np.int64)
-        nodes = self.circuit.nodes
-        width = max(len(nodes[i].children) for i in ids)
-        out = np.full((len(ids), width), self.sentinel, dtype=np.int64)
-        for row, i in enumerate(ids):
-            ch = nodes[i].children
-            out[row, : len(ch)] = ch
-        return out
-
-    def _pad_weights(self, ids: list[int]) -> np.ndarray:
-        if not ids:
-            return np.zeros((0, 0))
-        nodes = self.circuit.nodes
-        width = max(len(nodes[i].children) for i in ids)
-        out = np.full((len(ids), width), -np.inf)
-        for row, i in enumerate(ids):
-            lw = nodes[i].log_weights
-            out[row, : lw.size] = lw
-        return out
 
     def _scatter(self, children: np.ndarray) -> sparse.csr_matrix:
         rows = children.ravel()
@@ -172,23 +157,36 @@ class CompiledCircuit:
             (np.ones(leaf_vars.size), (leaf_vars, cols)),
             shape=(self.d, leaf_vars.size))
 
-    def refresh_parameters(self, circuit: Circuit | None = None) -> None:
-        """Re-read leaf and sum parameters from the source circuit."""
-        circuit = circuit if circuit is not None else self.circuit
-        nodes = circuit.nodes
+    @property
+    def sum_log_weights(self) -> list[np.ndarray]:
+        """Sum-node log-weights as one (K, M) array per level, padded with -inf."""
+        return [level.sum_log_weights for level in self.levels]
+
+    def per_sum_node(self, arrays: list[np.ndarray]) -> dict[int, np.ndarray]:
+        """Unpadded rows of per-level sum arrays, keyed by sum node id."""
+        return {int(i): a[row, :n]
+                for level, a in zip(self.levels, arrays)
+                for row, (i, n) in enumerate(zip(level.sum_ids,
+                                                 level.sum_child_counts))}
+
+    def to_circuit(self, log_prior: np.ndarray) -> Circuit:
+        """A new circuit holding this instance's current parameters.
+
+        Leaf and sum nodes are rebuilt from the compiled arrays; product and
+        categorical nodes, which carry no trained parameters, are shared.
+        """
+        source = self.circuit
+        nodes = list(source.nodes)
         for row, i in enumerate(self.gaussian_ids):
-            self.gaussian_mean[row] = nodes[i].mean
-            self.gaussian_variance[row] = nodes[i].variance
+            nodes[i] = GaussianLeaf(nodes[i].variable,
+                                    float(self.gaussian_mean[row]),
+                                    float(self.gaussian_variance[row]))
         for row, i in enumerate(self.bernoulli_ids):
-            self.bernoulli_p[row] = nodes[i].p
-        for row, i in enumerate(self.categorical_ids):
-            probs = nodes[i].probabilities
-            with np.errstate(divide="ignore"):
-                self.categorical_log_probs[row, : probs.size] = np.log(probs)
-        for level in self.levels:
-            for row, i in enumerate(level.sum_ids):
-                lw = nodes[i].log_weights
-                level.sum_log_weights[row, : lw.size] = lw
+            nodes[i] = BernoulliLeaf(nodes[i].variable, float(self.bernoulli_p[row]))
+        for i, lw in self.per_sum_node(self.sum_log_weights).items():
+            nodes[i] = SumNode(nodes[i].children, lw)
+        return Circuit(nodes, source.class_roots, log_prior,
+                       source.num_variables, source.format_version)
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Log values of every node on a batch.
@@ -251,8 +249,9 @@ class CompiledCircuit:
         for node_id, vec in seeds.items():
             A[node_id] += vec
 
-        sum_w_grads: dict[int, np.ndarray] | None = {} if want_params else None
-        for level in reversed(self.levels):
+        sum_w_grads = ([np.zeros_like(w) for w in self.sum_log_weights]
+                       if want_params else None)
+        for li, level in reversed(list(enumerate(self.levels))):
             if level.sum_ids.size:
                 ids = level.sum_ids
                 ratio = (level.sum_log_weights[:, :, None]
@@ -263,10 +262,7 @@ class CompiledCircuit:
                 C = W * A[ids][:, None, :]
                 A += (level.sum_scatter @ C.reshape(-1, B))
                 if want_params:
-                    per_edge = C.sum(axis=2)
-                    for row, i in enumerate(ids):
-                        nc = level.sum_child_counts[row]
-                        sum_w_grads[int(i)] = per_edge[row, :nc].copy()
+                    sum_w_grads[li] = C.sum(axis=2)
             if level.prod_ids.size:
                 ids = level.prod_ids
                 M = level.prod_children.shape[1]
@@ -290,24 +286,23 @@ class CompiledCircuit:
                 gx += self._bern_input_scatter @ contrib
             result.input_grads = gx.T
         if want_params:
-            if self.gaussian_ids.size:
-                Xg = X[:, self.gaussian_vars].T
-                mask = ~np.isnan(Xg)
-                diff = np.where(mask, Xg - self.gaussian_mean[:, None], 0.0)
-                var = self.gaussian_variance[:, None]
-                Ag = A[self.gaussian_ids]
-                result.gaussian_mean_grads = np.where(
-                    mask, Ag * diff / var, 0.0).sum(axis=1)
-                result.gaussian_variance_grads = np.where(
-                    mask, Ag * (diff ** 2 / var - 1.0) / (2.0 * var), 0.0).sum(axis=1)
-            if self.bernoulli_ids.size:
-                Xb = X[:, self.bernoulli_vars].T
-                mask = ~np.isnan(Xb)
-                p = self.bernoulli_p[:, None]
-                Ab = A[self.bernoulli_ids]
-                safe = np.where(mask, Xb, 0.0)
-                result.bernoulli_p_grads = np.where(
-                    mask, Ab * (safe / p - (1.0 - safe) / (1.0 - p)), 0.0).sum(axis=1)
+            # Leaf parameter gradients; empty arrays when a family is absent.
+            Xg = X[:, self.gaussian_vars].T
+            mask = ~np.isnan(Xg)
+            diff = np.where(mask, Xg - self.gaussian_mean[:, None], 0.0)
+            var = self.gaussian_variance[:, None]
+            Ag = A[self.gaussian_ids]
+            result.gaussian_mean_grads = np.where(
+                mask, Ag * diff / var, 0.0).sum(axis=1)
+            result.gaussian_variance_grads = np.where(
+                mask, Ag * (diff ** 2 / var - 1.0) / (2.0 * var), 0.0).sum(axis=1)
+            Xb = X[:, self.bernoulli_vars].T
+            mask = ~np.isnan(Xb)
+            p = self.bernoulli_p[:, None]
+            Ab = A[self.bernoulli_ids]
+            safe = np.where(mask, Xb, 0.0)
+            result.bernoulli_p_grads = np.where(
+                mask, Ab * (safe / p - (1.0 - safe) / (1.0 - p)), 0.0).sum(axis=1)
         return result
 
 
@@ -317,16 +312,16 @@ _cache: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = weakref.WeakKeyD
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compiled form of a circuit, cached per instance.
 
-    The cache assumes circuits are not mutated after first use; code that
-    updates parameters in place must call ``invalidate`` or own a private
-    :class:`CompiledCircuit`.
+    Circuits are immutable and the cached instance's parameter arrays are
+    read-only, so the cached form is exact for the circuit's lifetime.  A
+    trainer builds a private :class:`CompiledCircuit` to write into.
     """
     compiled = _cache.get(circuit)
     if compiled is None:
         compiled = CompiledCircuit(circuit)
+        for a in (compiled.gaussian_mean, compiled.gaussian_variance,
+                  compiled.bernoulli_p, compiled.categorical_log_probs,
+                  *compiled.sum_log_weights):
+            a.flags.writeable = False
         _cache[circuit] = compiled
     return compiled
-
-
-def invalidate(circuit: Circuit) -> None:
-    _cache.pop(circuit, None)

@@ -165,7 +165,7 @@ def instantiate(region_graph: RegionGraph, config: StructureConfig) -> Circuit:
                     for a, b in itertools.product(left, right)]
         S = config.sum_nodes_per_region
         lw = uniform_log_weights(len(products))
-        return [add(SumNode(list(products), lw.copy())) for _ in range(S)]
+        return [add(SumNode(products, lw)) for _ in range(S)]
 
     top_products: list[int] = []
     for li, ri in root_partitions:
@@ -175,7 +175,7 @@ def instantiate(region_graph: RegionGraph, config: StructureConfig) -> Circuit:
                             for a, b in itertools.product(left, right))
 
     lw = uniform_log_weights(len(top_products))
-    class_roots = [add(SumNode(list(top_products), lw.copy()))
+    class_roots = [add(SumNode(top_products, lw))
                    for _ in range(config.num_classes)]
 
     circuit = Circuit(
@@ -200,7 +200,7 @@ def _single_variable_circuit(config: StructureConfig) -> Circuit:
     lw = uniform_log_weights(I)
     class_roots = []
     for _ in range(config.num_classes):
-        nodes.append(SumNode(list(range(I)), lw.copy()))
+        nodes.append(SumNode(range(I), lw))
         class_roots.append(len(nodes) - 1)
     circuit = Circuit(nodes=nodes, class_roots=class_roots,
                       log_prior=uniform_log_weights(config.num_classes),

@@ -9,7 +9,6 @@ a sigmoid.  The class prior is set to the empirical class frequencies.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, field
 
@@ -80,132 +79,109 @@ class TrainReport:
 
 
 class _Adam:
-    """Per-array moment estimates; one shared step counter per update."""
+    """Moment estimates for a fixed list of arrays; one shared step counter."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, shapes: list[tuple[int, ...]], beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m: dict = {}
-        self.v: dict = {}
+        self.m = [np.zeros(shape) for shape in shapes]
+        self.v = [np.zeros(shape) for shape in shapes]
         self.t = 0
 
-    def begin(self) -> None:
+    def directions(self, grads: list[np.ndarray]) -> list[np.ndarray]:
         self.t += 1
+        out = []
+        for m, v, g in zip(self.m, self.v, grads):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            out.append(m_hat / (np.sqrt(v_hat) + self.eps))
+        return out
 
-    def direction(self, key, g: np.ndarray) -> np.ndarray:
-        m = self.m.get(key)
-        if m is None:
-            m = np.zeros_like(g)
-            self.v[key] = np.zeros_like(g)
-        v = self.v[key]
-        m = self.beta1 * m + (1.0 - self.beta1) * g
-        v = self.beta2 * v + (1.0 - self.beta2) * g * g
-        self.m[key], self.v[key] = m, v
-        m_hat = m / (1.0 - self.beta1 ** self.t)
-        v_hat = v / (1.0 - self.beta2 ** self.t)
-        return m_hat / (np.sqrt(v_hat) + self.eps)
+
+def _log_normalize(theta: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax; -inf pads stay -inf."""
+    return theta - logsumexp(theta, axis=1, keepdims=True)
 
 
 class _Parameters:
-    """Unconstrained view of trainable parameters, synced into a CompiledCircuit."""
+    """The trainable values, held unconstrained and pushed into a CompiledCircuit.
 
-    def __init__(self, work: Circuit, compiled: CompiledCircuit, floor: float,
+    Sum weights are logits in the compiled form's own layout, a list of
+    padded arrays, so every update is one array operation per array.
+    """
+
+    def __init__(self, compiled: CompiledCircuit, floor: float,
                  optimizer: str = "adam"):
         self.floor = floor
         self.compiled = compiled
-        self.adam = _Adam() if optimizer == "adam" else None
-        self.theta: dict[int, np.ndarray] = {}
-        self._sum_location: dict[int, tuple[int, int]] = {}
-        for li, level in enumerate(compiled.levels):
-            for row, i in enumerate(level.sum_ids):
-                node = work.nodes[i]
-                self.theta[int(i)] = node.log_weights.copy()
-                self._sum_location[int(i)] = (li, row)
+        self.theta = [w.copy() for w in compiled.sum_log_weights]
         self.mean = compiled.gaussian_mean.copy()
         self.rho = np.log(np.maximum(compiled.gaussian_variance - floor, 1e-12))
         p = np.clip(compiled.bernoulli_p, 1e-6, 1.0 - 1e-6)
         self.tau = np.log(p) - np.log1p(-p)
-        self.sync()
+        self.adam = (_Adam([a.shape for a in self.arrays])
+                     if optimizer == "adam" else None)
+        self.push()
 
-    def sync(self) -> None:
-        """Push current parameters into the compiled circuit's arrays."""
+    @property
+    def arrays(self) -> list[np.ndarray]:
+        return [*self.theta, self.mean, self.rho, self.tau]
+
+    def push(self) -> None:
+        """Write the constrained parameters into the compiled circuit."""
         c = self.compiled
         c.gaussian_mean[:] = self.mean
         c.gaussian_variance[:] = self.floor + np.exp(self.rho)
         c.bernoulli_p[:] = expit(self.tau)
-        for i, th in self.theta.items():
-            li, row = self._sum_location[i]
-            lw = th - logsumexp(th)
-            c.levels[li].sum_log_weights[row, : lw.size] = lw
+        for dst, th in zip(c.sum_log_weights, self.theta):
+            dst[:] = _log_normalize(th)
 
     def ascend(self, result, lr: float) -> None:
-        """One gradient-ascent step from a backward result, then sync."""
+        """One gradient-ascent step from a backward result, then push."""
+        # chain rule through the softmax: g - w * sum(g), row by row
+        grads = [g - np.exp(_log_normalize(th)) * g.sum(axis=1, keepdims=True)
+                 for th, g in zip(self.theta, result.sum_log_weight_grads)]
+        p = expit(self.tau)
+        grads += [result.gaussian_mean_grads,
+                  result.gaussian_variance_grads * np.exp(self.rho),
+                  result.bernoulli_p_grads * p * (1.0 - p)]
         if self.adam is not None:
-            self.adam.begin()
-            scale = self.adam.direction
-        else:
-            def scale(key, g):
-                return g
-        for i, g_lw in (result.sum_log_weight_grads or {}).items():
-            th = self.theta[i]
-            w = np.exp(th - logsumexp(th))
-            th += lr * scale(("theta", i), g_lw - w * g_lw.sum())
-        if self.mean.size:
-            self.mean += lr * scale("mean", result.gaussian_mean_grads)
-            self.rho += lr * scale(
-                "rho", result.gaussian_variance_grads * np.exp(self.rho))
-        if self.tau.size:
-            p = expit(self.tau)
-            self.tau += lr * scale(
-                "tau", result.bernoulli_p_grads * p * (1.0 - p))
-        self.sync()
+            grads = self.adam.directions(grads)
+        for a, g in zip(self.arrays, grads):
+            a += lr * g
+        self.push()
 
-    def snapshot(self) -> tuple:
-        return ({i: th.copy() for i, th in self.theta.items()},
-                self.mean.copy(), self.rho.copy(), self.tau.copy())
+    def snapshot(self) -> list[np.ndarray]:
+        return [a.copy() for a in self.arrays]
 
-    def restore(self, snap: tuple) -> None:
-        theta, mean, rho, tau = snap
-        self.theta = {i: th.copy() for i, th in theta.items()}
-        self.mean = mean.copy()
-        self.rho = rho.copy()
-        self.tau = tau.copy()
-        self.sync()
-
-    def write_back(self, work: Circuit) -> None:
-        c = self.compiled
-        for row, i in enumerate(c.gaussian_ids):
-            node = work.nodes[i]
-            node.mean = float(c.gaussian_mean[row])
-            node.variance = float(c.gaussian_variance[row])
-        for row, i in enumerate(c.bernoulli_ids):
-            work.nodes[i].p = float(c.bernoulli_p[row])
-        for i, th in self.theta.items():
-            work.nodes[i].log_weights = th - logsumexp(th)
+    def restore(self, snap: list[np.ndarray]) -> None:
+        for a, saved in zip(self.arrays, snap):
+            a[:] = saved
+        self.push()
 
 
 def _class_seeds(circuit: Circuit, labels: np.ndarray, scale: float) -> dict[int, np.ndarray]:
     seeds: dict[int, np.ndarray] = {}
     for y, root in enumerate(circuit.class_roots):
-        vec = (labels == y).astype(np.float64) * scale
-        if root in seeds:
-            seeds[root] = seeds[root] + vec
-        else:
-            seeds[root] = vec
+        seeds[root] = seeds.get(root, 0.0) + (labels == y).astype(np.float64) * scale
     return seeds
 
 
-def _mean_joint_ll_compiled(compiled: CompiledCircuit, circuit: Circuit,
-                            X: np.ndarray, y: np.ndarray,
+def _mean_joint_ll_compiled(compiled: CompiledCircuit, class_roots,
+                            log_prior: np.ndarray, X: np.ndarray, y: np.ndarray,
                             chunk: int = 256) -> float:
-    roots = np.asarray(circuit.class_roots)
+    roots = np.asarray(class_roots)
     total = 0.0
     for start in range(0, X.shape[0], chunk):
         Xb = X[start:start + chunk]
         yb = y[start:start + chunk]
         V = compiled.forward(Xb)
         total += float(np.sum(V[roots[yb], np.arange(Xb.shape[0])]
-                              + circuit.log_prior[yb]))
+                              + log_prior[yb]))
     return total / X.shape[0]
 
 
@@ -214,11 +190,15 @@ def mean_joint_log_likelihood(circuit: Circuit, features, labels) -> float:
     from . import engine
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    return _mean_joint_ll_compiled(engine.compile_circuit(circuit), circuit, X, y)
+    return _mean_joint_ll_compiled(engine.compile_circuit(circuit),
+                                   circuit.class_roots, circuit.log_prior, X, y)
 
 
 def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainReport]:
-    """Train a copy of the circuit on (features, labels) by gradient ascent.
+    """Fit the circuit's parameters to (features, labels) by gradient ascent.
+
+    Returns a new circuit with the input's structure; the input is immutable
+    and left as it is.
 
     A validation_fraction share of the data is held out; when the held-out
     log-likelihood fails to improve for `patience` consecutive epochs,
@@ -239,10 +219,9 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
     if not report.ok:
         raise ValueError(f"invalid circuit: {report.summary()}")
 
-    work = copy.deepcopy(circuit)
     counts = np.bincount(y, minlength=C).astype(np.float64)
     with np.errstate(divide="ignore"):
-        work.log_prior = np.log(counts / counts.sum())
+        log_prior = np.log(counts / counts.sum())
 
     rng = np.random.default_rng(config.seed)
     n_val = int(round(config.validation_fraction * X.shape[0]))
@@ -252,21 +231,22 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
         raise ValueError("validation split leaves no training rows")
     use_early_stop = n_val > 0 and config.patience > 0
 
-    compiled = CompiledCircuit(work)
+    # A private compiled form: the trainer writes its parameters into it.
+    compiled = CompiledCircuit(circuit)
     if config.init_from_data:
         Xtr = X[train_idx]
-        if compiled.gaussian_ids.size:
-            rows = rng.integers(0, Xtr.shape[0], size=compiled.gaussian_ids.size)
+        if compiled.gaussian_mean.size:
+            rows = rng.integers(0, Xtr.shape[0], size=compiled.gaussian_mean.size)
             compiled.gaussian_mean[:] = Xtr[rows, compiled.gaussian_vars]
             spread = Xtr.var(axis=0)
             compiled.gaussian_variance[:] = np.maximum(
                 spread[compiled.gaussian_vars], config.variance_floor * 10.0)
-        if compiled.bernoulli_ids.size:
+        if compiled.bernoulli_p.size:
             freq = Xtr.mean(axis=0)
             compiled.bernoulli_p[:] = np.clip(
                 freq[compiled.bernoulli_vars], 0.05, 0.95)
-    params = _Parameters(work, compiled, config.variance_floor, config.optimizer)
-    roots = np.asarray(work.class_roots)
+    params = _Parameters(compiled, config.variance_floor, config.optimizer)
+    roots = np.asarray(circuit.class_roots)
 
     train_ll: list[float] = []
     best_val = -np.inf
@@ -284,19 +264,20 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
             Xb, yb = X[idx], y[idx]
             V = compiled.forward(Xb)
             batch_ll = (V[roots[yb], np.arange(idx.size)]
-                        + work.log_prior[yb])
+                        + log_prior[yb])
             if not np.all(np.isfinite(batch_ll)):
                 raise ValueError(
                     f"non-finite loss in epoch {epoch}, batch {bi}")
             ll_sum += float(batch_ll.sum())
-            seeds = _class_seeds(work, yb, 1.0 / idx.size)
+            seeds = _class_seeds(circuit, yb, 1.0 / idx.size)
             back = compiled.backward(V, Xb, seeds, want_input=False,
                                      want_params=True)
             params.ascend(back, config.learning_rate)
         train_ll.append(ll_sum / epoch_order.size)
 
         if n_val > 0:
-            val_ll = _mean_joint_ll_compiled(compiled, work, X[val_idx], y[val_idx])
+            val_ll = _mean_joint_ll_compiled(compiled, roots, log_prior,
+                                             X[val_idx], y[val_idx])
             last_val = val_ll
             if val_ll > best_val:
                 best_val = val_ll
@@ -310,8 +291,8 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
 
     if use_early_stop and best_snap is not None:
         params.restore(best_snap)
-    params.write_back(work)
-    final_report = validate(work, variance_floor=config.variance_floor)
+    fitted = compiled.to_circuit(log_prior)
+    final_report = validate(fitted, variance_floor=config.variance_floor)
     if not final_report.ok:
         raise RuntimeError(f"training produced an invalid circuit: "
                            f"{final_report.summary()}")
@@ -324,7 +305,7 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
         epochs_run=epochs_run,
         converged=converged,
     )
-    return work, report
+    return fitted, report
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared test helpers: a naive reference evaluator and parameter randomizers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,19 +47,23 @@ def naive_class_log_density(circuit, y, evidence):
 
 
 def randomize_parameters(circuit, rng):
-    """Replace every parameter with a random valid draw, in place."""
+    """A copy of the circuit with every parameter replaced by a random valid draw."""
+    nodes = []
     for node in circuit.nodes:
         if node.kind == "sum":
-            node.log_weights = np.log(rng.dirichlet(np.ones(len(node.children))))
+            node = replace(node, log_weights=np.log(
+                rng.dirichlet(np.ones(len(node.children)))))
         elif node.kind == "gaussian":
-            node.mean = float(rng.normal(0.5, 0.3))
-            node.variance = float(rng.uniform(0.05, 0.4))
+            node = replace(node, mean=float(rng.normal(0.5, 0.3)),
+                           variance=float(rng.uniform(0.05, 0.4)))
         elif node.kind == "bernoulli":
-            node.p = float(rng.uniform(0.1, 0.9))
+            node = replace(node, p=float(rng.uniform(0.1, 0.9)))
         elif node.kind == "categorical":
-            node.probabilities = rng.dirichlet(np.ones(node.probabilities.size))
-    circuit.log_prior = np.log(rng.dirichlet(np.ones(circuit.num_classes)))
-    return circuit
+            node = replace(node, probabilities=rng.dirichlet(
+                np.ones(node.probabilities.size)))
+        nodes.append(node)
+    return replace(circuit, nodes=nodes, log_prior=np.log(
+        rng.dirichlet(np.ones(circuit.num_classes))))
 
 
 def random_circuit(rng, num_variables=None, leaf_family="gaussian",

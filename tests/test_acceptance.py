@@ -6,6 +6,7 @@ trained two-moons model; the tuned step sizes found for criterion 4 feed
 criteria 5 and 6.
 """
 
+import dataclasses
 import itertools
 import math
 import os
@@ -246,8 +247,8 @@ def test_criterion_07_one_hot_consistency():
 def test_criterion_08_uniform_prior_identity(rng):
     worst = 0.0
     for _ in range(100):
-        c = random_circuit(rng, num_classes=2)
-        c.log_prior = cm.uniform_log_weights(2)
+        c = dataclasses.replace(random_circuit(rng, num_classes=2),
+                                log_prior=cm.uniform_log_weights(2))
         x = rng.normal(0.5, 0.5, size=c.num_variables)
         post = inference.posterior(c, x)
         posterior_ratio = post[1] - post[0]

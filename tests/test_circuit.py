@@ -1,4 +1,4 @@
-import copy
+import dataclasses
 import json
 import math
 
@@ -7,6 +7,13 @@ import pytest
 
 from cfspn import circuit as cm
 from conftest import naive_log_value, random_circuit, two_gaussian_classifier
+
+
+def with_node(circuit, index, **changes):
+    """A copy of the circuit whose node ``index`` has the given fields changed."""
+    nodes = list(circuit.nodes)
+    nodes[index] = dataclasses.replace(nodes[index], **changes)
+    return dataclasses.replace(circuit, nodes=nodes)
 
 
 def test_gaussian_leaf_log_value():
@@ -108,7 +115,7 @@ def test_validate_rejects_unnormalized_weights():
 
 def test_validate_rejects_nonpositive_variance():
     c = two_gaussian_classifier()
-    c.nodes[0].variance = 0.0
+    c = with_node(c, 0, variance=0.0)
     report = cm.validate(c)
     assert not report.ok
     assert any(v.kind == "leaf-domain" for v in report.violations)
@@ -178,8 +185,7 @@ def test_validate_rejects_partial_scope_root():
 
 
 def test_validate_rejects_bad_prior():
-    c = two_gaussian_classifier()
-    c.log_prior = np.log([0.9, 0.9])
+    c = dataclasses.replace(two_gaussian_classifier(), log_prior=np.log([0.9, 0.9]))
     report = cm.validate(c)
     assert any(v.kind == "prior" for v in report.violations)
 
@@ -205,8 +211,7 @@ def test_save_load_round_trip(tmp_path, rng):
 
 
 def test_save_refuses_invalid_circuit(tmp_path):
-    c = two_gaussian_classifier()
-    c.nodes[0].variance = -1.0
+    c = with_node(two_gaussian_classifier(), 0, variance=-1.0)
     with pytest.raises(ValueError):
         cm.save(c, tmp_path / "bad.json")
 
@@ -244,10 +249,9 @@ def test_load_rejects_invalid_circuit_content(tmp_path, rng):
 
 def test_structural_equal_detects_parameter_change(rng):
     a = random_circuit(rng)
-    b = copy.deepcopy(a)
+    b = dataclasses.replace(a)
+    assert b is not a
     assert cm.structural_equal(a, b)
-    for node in b.nodes:
-        if node.kind == "gaussian":
-            node.mean += 1e-9
-            break
+    gid = next(i for i, node in enumerate(a.nodes) if node.kind == "gaussian")
+    b = with_node(a, gid, mean=a.nodes[gid].mean + 1e-9)
     assert not cm.structural_equal(a, b)

@@ -1,10 +1,13 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from cfspn import circuit as cm
-from cfspn import engine
+from cfspn import engine, inference
 from conftest import naive_log_value, random_circuit
 
 
@@ -123,28 +126,26 @@ def test_parameter_gradients_match_finite_differences(rng):
     h = 1e-6
     c = random_circuit(rng, num_variables=4, num_classes=1)
     root = c.class_roots[0]
-    x = rng.normal(0.5, 0.4, size=4)
+    x = np.atleast_2d(rng.normal(0.5, 0.4, size=4))
     comp = engine.compile_circuit(c)
-    V = comp.forward(np.atleast_2d(x))
-    out = comp.backward(V, np.atleast_2d(x), {root: np.ones(1)},
+    V = comp.forward(x)
+    out = comp.backward(V, x, {root: np.ones(1)},
                         want_input=False, want_params=True)
+
+    def root_value(nid, **changes):
+        nodes = list(c.nodes)
+        nodes[nid] = dataclasses.replace(nodes[nid], **changes)
+        perturbed = dataclasses.replace(c, nodes=nodes)
+        return engine.compile_circuit(perturbed).forward(x)[root, 0]
 
     sum_ids = [i for i, n in enumerate(c.nodes) if n.kind == "sum"]
     nid = sum_ids[0]
-    got = out.sum_log_weight_grads[nid]
-    node = c.nodes[nid]
-    for j in range(len(node.children)):
-        keep = node.log_weights.copy()
-        node.log_weights = keep.copy()
-        node.log_weights[j] += h
-        comp.refresh_parameters()
-        up = comp.forward(np.atleast_2d(x))[root, 0]
-        node.log_weights = keep.copy()
-        node.log_weights[j] -= h
-        comp.refresh_parameters()
-        dn = comp.forward(np.atleast_2d(x))[root, 0]
-        node.log_weights = keep
-        comp.refresh_parameters()
+    got = comp.per_sum_node(out.sum_log_weight_grads)[nid]
+    keep = c.nodes[nid].log_weights
+    for j in range(len(c.nodes[nid].children)):
+        step = h * (np.arange(keep.size) == j)
+        up = root_value(nid, log_weights=keep + step)
+        dn = root_value(nid, log_weights=keep - step)
         assert got[j] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-7)
 
     gid = int(comp.gaussian_ids[0])
@@ -152,38 +153,57 @@ def test_parameter_gradients_match_finite_differences(rng):
     for attr, grads in (("mean", out.gaussian_mean_grads),
                         ("variance", out.gaussian_variance_grads)):
         keep = getattr(node, attr)
-        setattr(node, attr, keep + h)
-        comp.refresh_parameters()
-        up = comp.forward(np.atleast_2d(x))[root, 0]
-        setattr(node, attr, keep - h)
-        comp.refresh_parameters()
-        dn = comp.forward(np.atleast_2d(x))[root, 0]
-        setattr(node, attr, keep)
-        comp.refresh_parameters()
+        up = root_value(gid, **{attr: keep + h})
+        dn = root_value(gid, **{attr: keep - h})
         assert grads[0] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-7)
 
 
-def test_refresh_parameters_tracks_in_place_updates(rng):
-    c = random_circuit(rng)
-    comp = engine.compile_circuit(c)
-    x = rng.normal(0.5, 0.4, size=(1, c.num_variables))
-    before = comp.forward(x)[c.class_roots[0], 0]
-    for node in c.nodes:
-        if node.kind == "gaussian":
-            node.mean += 0.5
-    comp.refresh_parameters()
-    after = comp.forward(x)[c.class_roots[0], 0]
-    assert after != before
-    assert after == pytest.approx(naive_log_value(c, c.class_roots[0], x[0]), abs=1e-10)
-
-
-def test_compile_cache_reuses_and_invalidates(rng):
+def test_compile_cache_reuses_per_instance(rng):
     c = random_circuit(rng)
     a = engine.compile_circuit(c)
     b = engine.compile_circuit(c)
     assert a is b
-    engine.invalidate(c)
-    assert engine.compile_circuit(c) is not a
+
+
+def test_circuits_are_immutable_so_the_cache_cannot_go_stale(rng):
+    c = random_circuit(rng, num_variables=3, num_classes=2)
+    x = rng.normal(0.5, 0.4, size=3)
+    before = inference.class_log_densities(c, x)
+    gid = next(i for i, n in enumerate(c.nodes) if n.kind == "gaussian")
+    sid = next(i for i, n in enumerate(c.nodes) if n.kind == "sum")
+
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.nodes[gid].mean = 3.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.log_prior = np.log([0.9, 0.1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.nodes[sid].log_weights = np.zeros(len(c.nodes[sid].children))
+    with pytest.raises(ValueError):
+        c.nodes[sid].log_weights[0] = 0.0
+    with pytest.raises(ValueError):
+        c.log_prior[0] = 0.0
+    with pytest.raises(TypeError):
+        c.nodes[gid] = cm.GaussianLeaf(0, 3.0, 1.0)
+    with pytest.raises(ValueError):
+        engine.compile_circuit(c).gaussian_mean[:] += 1.0
+    for twin in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+        assert cm.structural_equal(twin, c)
+        with pytest.raises(ValueError):
+            twin.nodes[sid].log_weights[0] = 0.0
+        with pytest.raises(ValueError):
+            twin.log_prior[0] = 0.0
+    assert np.array_equal(inference.class_log_densities(c, x), before)
+
+    nodes = list(c.nodes)
+    nodes[gid] = dataclasses.replace(nodes[gid], mean=3.0)
+    changed = dataclasses.replace(c, nodes=nodes)
+    got = engine.compile_circuit(changed).forward(x[None, :])
+    for y, root in enumerate(c.class_roots):
+        expected = naive_log_value(changed, root, x)
+        assert got[root, 0] == pytest.approx(expected, abs=1e-10)
+        assert inference.class_log_densities(changed, x)[y] == pytest.approx(
+            expected, abs=1e-10)
+    assert not np.allclose(inference.class_log_densities(changed, x), before)
 
 
 def test_dead_branch_adjoint_is_zero():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -52,8 +53,8 @@ def test_grad_log_ratio_rejects_identical_classes(rng):
 
 def test_grad_log_ratio_shared_root_is_zero(rng):
     c = random_circuit(rng, num_classes=1)
-    c.class_roots = [c.class_roots[0], c.class_roots[0]]
-    c.log_prior = np.log([0.5, 0.5])
+    c = dataclasses.replace(c, class_roots=[c.class_roots[0]] * 2,
+                            log_prior=np.log([0.5, 0.5]))
     x = rng.normal(0.5, 0.4, size=c.num_variables)
     assert np.array_equal(grad.grad_log_ratio(c, x, 0, 1),
                           np.zeros(c.num_variables))

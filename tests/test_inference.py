@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,8 +67,8 @@ def test_posterior_matches_bayes_rule(rng):
 
 def test_uniform_prior_identity(rng):
     for _ in range(20):
-        c = random_circuit(rng, num_classes=2)
-        c.log_prior = cm.uniform_log_weights(2)
+        c = dataclasses.replace(random_circuit(rng, num_classes=2),
+                                log_prior=cm.uniform_log_weights(2))
         x = rng.normal(0.5, 0.5, size=c.num_variables)
         post = inference.posterior(c, x)
         post_ratio = post[1] - post[0]

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from cfspn import circuit as cm
-from cfspn import data, inference, training
+from cfspn import data, engine, inference, training
 from cfspn.structure import StructureConfig, build_circuit
 
 
@@ -114,10 +115,12 @@ def test_sum_weights_stay_normalized_after_training():
     cfg = StructureConfig(num_classes=2, seed=2, repetitions=3,
                           sum_nodes_per_region=2,
                           leaf_distributions_per_region=4)
-    fitted, _ = training.fit(build_circuit(2, cfg), ds,
-                             training.TrainConfig(epochs=10, seed=2))
+    base = build_circuit(2, cfg)
+    fitted, _ = training.fit(base, ds, training.TrainConfig(epochs=10, seed=2))
     report = cm.validate(fitted)
     assert report.ok, report.summary()
+    for new, old in zip(fitted.nodes, base.nodes):
+        assert (new is old) == (old.kind == "product")
 
 
 def test_empirical_prior_matches_label_frequencies():
@@ -144,6 +147,50 @@ def test_early_stopping_restores_best_snapshot():
     assert report.validation_log_likelihood is not None
     if report.converged:
         assert report.epochs_run < 100
+    # fit holds out the first n_val rows of its seeded permutation
+    n = len(ds)
+    held = np.random.default_rng(tc.seed).permutation(n)[:int(round(0.2 * n))]
+    assert report.validation_log_likelihood == training.mean_joint_log_likelihood(
+        fitted, ds.features[held], ds.labels[held])
+
+
+def test_sgd_step_on_padded_level_matches_per_node_update():
+    # Sums 5 (fan-in 2) and 6 (fan-in 3) share an engine level, so that
+    # level's weight array is padded.
+    leaves = [cm.GaussianLeaf(0, m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0, 3.0)]
+    nodes = leaves + [
+        cm.SumNode([0, 1], np.log([0.3, 0.7])),
+        cm.SumNode([2, 3, 4], np.log([0.2, 0.3, 0.5])),
+        cm.SumNode([5, 6], np.log([0.4, 0.6])),
+        cm.SumNode([5, 6], np.log([0.5, 0.5])),
+    ]
+    circuit = cm.Circuit(nodes, class_roots=[7, 8],
+                         log_prior=cm.uniform_log_weights(2), num_variables=1)
+    comp = engine.CompiledCircuit(circuit)
+    assert any(np.isneginf(w).any() for w in comp.sum_log_weights)
+
+    rng = np.random.default_rng(0)
+    X = rng.normal(1.0, 1.5, size=(40, 1))
+    labels = np.repeat([0, 1], 20)
+    lr = 0.5
+    tc = training.TrainConfig(learning_rate=lr, epochs=1, batch_size=64,
+                              optimizer="sgd", validation_fraction=0.0,
+                              patience=0, init_from_data=False)
+    fitted, _ = training.fit(circuit, data.Dataset(X, labels, 2), tc)
+
+    V = comp.forward(X)
+    seeds = {7: (labels == 0) / 40.0, 8: (labels == 1) / 40.0}
+    back = comp.backward(V, X, seeds, want_input=False, want_params=True)
+    grads = comp.per_sum_node(back.sum_log_weight_grads)
+    for i in (5, 6, 7, 8):
+        lw = circuit.nodes[i].log_weights
+        g = grads[i]
+        theta = lw + lr * (g - np.exp(lw) * g.sum())
+        got = fitted.nodes[i].log_weights
+        assert got.shape == (len(circuit.nodes[i].children),)
+        assert not np.any(np.isnan(got))
+        assert np.allclose(got, theta - logsumexp(theta), rtol=0, atol=1e-12)
+        assert not np.allclose(got, lw, rtol=0, atol=1e-6)
 
 
 def test_patience_zero_disables_early_stopping():
