@@ -264,6 +264,7 @@ def cmd_benchmark(args) -> int:
         print(f"{method}: n={metrics.n} success={metrics.success_rate:.3f} "
               f"mean_logdens={metrics.mean_log_density:.3f} "
               f"mean_time={metrics.mean_time:.4f}s "
+              f"mean_l1={metrics.mean_l1_distance:.4f} "
               f"mean_grad_evals={metrics.mean_grad_evals:.1f}")
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"dataset": cfg.get("dataset", {}), "records": records},

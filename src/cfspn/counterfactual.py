@@ -17,6 +17,7 @@ gradient descent from z = x, the standard iterative recipe.
 from __future__ import annotations
 
 import json
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -41,8 +42,10 @@ class CfConfig:
     retry_epsilon_schedule: bool = False
 
     def __post_init__(self):
-        if self.epsilon1 <= 0 or self.epsilon2 <= 0:
-            raise ValueError("step sizes must be positive")
+        for name in ("epsilon1", "epsilon2"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if self.grad_mode not in grad.GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {grad.GRAD_MODES}")
 
@@ -55,10 +58,11 @@ class BaselineConfig:
     early_stop: bool = True
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, "
+                             f"got {self.learning_rate}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -128,6 +132,7 @@ class CfMetrics:
     mean_log_density: float
     success_rate: float
     mean_time: float
+    mean_l1_distance: float
     n: int
     mean_grad_evals: float | None = None
 
@@ -144,16 +149,31 @@ def _prepare(circuit: Circuit, x, y_prime: int) -> np.ndarray:
     return x
 
 
-def _finite_or_raise(g: np.ndarray, stage: str) -> np.ndarray:
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"non-finite gradient in {stage}")
-    return g
+def _finite_or_raise(v: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"non-finite {what}")
+    return v
+
+
+def _clip(v: np.ndarray, config: CfConfig) -> np.ndarray:
+    return np.clip(v, 0.0, 1.0) if config.clip_to_unit else v
+
+
+def _score(circuit: Circuit, class_log_values: np.ndarray) -> tuple[int, float]:
+    """inference.predict and inference.log_density of a point, from the
+    class-root log values of a forward pass already made there."""
+    return (int(np.argmax(inference.posterior_of(circuit, class_log_values))),
+            float(inference.log_density_of(circuit, class_log_values)))
 
 
 def generate(circuit: Circuit, x, y: int, y_prime: int,
              config: CfConfig | None = None) -> CfResult:
     """Two-step counterfactual for one query; exactly two gradient evaluations.
 
+    The forward pass of each gradient step also scores its point (the
+    prediction and log density at x and at u), and one more forward pass
+    scores x': 3 forward and 2 backward passes.  With retry_epsilon_schedule,
+    each retry of step 2 from a larger eps1 adds one gradient evaluation.
     Warns (without failing) when y differs from the model's prediction at x.
     With clip_to_unit, both steps clamp to [0, 1]^d, the range of min-max
     scaled features.
@@ -164,58 +184,40 @@ def generate(circuit: Circuit, x, y: int, y_prime: int,
         raise ValueError(f"source class {y} out of range")
     if y == y_prime:
         raise ValueError("source and target class must differ")
-    pred_x = inference.predict(circuit, x)
+
+    t0 = time.perf_counter()
+    step1 = grad.gradient(circuit, x, {y_prime: 1.0, y: -1.0})
+    g1 = _finite_or_raise(step1.values, "gradient in step 1")
+    elapsed = [time.perf_counter() - t0, 0.0]
+    pred_x, logdens_x = _score(circuit, step1.class_log_values)
     if pred_x != y:
         warnings.warn(f"query is labeled class {y} but the model predicts "
                       f"{pred_x}", RuntimeWarning, stacklevel=2)
 
-    evals_before = grad.evaluation_count()
-    t0 = time.perf_counter()
-    g1 = _finite_or_raise(grad.grad_log_ratio(circuit, x, y, y_prime), "step 1")
-    u = x + config.epsilon1 * g1
-    if config.clip_to_unit:
-        u = np.clip(u, 0.0, 1.0)
-    t1 = time.perf_counter()
-    g2 = grad.grad_density(circuit, u, config.grad_mode)
-    _finite_or_raise(g2.values, "step 2")
-    x_prime = u + config.epsilon2 * g2.values
-    if config.clip_to_unit:
-        x_prime = np.clip(x_prime, 0.0, 1.0)
-    t2 = time.perf_counter()
-    elapsed = [t1 - t0, t2 - t1]
+    factors = (1.0, 2.0, 4.0, 8.0) if config.retry_epsilon_schedule else (1.0,)
+    for grad_evals, factor in enumerate(factors, start=2):
+        t1 = time.perf_counter()
+        u = _clip(x + factor * config.epsilon1 * g1, config)
+        step2 = grad.grad_density(circuit, u, config.grad_mode)
+        x_prime = _clip(u + config.epsilon2 * _finite_or_raise(
+            step2.values, "gradient in step 2"), config)
+        elapsed[1] += time.perf_counter() - t1
+        _finite_or_raise(x_prime, "counterfactual")
+        pred_x_prime, logdens_x_prime = _score(
+            circuit, inference.class_log_densities(circuit, x_prime))
+        if pred_x_prime == y_prime:
+            break
 
-    underflow = g2.underflow
-    pred_x_prime = inference.predict(circuit, x_prime)
-    if config.retry_epsilon_schedule and pred_x_prime != y_prime:
-        for factor in (2.0, 4.0, 8.0):
-            u_try = x + factor * config.epsilon1 * g1
-            if config.clip_to_unit:
-                u_try = np.clip(u_try, 0.0, 1.0)
-            t_a = time.perf_counter()
-            g2 = grad.grad_density(circuit, u_try, config.grad_mode)
-            t_b = time.perf_counter()
-            _finite_or_raise(g2.values, "step 2 (retry)")
-            candidate = u_try + config.epsilon2 * g2.values
-            if config.clip_to_unit:
-                candidate = np.clip(candidate, 0.0, 1.0)
-            elapsed[1] += t_b - t_a
-            u, x_prime, underflow = u_try, candidate, g2.underflow
-            pred_x_prime = inference.predict(circuit, x_prime)
-            if pred_x_prime == y_prime:
-                break
-
+    pred_u, logdens_u = _score(circuit, step2.class_log_values)
     return CfResult(
         x=x, u=u, x_prime=x_prime, y=y, y_prime=y_prime,
-        pred_x=pred_x,
-        pred_u=inference.predict(circuit, u),
-        pred_x_prime=pred_x_prime,
-        logdens_x=inference.log_density(circuit, x),
-        logdens_u=inference.log_density(circuit, u),
-        logdens_x_prime=inference.log_density(circuit, x_prime),
+        pred_x=pred_x, pred_u=pred_u, pred_x_prime=pred_x_prime,
+        logdens_x=logdens_x, logdens_u=logdens_u,
+        logdens_x_prime=logdens_x_prime,
         elapsed=elapsed,
         success=pred_x_prime == y_prime,
-        grad_evals=grad.evaluation_count() - evals_before,
-        density_underflow=underflow,
+        grad_evals=grad_evals,
+        density_underflow=step2.underflow,
     )
 
 
@@ -230,14 +232,13 @@ def wachter_baseline(circuit: Circuit, x, y_prime: int,
     config = config or BaselineConfig()
     x = _prepare(circuit, x, y_prime)
     pred_x = inference.predict(circuit, x)
-    evals_before = grad.evaluation_count()
     lr = config.learning_rate
     z = x.copy()
     iterations = 0
     t0 = time.perf_counter()
     for _ in range(config.max_iters):
         g = grad.grad_log_posterior(circuit, z, y_prime)
-        _finite_or_raise(g, "baseline iteration")
+        _finite_or_raise(g, "gradient in baseline iteration")
         z = z + lr * (g - config.lam * np.sign(z - x))
         iterations += 1
         if config.early_stop and inference.predict(circuit, z) == y_prime:
@@ -254,7 +255,7 @@ def wachter_baseline(circuit: Circuit, x, y_prime: int,
         logdens_x_prime=logdens_z,
         elapsed=[t1 - t0],
         success=pred_z == y_prime,
-        grad_evals=grad.evaluation_count() - evals_before,
+        grad_evals=iterations,
         iterations=iterations,
     )
 
@@ -284,6 +285,8 @@ def summarize(results: list[CfResult]) -> CfMetrics:
         mean_log_density=float(np.mean([r.logdens_x_prime for r in results])),
         success_rate=float(np.mean([r.success for r in results])),
         mean_time=float(np.mean([sum(r.elapsed) for r in results])),
+        mean_l1_distance=float(np.mean([np.abs(r.x_prime - r.x).sum()
+                                        for r in results])),
         n=len(results),
         mean_grad_evals=float(np.mean([r.grad_evals for r in results])),
     )
@@ -310,6 +313,7 @@ def metrics_record(metrics: CfMetrics, method: str, dataset: str,
         "mean_log_density": metrics.mean_log_density,
         "success_rate": metrics.success_rate,
         "mean_time_seconds": metrics.mean_time,
+        "mean_l1_distance": metrics.mean_l1_distance,
         "mean_grad_evals": metrics.mean_grad_evals,
         "config": cfg,
     }

@@ -1,14 +1,16 @@
 """Exact reverse-mode input gradients of circuit outputs.
 
-Each operation runs one forward and one backward sweep over the compiled
-circuit, propagating adjoints of log node values top-down and converting to
-input partials at the leaves.  Working in log space until the leaf
-conversion avoids the underflow that direct density differentiation hits in
-high dimension.
+Every gradient is one forward and one backward sweep over the compiled
+circuit (``gradient``), propagating adjoints of log node values top-down
+and converting to input partials at the leaves.  Working in log space until
+the leaf conversion avoids the underflow that direct density
+differentiation hits in high dimension.  The named functions below only
+choose the class-root seeds.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,52 +24,64 @@ GRAD_MODES = ("density", "log_density")
 #: Gradient vectors are plain length-d arrays, nats (or density) per input unit.
 GradientVector = np.ndarray
 
-# Total gradient evaluations since the last reset; one per public grad call.
-_evaluations = 0
 
+@dataclass(frozen=True)
+class Gradient:
+    """An input gradient and the class-root log values of the same forward pass.
 
-def evaluation_count() -> int:
-    return _evaluations
-
-
-def reset_evaluation_count() -> None:
-    global _evaluations
-    _evaluations = 0
-
-
-def _count() -> None:
-    global _evaluations
-    _evaluations += 1
-
-
-@dataclass
-class DensityGradient:
-    """Gradient of S(u) or log S(u); ``underflow`` flags a vanished density.
-
-    In density mode, when log S(u) falls below the smallest positive normal
-    float the true gradient is numerically zero; the vector is reported as
-    exact zeros with the flag set rather than as garbage.
+    ``values`` has the input's shape, (d,) or (B, d); ``class_log_values``
+    holds log S(x|y) per class, (C,) or (B, C).  In density mode, where
+    log S(u) falls below the smallest positive normal float, the true
+    gradient is numerically zero: it is reported as exact zeros with
+    ``underflow`` set (a bool per point) rather than as garbage.
     """
 
     values: np.ndarray
-    underflow: bool = False
+    class_log_values: np.ndarray
+    underflow: bool | list[bool] = False
 
 
-def _full_input(circuit: Circuit, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (circuit.num_variables,):
-        raise ValueError(
-            f"input shape {x.shape} does not match {circuit.num_variables} variables")
-    if np.any(np.isnan(x)):
+def _points(circuit: Circuit, x) -> tuple[np.ndarray, bool]:
+    """x as a (B, d) batch, and whether it was a single (d,) point."""
+    X = np.asarray(x, dtype=np.float64)
+    single = X.ndim == 1
+    if single:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != circuit.num_variables:
+        raise ValueError(f"input shape {np.shape(x)} does not match "
+                         f"{circuit.num_variables} variables")
+    if np.any(np.isnan(X)):
         raise ValueError("input has missing values; gradients need full observations")
-    if np.any(np.isinf(x)):
+    if np.any(np.isinf(X)):
         raise ValueError("input contains non-finite values")
-    return x
+    return X, single
 
 
-def _check_class(circuit: Circuit, y: int) -> None:
-    if not (0 <= y < circuit.num_classes):
-        raise ValueError(f"class {y} out of range [0, {circuit.num_classes})")
+def gradient(circuit: Circuit, x, class_weights: dict[int, float],
+             density_weight: float = 0.0) -> Gradient:
+    """grad_x [sum_y class_weights[y] log S(x|y) + density_weight log S(x)].
+
+    x is one point (d,) or a batch (B, d).  The forward pass gives every
+    class-root log value; the quantity's partials with respect to them,
+    class_weights[y] + density_weight * P(y|x), seed a single backward pass.
+    """
+    X, single = _points(circuit, x)
+    weights = np.zeros(circuit.num_classes)
+    for y, w in class_weights.items():
+        if not (0 <= y < circuit.num_classes):
+            raise ValueError(f"class {y} out of range [0, {circuit.num_classes})")
+        weights[y] = w
+    compiled = engine.compile_circuit(circuit)
+    V = compiled.forward(X)
+    values = V[list(circuit.class_roots)].T
+    adjoints = np.broadcast_to(weights, values.shape)
+    if density_weight:
+        adjoints = adjoints + density_weight * softmax(values + circuit.log_prior, axis=1)
+    seeds: dict[int, np.ndarray] = {}
+    for k, root in enumerate(circuit.class_roots):
+        seeds[root] = seeds.get(root, 0.0) + adjoints[:, k]
+    G = compiled.backward(V, X, seeds).input_grads
+    return Gradient(G[0], values[0]) if single else Gradient(G, values)
 
 
 def grad_log_ratio(circuit: Circuit, x, y: int, y_prime: int) -> GradientVector:
@@ -76,37 +90,17 @@ def grad_log_ratio(circuit: Circuit, x, y: int, y_prime: int) -> GradientVector:
     Antisymmetric in (y, y') by construction: both class-root adjoints are
     seeded in a single backward pass with opposite signs.
     """
-    x = _full_input(circuit, x)
-    _check_class(circuit, y)
-    _check_class(circuit, y_prime)
     if y == y_prime:
         raise ValueError("y and y_prime must differ")
-    if circuit.class_roots[y] == circuit.class_roots[y_prime]:
-        _count()
-        return np.zeros(circuit.num_variables)
-    compiled = engine.compile_circuit(circuit)
-    X = x[None, :]
-    V = compiled.forward(X)
-    one = np.ones(1)
-    seeds = {circuit.class_roots[y_prime]: one, circuit.class_roots[y]: -one}
-    result = compiled.backward(V, X, seeds)
-    _count()
-    return result.input_grads[0]
+    return gradient(circuit, x, {y_prime: 1.0, y: -1.0}).values
 
 
-def grad_class_log_density(circuit: Circuit, x, y: int) -> GradientVector:
-    """grad_x log S(x|y)."""
-    x = _full_input(circuit, x)
-    _check_class(circuit, y)
-    compiled = engine.compile_circuit(circuit)
-    X = x[None, :]
-    V = compiled.forward(X)
-    result = compiled.backward(V, X, {circuit.class_roots[y]: np.ones(1)})
-    _count()
-    return result.input_grads[0]
+def grad_log_ratio_batch(circuit: Circuit, X, y: int, y_prime: int) -> np.ndarray:
+    """grad_log_ratio for every row of X in one backward pass; shape (B, d)."""
+    return grad_log_ratio(circuit, X, y, y_prime)
 
 
-def grad_density(circuit: Circuit, u, mode: str = "density") -> DensityGradient:
+def grad_density(circuit: Circuit, u, mode: str = "density") -> Gradient:
     """Gradient of the mixture density S(u), or of log S(u) in log mode.
 
     Density mode returns exp(log S(u)) * grad log S(u), the stable factorized
@@ -114,89 +108,23 @@ def grad_density(circuit: Circuit, u, mode: str = "density") -> DensityGradient:
     """
     if mode not in GRAD_MODES:
         raise ValueError(f"mode must be one of {GRAD_MODES}, got {mode!r}")
-    u = _full_input(circuit, u)
-    compiled = engine.compile_circuit(circuit)
-    X = u[None, :]
-    V = compiled.forward(X)
-    roots = np.asarray(circuit.class_roots)
-    joint = V[roots, 0] + circuit.log_prior
-    # adjoint of log S wrt each class root's log value
-    weights = softmax(joint)
-    seeds: dict[int, np.ndarray] = {}
-    for k, r in enumerate(roots):
-        seeds[int(r)] = seeds.get(int(r), np.zeros(1)) + weights[k:k + 1]
-    result = compiled.backward(V, X, seeds)
-    _count()
-    grad_log = result.input_grads[0]
+    g = gradient(circuit, u, {}, density_weight=1.0)
     if mode == "log_density":
-        return DensityGradient(grad_log, underflow=False)
-    log_s = logsumexp(joint)
-    if log_s < LOG_TINY:
-        return DensityGradient(np.zeros_like(grad_log), underflow=True)
-    return DensityGradient(np.exp(log_s) * grad_log, underflow=False)
-
-
-def _full_batch(circuit: Circuit, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != circuit.num_variables:
-        raise ValueError(f"expected shape (batch, {circuit.num_variables}), "
-                         f"got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("batch contains missing or non-finite values")
-    return X
-
-
-def grad_log_ratio_batch(circuit: Circuit, X, y: int, y_prime: int) -> np.ndarray:
-    """grad_log_ratio for every row of X in one backward pass; shape (B, d)."""
-    X = _full_batch(circuit, X)
-    _check_class(circuit, y)
-    _check_class(circuit, y_prime)
-    global _evaluations
-    _evaluations += X.shape[0]
-    if y == y_prime or circuit.class_roots[y] == circuit.class_roots[y_prime]:
-        return np.zeros_like(X)
-    compiled = engine.compile_circuit(circuit)
-    V = compiled.forward(X)
-    ones = np.ones(X.shape[0])
-    seeds = {circuit.class_roots[y_prime]: ones, circuit.class_roots[y]: -ones}
-    return compiled.backward(V, X, seeds).input_grads
+        return g
+    log_s = logsumexp(g.class_log_values + circuit.log_prior, axis=-1)
+    underflow = log_s < LOG_TINY
+    values = np.where(underflow[..., None], 0.0, np.exp(log_s)[..., None] * g.values)
+    return dataclasses.replace(g, values=values, underflow=underflow.tolist())
 
 
 def grad_log_density_batch(circuit: Circuit, X) -> np.ndarray:
     """grad log S(x) for every row of X in one backward pass; shape (B, d)."""
-    X = _full_batch(circuit, X)
-    global _evaluations
-    _evaluations += X.shape[0]
-    compiled = engine.compile_circuit(circuit)
-    V = compiled.forward(X)
-    roots = np.asarray(circuit.class_roots)
-    joint = V[roots] + circuit.log_prior[:, None]
-    weights = softmax(joint, axis=0)
-    seeds: dict[int, np.ndarray] = {}
-    for k, r in enumerate(roots):
-        seeds[int(r)] = seeds.get(int(r), 0.0) + weights[k]
-    return compiled.backward(V, X, seeds).input_grads
+    return grad_density(circuit, X, "log_density").values
 
 
 def grad_log_posterior(circuit: Circuit, x, y_prime: int) -> GradientVector:
     """grad_x log P(y'|x), the ascent direction used by the iterative baseline.
 
-    Equals grad log S(x|y') minus the posterior-weighted average of all
-    class-conditional gradients; computed in one backward pass.
+    log P(y'|x) = log S(x|y') + log P(y') - log S(x); one backward pass.
     """
-    x = _full_input(circuit, x)
-    _check_class(circuit, y_prime)
-    compiled = engine.compile_circuit(circuit)
-    X = x[None, :]
-    V = compiled.forward(X)
-    roots = np.asarray(circuit.class_roots)
-    joint = V[roots, 0] + circuit.log_prior
-    weights = softmax(joint)
-    seeds: dict[int, np.ndarray] = {}
-    for k, r in enumerate(roots):
-        seeds[int(r)] = seeds.get(int(r), np.zeros(1)) - weights[k:k + 1]
-    r_target = int(roots[y_prime])
-    seeds[r_target] = seeds.get(r_target, np.zeros(1)) + np.ones(1)
-    result = compiled.backward(V, X, seeds)
-    _count()
-    return result.input_grads[0]
+    return gradient(circuit, x, {y_prime: 1.0}, density_weight=-1.0).values

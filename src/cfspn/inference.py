@@ -77,29 +77,38 @@ def class_log_density(circuit: Circuit, y: int, evidence):
 def log_density(circuit: Circuit, evidence):
     """log S(x) = log sum_y exp(log S(x|y) + log P(y))."""
     X, single = _as_batch(circuit, evidence)
-    joint = _root_values(circuit, X) + circuit.log_prior
-    values = logsumexp(joint, axis=1)
+    values = log_density_of(circuit, _root_values(circuit, X))
     all_missing = np.all(np.isnan(X), axis=1)
     if np.any(all_missing):
         values[all_missing] = 0.0
     return float(values[0]) if single else values
 
 
+def log_density_of(circuit: Circuit, class_log_values) -> np.ndarray:
+    """log S(x) from the class-root log values log S(x|y), (C,) or (B, C)."""
+    return logsumexp(np.asarray(class_log_values) + circuit.log_prior, axis=-1)
+
+
 def posterior(circuit: Circuit, evidence) -> Posterior:
-    """Normalized log P(y|x) by Bayes' rule; shape (C,) or (B, C).
+    """Normalized log P(y|x) by Bayes' rule; shape (C,) or (B, C)."""
+    X, single = _as_batch(circuit, evidence)
+    log_probs = posterior_of(circuit, _root_values(circuit, X))
+    return log_probs[0] if single else log_probs
+
+
+def posterior_of(circuit: Circuit, class_log_values) -> Posterior:
+    """posterior from the class-root log values log S(x|y), (C,) or (B, C).
 
     When every class-conditional density underflows to -inf the posterior
     falls back to the prior (the limit of the ratio is prior-weighted).
     """
-    X, single = _as_batch(circuit, evidence)
-    joint = _root_values(circuit, X) + circuit.log_prior
+    joint = np.atleast_2d(class_log_values) + circuit.log_prior
     norm = logsumexp(joint, axis=1)
     dead = ~np.isfinite(norm)
     if np.any(dead):
         joint[dead] = circuit.log_prior
         norm[dead] = 0.0
-    log_probs = joint - norm[:, None]
-    return log_probs[0] if single else log_probs
+    return (joint - norm[:, None]).reshape(np.shape(class_log_values))
 
 
 def predict(circuit: Circuit, evidence):

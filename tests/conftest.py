@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfspn import circuit as cm
+from cfspn.engine import CompiledCircuit
 from cfspn.structure import StructureConfig, build_circuit
 
 
@@ -104,3 +105,21 @@ def two_gaussian_classifier(mean0=-1.0, mean1=1.0, variance=0.25):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Counts of engine forward and backward passes made during a test."""
+    counts = {"forward": 0, "backward": 0}
+
+    def counted(name):
+        original = getattr(CompiledCircuit, name)
+
+        def wrapper(self, *args, **kwargs):
+            counts[name] += 1
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(CompiledCircuit, name, counted(name))
+    return counts

@@ -135,6 +135,38 @@ def test_counterfactual_flag_overrides(trained, tmp_path):
     assert cf.load_results(out)
 
 
+@pytest.mark.parametrize("flag", ["--epsilon1", "--epsilon2"])
+def test_counterfactual_rejects_non_finite_step_sizes(trained, tmp_path, capsys,
+                                                      flag):
+    _, config, model = trained
+    out = tmp_path / "results.jsonl"
+    code = main(["counterfactual", "--config", str(config),
+                 "--model", str(model), "--target-class", "1",
+                 flag, "nan", "--out", str(out)])
+    assert code == 2
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_reports_mean_l1_distance(trained, tmp_path, capsys):
+    _, config, model = trained
+    results_path = tmp_path / "results.jsonl"
+    bench = tmp_path / "bench.json"
+    assert main(["counterfactual", "--config", str(config),
+                 "--model", str(model), "--target-class", "1",
+                 "--out", str(results_path)]) == 0
+    assert main(["benchmark", "--config", str(config),
+                 "--model", str(model), "--target-class", "1",
+                 "--method", "two_step", "--out", str(bench)]) == 0
+    results = cf.load_results(results_path)
+    record = json.loads(bench.read_text())["records"][0]
+    assert record["n"] == len(results)
+    assert record["mean_l1_distance"] == np.mean(
+        [np.abs(r.x_prime - r.x).sum() for r in results])
+    assert record["mean_l1_distance"] > 0
+    assert "mean_l1=" in capsys.readouterr().out
+
+
 def test_counterfactual_with_no_queries_warns_and_succeeds(tmp_path, capsys):
     csv_path = tmp_path / "flat.csv"
     rows = ["x1,x2,y"] + [f"0.{i},0.{9 - i},only" for i in range(10)] * 4

@@ -41,14 +41,49 @@ def test_two_step_analytic_one_dimensional():
     assert res.iterations is None
 
 
-def test_two_step_uses_exactly_two_gradient_evaluations():
+def test_two_step_uses_exactly_two_gradient_evaluations(passes):
     c = two_gaussian_classifier()
-    grad.reset_evaluation_count()
     res = cf.generate(c, np.array([-1.0]), 0, 1,
                       cf.CfConfig(epsilon1=0.25, epsilon2=0.1,
                                   clip_to_unit=False))
-    assert grad.evaluation_count() == 2
+    # two gradient sweeps, which also score x and u, and one forward at x'
+    assert passes == {"forward": 3, "backward": 2}
     assert res.grad_evals == 2
+
+
+def test_each_retry_adds_one_gradient_evaluation(passes):
+    c = two_gaussian_classifier()
+    x = np.array([-2.0])
+    seen = []
+    for eps1 in (0.05, 0.1, 0.2, 0.4):
+        before = dict(passes)
+        res = cf.generate(c, x, 0, 1,
+                          cf.CfConfig(epsilon1=eps1, epsilon2=1e-6,
+                                      clip_to_unit=False,
+                                      retry_epsilon_schedule=True))
+        retries = res.grad_evals - 2
+        assert passes["backward"] - before["backward"] == 2 + retries
+        assert passes["forward"] - before["forward"] == 3 + 2 * retries
+        seen.append(retries)
+    # u = -2 + 8 * factor * eps1 crosses the boundary at 0 once factor * eps1 > 0.25
+    assert seen == [3, 2, 1, 0]
+
+
+def test_result_fields_match_inference_at_x_u_and_x_prime(moons_model):
+    circuit, test = moons_model
+    for grad_mode in grad.GRAD_MODES:
+        cfg = cf.CfConfig(epsilon1=0.1, epsilon2=0.01, grad_mode=grad_mode,
+                          retry_epsilon_schedule=True)
+        for x, y, y_prime in source_queries(circuit, test, 15):
+            res = cf.generate(circuit, x, y, y_prime, cfg)
+            for point, pred, logdens in ((res.x, res.pred_x, res.logdens_x),
+                                         (res.u, res.pred_u, res.logdens_u),
+                                         (res.x_prime, res.pred_x_prime,
+                                          res.logdens_x_prime)):
+                assert np.array_equal(pred, inference.predict(circuit, point))
+                assert np.array_equal(logdens,
+                                      inference.log_density(circuit, point))
+            assert res.success == (res.pred_x_prime == y_prime)
 
 
 def test_clip_keeps_both_points_in_unit_box():
@@ -165,6 +200,7 @@ def test_wachter_without_early_stop_runs_all_iterations():
                             early_stop=False)
     res = cf.wachter_baseline(c, np.array([-0.2]), 1, cfg)
     assert res.iterations == 60
+    assert res.grad_evals == 60
     assert res.success
 
 
@@ -279,3 +315,12 @@ def test_cf_config_validation():
         cf.BaselineConfig(lam=-1.0)
     with pytest.raises(ValueError):
         cf.BaselineConfig(max_iters=0)
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cf.CfConfig, "epsilon1"), (cf.CfConfig, "epsilon2"),
+    (cf.BaselineConfig, "lam"), (cf.BaselineConfig, "learning_rate")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_configs_reject_non_finite_step_sizes(cls, field, value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{field: value})

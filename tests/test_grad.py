@@ -49,6 +49,8 @@ def test_grad_log_ratio_rejects_identical_classes(rng):
     x = rng.normal(0.5, 0.4, size=c.num_variables)
     with pytest.raises(ValueError):
         grad.grad_log_ratio(c, x, 1, 1)
+    with pytest.raises(ValueError):
+        grad.grad_log_ratio_batch(c, np.stack([x, x]), 1, 1)
 
 
 def test_grad_log_ratio_shared_root_is_zero(rng):
@@ -58,6 +60,8 @@ def test_grad_log_ratio_shared_root_is_zero(rng):
     x = rng.normal(0.5, 0.4, size=c.num_variables)
     assert np.array_equal(grad.grad_log_ratio(c, x, 0, 1),
                           np.zeros(c.num_variables))
+    assert np.array_equal(grad.grad_log_ratio_batch(c, np.stack([x, x]), 0, 1),
+                          np.zeros((2, c.num_variables)))
 
 
 def test_grad_log_ratio_analytic_two_gaussians():
@@ -71,7 +75,7 @@ def test_grad_class_log_density_matches_finite_differences(rng):
     c = random_circuit(rng, num_classes=3)
     x = rng.normal(0.5, 0.4, size=c.num_variables)
     for y in range(3):
-        got = grad.grad_class_log_density(c, x, y)
+        got = grad.gradient(c, x, {y: 1.0}).values
         fd = central_fd(lambda v: inference.class_log_density(c, y, v), x)
         assert_close_to_fd(got, fd)
 
@@ -134,26 +138,39 @@ def test_grad_log_posterior_matches_finite_differences(rng):
         assert_close_to_fd(got, fd)
 
 
-def test_evaluation_counter_counts_backward_passes(rng):
-    c = random_circuit(rng, num_classes=2)
+def test_each_gradient_is_one_forward_and_one_backward_pass(rng, passes):
+    c = random_circuit(rng, num_classes=3)
     x = rng.normal(0.5, 0.4, size=c.num_variables)
-    grad.reset_evaluation_count()
-    grad.grad_log_ratio(c, x, 0, 1)
-    assert grad.evaluation_count() == 1
-    grad.grad_density(c, x)
-    assert grad.evaluation_count() == 2
-    grad.grad_log_posterior(c, x, 1)
-    assert grad.evaluation_count() == 3
-    grad.reset_evaluation_count()
-    assert grad.evaluation_count() == 0
+    X = rng.normal(0.5, 0.4, size=(4, c.num_variables))
+    calls = [lambda: grad.grad_log_ratio(c, x, 0, 1),
+             lambda: grad.grad_log_ratio_batch(c, X, 0, 2),
+             lambda: grad.grad_density(c, x),
+             lambda: grad.grad_density(c, x, "log_density"),
+             lambda: grad.grad_log_density_batch(c, X),
+             lambda: grad.grad_log_posterior(c, x, 1)]
+    for k, call in enumerate(calls, start=1):
+        call()
+        assert passes == {"forward": k, "backward": k}
+
+
+def test_gradient_returns_the_class_log_values_of_its_forward_pass(rng):
+    c = random_circuit(rng, num_classes=3)
+    X = rng.normal(0.5, 0.4, size=(5, c.num_variables))
+    batch = grad.gradient(c, X, {0: 1.0}, density_weight=-0.5)
+    assert np.array_equal(batch.class_log_values,
+                          inference.class_log_densities(c, X))
+    single = grad.grad_density(c, X[2], "log_density")
+    assert np.array_equal(single.class_log_values,
+                          inference.class_log_densities(c, X[2]))
+    with pytest.raises(ValueError):
+        grad.gradient(c, X, {3: 1.0})
 
 
 def test_batch_gradients_match_per_row(rng):
     c = random_circuit(rng, num_classes=2)
     X = rng.normal(0.5, 0.4, size=(6, c.num_variables))
-    grad.reset_evaluation_count()
     batch = grad.grad_log_ratio_batch(c, X, 0, 1)
-    assert grad.evaluation_count() == 6
+    assert batch.shape == X.shape
     for b in range(6):
         row = grad.grad_log_ratio(c, X[b], 0, 1)
         assert np.allclose(batch[b], row, atol=1e-12)
@@ -162,3 +179,9 @@ def test_batch_gradients_match_per_row(rng):
     for b in range(6):
         row = grad.grad_density(c, X[b], mode="log_density").values
         assert np.allclose(batch[b], row, atol=1e-12)
+
+    dens = grad.grad_density(c, X)
+    for b in range(6):
+        row = grad.grad_density(c, X[b])
+        assert np.allclose(dens.values[b], row.values, rtol=1e-12, atol=1e-300)
+        assert dens.underflow[b] == row.underflow
