@@ -1,4 +1,4 @@
-"""Circuit representation, validation, log-space evaluation and serialization.
+"""Circuit representation, validation, serialization and log-space arithmetic.
 
 A circuit is a DAG of sum, product and univariate leaf nodes stored in a flat
 arena in topological order (children before parents), with one root per class
@@ -26,6 +26,23 @@ NORMALIZATION_TOL = 1e-9
 LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along one axis; -inf if no term is above -inf.
+
+    The largest terms leave the sum and return through log1p, the arithmetic
+    of ``scipy.special.logsumexp``, whose results this matches bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    top = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+    is_top = a == top
+    count = is_top.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.exp(np.where(is_top, -np.inf, a - top)).sum(axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + top
+    out = np.where(np.isfinite(top), out, top)
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 class CircuitFormatError(ValueError):
@@ -285,28 +302,6 @@ def validate(circuit: Circuit, variance_floor: float = 0.0) -> ValidationReport:
         bad(None, "prior", f"prior sums to {np.exp(prior).sum()!r}")
 
     return report
-
-
-def log_value(circuit: Circuit, root: int, evidence: np.ndarray) -> float:
-    """Log value of one node on a single evidence row, in nats.
-
-    Evidence is a length-d float vector; NaN marks a marginalized variable
-    (the leaf contributes log 1).  A fully marginalized query returns 0.0
-    exactly: a valid circuit is normalized by construction, so no numerical
-    pass is needed.
-    """
-    from . import engine
-
-    if not (0 <= root < len(circuit.nodes)):
-        raise ValueError(f"invalid root id {root}")
-    x = np.asarray(evidence, dtype=np.float64)
-    if x.shape != (circuit.num_variables,):
-        raise ValueError(
-            f"evidence has shape {x.shape}, expected ({circuit.num_variables},)")
-    if np.all(np.isnan(x)):
-        return 0.0
-    values = engine.compile_circuit(circuit).forward(x[None, :])
-    return float(values[root, 0])
 
 
 def _node_to_dict(node: Node) -> dict:

@@ -80,20 +80,6 @@ def _load_pair(cfg: dict, args, seed: int):
     fraction = float(split_cfg.get("train_fraction", 0.7))
     split_seed = int(split_cfg.get("seed", seed))
 
-    if kind == "csv":
-        if "path" not in section:
-            raise ValueError("dataset.path (or --data) is required for CSV data")
-        if "schema" not in section:
-            raise ValueError("dataset.schema (or --schema) is required for CSV data")
-        schema = data_mod.Schema.from_json(section["schema"])
-        dataset = data_mod.load_csv(section["path"], schema)
-        return data_mod.split(dataset, fraction, split_seed)
-    if kind in ("moons", "rings"):
-        maker = data_mod.make_moons if kind == "moons" else data_mod.make_rings
-        dataset = maker(int(section.get("n", 2000)),
-                        float(section.get("noise", 0.1)),
-                        int(section.get("seed", seed)))
-        return data_mod.split(dataset, fraction, split_seed)
     if kind == "mnist":
         if "dir" not in section:
             raise ValueError("dataset.dir is required for MNIST data")
@@ -101,7 +87,24 @@ def _load_pair(cfg: dict, args, seed: int):
         train = data_mod.load_mnist(section["dir"], digits, part="train")
         test = data_mod.load_mnist(section["dir"], digits, part="t10k")
         return train, test
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    if kind == "csv":
+        if "path" not in section:
+            raise ValueError("dataset.path (or --data) is required for CSV data")
+        if "schema" not in section:
+            raise ValueError("dataset.schema (or --schema) is required for CSV data")
+        schema = data_mod.Schema.from_json(section["schema"])
+        dataset = data_mod.load_csv(section["path"], schema)
+    elif kind in ("moons", "rings"):
+        maker = data_mod.make_moons if kind == "moons" else data_mod.make_rings
+        dataset = maker(int(section.get("n", 2000)),
+                        float(section.get("noise", 0.1)),
+                        int(section.get("seed", seed)))
+    elif kind == "onehot":
+        dataset = data_mod.make_onehot_tabular(int(section.get("n", 1200)),
+                                               int(section.get("seed", seed)))
+    else:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    return data_mod.split(dataset, fraction, split_seed)
 
 
 def _check_distinct(inputs, outputs) -> None:
@@ -157,55 +160,49 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _queries_for_target(model, test_ds, y_prime: int,
-                        limit: int | None = None) -> list:
-    """Test rows currently predicted as some other class, as (x, y, y') triples."""
-    preds = inference.predict(model, test_ds.features)
-    rows = np.flatnonzero(preds != y_prime)
-    if limit is not None:
-        rows = rows[:limit]
-    return [(test_ds.features[i], int(preds[i]), y_prime) for i in rows]
-
-
-def _require_target(args, model) -> int:
+def _query_setup(args, default_out: str):
+    """Set-up shared by counterfactual and benchmark: the config, the model,
+    the output path, the test set, the two-step config with flag overrides,
+    and the queries (x, y, y'), test rows predicted as another class."""
+    cfg = _read_config(args.config)
+    seed = _global_seed(cfg, args)
+    if not args.model:
+        raise ValueError("--model is required")
+    model = circuit_mod.load(args.model)
+    out = args.out or default_out
+    _check_distinct([args.config, args.model, args.data, args.schema], [out])
+    _, test_ds = _load_pair(cfg, args, seed)
+    if test_ds.dimension != model.num_variables:
+        raise ValueError(f"dataset has {test_ds.dimension} features, model "
+                         f"has {model.num_variables}")
     if args.target_class is None:
         raise ValueError("--target-class is required")
     y_prime = int(args.target_class)
     if not (0 <= y_prime < model.num_classes):
         raise ValueError(f"target class {y_prime} out of range "
                          f"[0, {model.num_classes})")
-    return y_prime
 
-
-def cmd_counterfactual(args) -> int:
-    cfg = _read_config(args.config)
-    seed = _global_seed(cfg, args)
-    if not args.model:
-        raise ValueError("--model is required")
-    model = circuit_mod.load(args.model)
-    out = args.out or "cf_results.jsonl"
-    _check_distinct([args.config, args.model, args.data, args.schema], [out])
-    _, test_ds = _load_pair(cfg, args, seed)
-    if test_ds.dimension != model.num_variables:
-        raise ValueError(f"dataset has {test_ds.dimension} features, model "
-                         f"has {model.num_variables}")
-
-    y_prime = _require_target(args, model)
     cf_section = _section(cfg, "counterfactual")
     limit = cf_section.pop("max_queries", None)
     cf_cfg = _build_config(
         cf.CfConfig, cf_section,
         epsilon1=args.epsilon1, epsilon2=args.epsilon2, grad_mode=args.grad_mode)
-    queries = _queries_for_target(model, test_ds, y_prime,
-                                  None if limit is None else int(limit))
-    if not queries:
-        print("warning: no queries (every test row already predicts the "
-              "target class)", file=sys.stderr)
-        cf.save_results(out, [])
-        return 0
+    preds = inference.predict(model, test_ds.features)
+    rows = np.flatnonzero(preds != y_prime)
+    if limit is not None:
+        rows = rows[:int(limit)]
+    queries = [(test_ds.features[i], int(preds[i]), y_prime) for i in rows]
+    return cfg, model, out, test_ds, cf_cfg, queries
 
+
+def cmd_counterfactual(args) -> int:
+    _, model, out, _, cf_cfg, queries = _query_setup(args, "cf_results.jsonl")
     results = cf.run_queries(model, queries, "two_step", cf_cfg)
     cf.save_results(out, results)
+    if not results:
+        print("warning: no queries (every test row already predicts the "
+              "target class)", file=sys.stderr)
+        return 0
     metrics = cf.summarize(results)
     print(f"{len(results)} counterfactuals written to {out}")
     print(f"success rate {metrics.success_rate:.3f}, mean log density "
@@ -214,43 +211,18 @@ def cmd_counterfactual(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _read_config(args.config)
-    seed = _global_seed(cfg, args)
-    if not args.model:
-        raise ValueError("--model is required")
-    model = circuit_mod.load(args.model)
-    out = args.out or "benchmark.json"
-    _check_distinct([args.config, args.model, args.data, args.schema], [out])
-    _, test_ds = _load_pair(cfg, args, seed)
-    if test_ds.dimension != model.num_variables:
-        raise ValueError(f"dataset has {test_ds.dimension} features, model "
-                         f"has {model.num_variables}")
-
-    y_prime = _require_target(args, model)
-    cf_section = _section(cfg, "counterfactual")
-    limit = cf_section.pop("max_queries", None)
-    cf_cfg = _build_config(
-        cf.CfConfig, cf_section,
-        epsilon1=args.epsilon1, epsilon2=args.epsilon2, grad_mode=args.grad_mode)
+    cfg, model, out, test_ds, cf_cfg, queries = _query_setup(args,
+                                                             "benchmark.json")
     baseline_section = _section(cfg, "baseline")
     wachter_limit = baseline_section.pop("max_queries", None)
     baseline_cfg = _build_config(cf.BaselineConfig, baseline_section)
-
-    methods = [args.method] if args.method and args.method != "both" \
-        else list(cf.METHODS)
-    for m in methods:
-        if m not in cf.METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {cf.METHODS}")
-    queries = _queries_for_target(model, test_ds, y_prime,
-                                  None if limit is None else int(limit))
+    methods = list(cf.METHODS) if args.method == "both" else [args.method]
     if not queries:
         print("warning: no queries for the benchmark", file=sys.stderr)
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump({"dataset": cfg.get("dataset", {}), "records": []}, fh)
-            fh.write("\n")
-        return 0
+        methods = []
 
     dataset_name = _section(cfg, "dataset").get("kind", "csv")
+    one_hot = test_ds.meta is not None and bool(test_ds.meta.group_slices())
     records = []
     for method in methods:
         method_queries = queries
@@ -260,12 +232,18 @@ def cmd_benchmark(args) -> int:
         results = cf.run_queries(model, method_queries, method,
                                  cf_cfg, baseline_cfg)
         metrics = cf.summarize(results)
-        records.append(cf.metrics_record(metrics, method, dataset_name, config))
-        print(f"{method}: n={metrics.n} success={metrics.success_rate:.3f} "
-              f"mean_logdens={metrics.mean_log_density:.3f} "
-              f"mean_time={metrics.mean_time:.4f}s "
-              f"mean_l1={metrics.mean_l1_distance:.4f} "
-              f"mean_grad_evals={metrics.mean_grad_evals:.1f}")
+        record = cf.metrics_record(metrics, method, dataset_name, config)
+        line = (f"{method}: n={metrics.n} success={metrics.success_rate:.3f} "
+                f"mean_logdens={metrics.mean_log_density:.3f} "
+                f"mean_time={metrics.mean_time:.4f}s "
+                f"mean_l1={metrics.mean_l1_distance:.4f} "
+                f"mean_grad_evals={metrics.mean_grad_evals:.1f}")
+        if one_hot:
+            record["median_abs_group_sum"] = cf.one_hot_consistency(
+                results, test_ds.meta).median_abs_sum
+            line += f" median_abs_group_sum={record['median_abs_group_sum']:.4f}"
+        records.append(record)
+        print(line)
     with open(out, "w", encoding="utf-8") as fh:
         json.dump({"dataset": cfg.get("dataset", {}), "records": records},
                   fh, indent=1)

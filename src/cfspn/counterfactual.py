@@ -94,18 +94,9 @@ class CfResult:
     density_underflow: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "x": self.x.tolist(), "u": self.u.tolist(),
-            "x_prime": self.x_prime.tolist(),
-            "y": self.y, "y_prime": self.y_prime,
-            "pred_x": self.pred_x, "pred_u": self.pred_u,
-            "pred_x_prime": self.pred_x_prime,
-            "logdens_x": self.logdens_x, "logdens_u": self.logdens_u,
-            "logdens_x_prime": self.logdens_x_prime,
-            "elapsed": list(self.elapsed), "success": self.success,
-            "grad_evals": self.grad_evals, "iterations": self.iterations,
-            "density_underflow": self.density_underflow,
-        }
+        """Every field in declaration order, arrays as lists."""
+        return {**vars(self), "x": self.x.tolist(), "u": self.u.tolist(),
+                "x_prime": self.x_prime.tolist(), "elapsed": list(self.elapsed)}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "CfResult":
@@ -227,33 +218,30 @@ def wachter_baseline(circuit: Circuit, x, y_prime: int,
 
     Plain gradient descent from z = x; one gradient evaluation per
     iteration.  With early_stop, the loop exits as soon as the prediction
-    flips to the target class.
+    flips to the target class.  The forward pass of the gradient at each
+    point also scores it, so a run of n iterations makes n + 1 forward and
+    n + 1 backward passes; the last gradient only scores the final z.
     """
     config = config or BaselineConfig()
     x = _prepare(circuit, x, y_prime)
-    pred_x = inference.predict(circuit, x)
-    lr = config.learning_rate
-    z = x.copy()
-    iterations = 0
     t0 = time.perf_counter()
-    for _ in range(config.max_iters):
-        g = grad.grad_log_posterior(circuit, z, y_prime)
-        _finite_or_raise(g, "gradient in baseline iteration")
-        z = z + lr * (g - config.lam * np.sign(z - x))
-        iterations += 1
-        if config.early_stop and inference.predict(circuit, z) == y_prime:
+    step = grad.gradient(circuit, x, {y_prime: 1.0}, density_weight=-1.0)
+    pred_x, logdens_x = _score(circuit, step.class_log_values)
+    z = x
+    for iterations in range(1, config.max_iters + 1):
+        g = _finite_or_raise(step.values, "gradient in baseline iteration")
+        z = z + config.learning_rate * (g - config.lam * np.sign(z - x))
+        step = grad.gradient(circuit, z, {y_prime: 1.0}, density_weight=-1.0)
+        if config.early_stop and _score(circuit, step.class_log_values)[0] == y_prime:
             break
-    t1 = time.perf_counter()
+    elapsed = time.perf_counter() - t0
+    pred_z, logdens_z = _score(circuit, step.class_log_values)
 
-    pred_z = inference.predict(circuit, z)
-    logdens_z = inference.log_density(circuit, z)
     return CfResult(
         x=x, u=z.copy(), x_prime=z, y=pred_x, y_prime=y_prime,
         pred_x=pred_x, pred_u=pred_z, pred_x_prime=pred_z,
-        logdens_x=inference.log_density(circuit, x),
-        logdens_u=logdens_z,
-        logdens_x_prime=logdens_z,
-        elapsed=[t1 - t0],
+        logdens_x=logdens_x, logdens_u=logdens_z, logdens_x_prime=logdens_z,
+        elapsed=[elapsed],
         success=pred_z == y_prime,
         grad_evals=iterations,
         iterations=iterations,

@@ -390,6 +390,43 @@ def make_rings(n: int, noise: float, seed) -> Dataset:
     return _scaled_2d(points, labels)
 
 
+def make_onehot_tabular(n: int, seed) -> Dataset:
+    """Two 3-level one-hot groups plus 2 continuous columns; logistic labels.
+
+    Columns 0-2 and 3-5 one-hot encode categories a and b, columns 6-7 hold
+    c1, c2 ~ U[0, 1]; the label is 1 when
+    2[a = 1] - 1.5[b = 2] + 3(c1 - 0.5) - 2(c2 - 0.5) > 0.
+    """
+    if n < 2:
+        raise DataError(f"need n >= 2, got {n}")
+    rng = np.random.default_rng(seed)
+    features = np.zeros((n, 8))
+    labels = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        a = int(rng.integers(3))
+        b = int(rng.integers(3))
+        c1 = float(rng.random())
+        c2 = float(rng.random())
+        features[i, a] = 1.0
+        features[i, 3 + b] = 1.0
+        features[i, 6] = c1
+        features[i, 7] = c2
+        score = (2.0 * (a == 1) - 1.5 * (b == 2)
+                 + 3.0 * (c1 - 0.5) - 2.0 * (c2 - 0.5))
+        labels[i] = 1 if score > 0.0 else 0
+    columns = (
+        [FeatureColumn(name="A", kind="onehot", group=0, category=f"a{k}")
+         for k in range(3)]
+        + [FeatureColumn(name="B", kind="onehot", group=1, category=f"b{k}")
+           for k in range(3)]
+        + [FeatureColumn(name="c1", kind="continuous",
+                         scaling_kind="minmax", scaling=(0.0, 1.0)),
+           FeatureColumn(name="c2", kind="continuous",
+                         scaling_kind="minmax", scaling=(0.0, 1.0))])
+    meta = FeatureMeta(columns=columns, label_name="y", classes=["0", "1"])
+    return Dataset(features, labels, 2, meta)
+
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 

@@ -14,10 +14,9 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from . import engine
-from .circuit import LOG_TINY, Circuit
+from .circuit import LOG_TINY, Circuit, logsumexp
 
 GRAD_MODES = ("density", "log_density")
 
@@ -76,7 +75,10 @@ def gradient(circuit: Circuit, x, class_weights: dict[int, float],
     values = V[list(circuit.class_roots)].T
     adjoints = np.broadcast_to(weights, values.shape)
     if density_weight:
-        adjoints = adjoints + density_weight * softmax(values + circuit.log_prior, axis=1)
+        # P(y|x) as a softmax of the joint log values, shifted by their max
+        joint = values + circuit.log_prior
+        e = np.exp(joint - joint.max(axis=1, keepdims=True))
+        adjoints = adjoints + density_weight * (e / e.sum(axis=1, keepdims=True))
     seeds: dict[int, np.ndarray] = {}
     for k, root in enumerate(circuit.class_roots):
         seeds[root] = seeds.get(root, 0.0) + adjoints[:, k]

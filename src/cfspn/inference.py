@@ -8,10 +8,9 @@ or vector accordingly.  All quantities are log-space nats.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import engine
-from .circuit import Circuit
+from .circuit import Circuit, logsumexp
 
 #: Rows per evaluation chunk; bounds peak memory on wide circuits.
 CHUNK = 256

@@ -1,6 +1,6 @@
 """Maximum-likelihood estimation of circuit parameters from labeled data.
 
-Mini-batch gradient ascent on the mean joint log-likelihood
+Mini-batch Adam ascent on the mean joint log-likelihood
 log S(x|y) + log P(y).  Constraints hold at every step by construction:
 sum weights are trained as unconstrained logits mapped through a normalized
 exponential, Gaussian variances as floor + exp(raw), Bernoulli means through
@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, logsumexp
 
-from .circuit import Circuit, validate
+from .circuit import Circuit, logsumexp, validate
 from .engine import CompiledCircuit
 from .structure import StructureConfig, build_circuit
 
@@ -35,11 +34,6 @@ class TrainConfig:
     # responsibility, a near-stationary start that plain ascent escapes
     # only very slowly.
     init_from_data: bool = True
-    # "adam" or "sgd".  Root mixture weights see gradients scaled by 1/fan-in
-    # (thousands of children), so fixed-rate ascent leaves them frozen;
-    # per-parameter moment scaling moves them at a useful pace.  Both are
-    # deterministic for a fixed seed.
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -55,9 +49,6 @@ class TrainConfig:
                              f"{self.validation_fraction}")
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be 'adam' or 'sgd', got "
-                             f"{self.optimizer!r}")
 
 
 @dataclass
@@ -79,7 +70,12 @@ class TrainReport:
 
 
 class _Adam:
-    """Moment estimates for a fixed list of arrays; one shared step counter."""
+    """Moment estimates for a fixed list of arrays; one shared step counter.
+
+    Root mixture weights see gradients scaled by 1/fan-in (thousands of
+    children), so fixed-rate ascent leaves them frozen; per-parameter moment
+    scaling moves them at a useful pace.
+    """
 
     def __init__(self, shapes: list[tuple[int, ...]], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -102,6 +98,12 @@ class _Adam:
         return out
 
 
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)), without a warning where exp(-t) overflows to inf."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
+
+
 def _log_normalize(theta: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax; -inf pads stay -inf."""
     return theta - logsumexp(theta, axis=1, keepdims=True)
@@ -114,8 +116,7 @@ class _Parameters:
     padded arrays, so every update is one array operation per array.
     """
 
-    def __init__(self, compiled: CompiledCircuit, floor: float,
-                 optimizer: str = "adam"):
+    def __init__(self, compiled: CompiledCircuit, floor: float):
         self.floor = floor
         self.compiled = compiled
         self.theta = [w.copy() for w in compiled.sum_log_weights]
@@ -123,8 +124,7 @@ class _Parameters:
         self.rho = np.log(np.maximum(compiled.gaussian_variance - floor, 1e-12))
         p = np.clip(compiled.bernoulli_p, 1e-6, 1.0 - 1e-6)
         self.tau = np.log(p) - np.log1p(-p)
-        self.adam = (_Adam([a.shape for a in self.arrays])
-                     if optimizer == "adam" else None)
+        self.adam = _Adam([a.shape for a in self.arrays])
         self.push()
 
     @property
@@ -136,22 +136,20 @@ class _Parameters:
         c = self.compiled
         c.gaussian_mean[:] = self.mean
         c.gaussian_variance[:] = self.floor + np.exp(self.rho)
-        c.bernoulli_p[:] = expit(self.tau)
+        c.bernoulli_p[:] = _sigmoid(self.tau)
         for dst, th in zip(c.sum_log_weights, self.theta):
             dst[:] = _log_normalize(th)
 
     def ascend(self, result, lr: float) -> None:
-        """One gradient-ascent step from a backward result, then push."""
+        """One Adam ascent step from a backward result, then push."""
         # chain rule through the softmax: g - w * sum(g), row by row
         grads = [g - np.exp(_log_normalize(th)) * g.sum(axis=1, keepdims=True)
                  for th, g in zip(self.theta, result.sum_log_weight_grads)]
-        p = expit(self.tau)
+        p = _sigmoid(self.tau)
         grads += [result.gaussian_mean_grads,
                   result.gaussian_variance_grads * np.exp(self.rho),
                   result.bernoulli_p_grads * p * (1.0 - p)]
-        if self.adam is not None:
-            grads = self.adam.directions(grads)
-        for a, g in zip(self.arrays, grads):
+        for a, g in zip(self.arrays, self.adam.directions(grads)):
             a += lr * g
         self.push()
 
@@ -245,7 +243,7 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
             freq = Xtr.mean(axis=0)
             compiled.bernoulli_p[:] = np.clip(
                 freq[compiled.bernoulli_vars], 0.05, 0.95)
-    params = _Parameters(compiled, config.variance_floor, config.optimizer)
+    params = _Parameters(compiled, config.variance_floor)
     roots = np.asarray(circuit.class_roots)
 
     train_ll: list[float] = []

@@ -20,7 +20,6 @@ import pytest
 from cfspn import circuit as cm
 from cfspn import counterfactual as cf
 from cfspn import data, grad, inference, training
-from cfspn.data import FeatureColumn, FeatureMeta
 from cfspn.structure import StructureConfig, build_circuit
 from conftest import random_circuit
 
@@ -192,38 +191,8 @@ def test_criterion_06_speed_advantage(moons_bundle, tuned_counterfactuals):
            f"(needs <= 1/10)")
 
 
-def onehot_tabular_dataset(seed=11, n=1200):
-    """Two 3-level one-hot groups plus 2 continuous; logistic labels."""
-    rng = np.random.default_rng(seed)
-    features = np.zeros((n, 8))
-    labels = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        a = int(rng.integers(3))
-        b = int(rng.integers(3))
-        c1 = float(rng.random())
-        c2 = float(rng.random())
-        features[i, a] = 1.0
-        features[i, 3 + b] = 1.0
-        features[i, 6] = c1
-        features[i, 7] = c2
-        score = (2.0 * (a == 1) - 1.5 * (b == 2)
-                 + 3.0 * (c1 - 0.5) - 2.0 * (c2 - 0.5))
-        labels[i] = 1 if score > 0.0 else 0
-    columns = (
-        [FeatureColumn(name="A", kind="onehot", group=0, category=f"a{k}")
-         for k in range(3)]
-        + [FeatureColumn(name="B", kind="onehot", group=1, category=f"b{k}")
-           for k in range(3)]
-        + [FeatureColumn(name="c1", kind="continuous",
-                         scaling_kind="minmax", scaling=(0.0, 1.0)),
-           FeatureColumn(name="c2", kind="continuous",
-                         scaling_kind="minmax", scaling=(0.0, 1.0))])
-    meta = FeatureMeta(columns=columns, label_name="y", classes=["0", "1"])
-    return data.Dataset(features, labels, 2, meta)
-
-
 def test_criterion_07_one_hot_consistency():
-    ds = onehot_tabular_dataset()
+    ds = data.make_onehot_tabular(1200, 11)
     train, test = data.split(ds, 0.7, seed=11)
     structure = StructureConfig(num_classes=2, seed=11)
     tc = training.TrainConfig(epochs=40, seed=11, variance_floor=0.02)

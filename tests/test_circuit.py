@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cfspn import circuit as cm
+from cfspn import inference
 from conftest import naive_log_value, random_circuit, two_gaussian_classifier
 
 
@@ -16,9 +17,14 @@ def with_node(circuit, index, **changes):
     return dataclasses.replace(circuit, nodes=nodes)
 
 
+def gaussian_log_pdf(x, mean, variance):
+    return (-0.5 * math.log(2.0 * math.pi * variance)
+            - (x - mean) ** 2 / (2.0 * variance))
+
+
 def test_gaussian_leaf_log_value():
     c = two_gaussian_classifier(mean0=0.0, mean1=1.0, variance=1.0)
-    got = cm.log_value(c, 0, np.array([0.0]))
+    got = inference.class_log_density(c, 0, np.array([0.0]))
     assert got == pytest.approx(-0.5 * math.log(2.0 * math.pi), abs=1e-15)
 
 
@@ -26,16 +32,18 @@ def test_bernoulli_leaf_log_value():
     nodes = [cm.BernoulliLeaf(variable=0, p=0.3)]
     c = cm.Circuit(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=1)
-    assert cm.log_value(c, 0, np.array([1.0])) == pytest.approx(math.log(0.3))
-    assert cm.log_value(c, 0, np.array([0.0])) == pytest.approx(math.log(0.7))
+    got = inference.class_log_densities(c, np.array([[1.0], [0.0]]))[:, 0]
+    assert got[0] == pytest.approx(math.log(0.3))
+    assert got[1] == pytest.approx(math.log(0.7))
 
 
 def test_categorical_leaf_log_value():
     nodes = [cm.CategoricalLeaf(variable=0, probabilities=np.array([0.2, 0.5, 0.3]))]
     c = cm.Circuit(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=1)
-    assert cm.log_value(c, 0, np.array([1.0])) == pytest.approx(math.log(0.5))
-    assert cm.log_value(c, 0, np.array([2.0])) == pytest.approx(math.log(0.3))
+    got = inference.class_log_densities(c, np.array([[1.0], [2.0]]))[:, 0]
+    assert got[0] == pytest.approx(math.log(0.5))
+    assert got[1] == pytest.approx(math.log(0.3))
 
 
 def test_sum_node_is_log_mixture():
@@ -47,9 +55,9 @@ def test_sum_node_is_log_mixture():
     c = cm.Circuit(nodes=nodes, class_roots=[2],
                    log_prior=np.array([0.0]), num_variables=1)
     x = np.array([0.5])
-    expected = math.log(0.25 * math.exp(cm.log_value(c, 0, x))
-                        + 0.75 * math.exp(cm.log_value(c, 1, x)))
-    assert cm.log_value(c, 2, x) == pytest.approx(expected, abs=1e-12)
+    expected = math.log(0.25 * math.exp(gaussian_log_pdf(0.5, -1.0, 1.0))
+                        + 0.75 * math.exp(gaussian_log_pdf(0.5, 2.0, 1.0)))
+    assert inference.class_log_density(c, 0, x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_product_node_adds_logs():
@@ -61,33 +69,46 @@ def test_product_node_adds_logs():
     c = cm.Circuit(nodes=nodes, class_roots=[2],
                    log_prior=np.array([0.0]), num_variables=2)
     x = np.array([0.3, -0.7])
-    expected = cm.log_value(c, 0, x) + cm.log_value(c, 1, x)
-    assert cm.log_value(c, 2, x) == pytest.approx(expected, abs=1e-12)
+    expected = gaussian_log_pdf(0.3, 0.0, 1.0) + gaussian_log_pdf(-0.7, 1.0, 2.0)
+    assert inference.class_log_density(c, 0, x) == pytest.approx(expected, abs=1e-12)
 
 
 def test_log_value_matches_naive_on_random_circuits(rng):
     for _ in range(20):
         c = random_circuit(rng)
         x = rng.normal(0.5, 0.5, size=c.num_variables)
-        for root in c.class_roots:
-            assert cm.log_value(c, root, x) == pytest.approx(
-                naive_log_value(c, root, x), abs=1e-10)
+        got = inference.class_log_densities(c, x)
+        for y, root in enumerate(c.class_roots):
+            assert got[y] == pytest.approx(naive_log_value(c, root, x), abs=1e-10)
 
 
 def test_marginalized_leaf_contributes_log_one(rng):
     c = random_circuit(rng, num_variables=4)
     x = np.array([0.2, np.nan, 0.8, np.nan])
-    root = c.class_roots[0]
-    assert cm.log_value(c, root, x) == pytest.approx(
-        naive_log_value(c, root, x), abs=1e-10)
+    assert inference.class_log_density(c, 0, x) == pytest.approx(
+        naive_log_value(c, c.class_roots[0], x), abs=1e-10)
 
 
 def test_all_missing_evidence_is_exactly_zero(rng):
     for _ in range(5):
         c = random_circuit(rng)
         x = np.full(c.num_variables, np.nan)
-        for root in c.class_roots:
-            assert cm.log_value(c, root, x) == 0.0
+        assert np.all(inference.class_log_densities(c, x) == 0.0)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit(rng):
+    from scipy.special import logsumexp
+    a = rng.normal(0.0, 30.0, size=(50, 7))
+    a[3] = -np.inf                      # every term -inf
+    a[4, 2:5] = -np.inf                 # some terms -inf
+    a[5] = 1.5                          # all tied
+    a[6, [1, 4]] = a[6].max() + 1.0     # a tied maximum
+    for axis in (0, 1, -1):
+        assert np.array_equal(cm.logsumexp(a, axis=axis), logsumexp(a, axis=axis))
+        assert np.array_equal(cm.logsumexp(a, axis=axis, keepdims=True),
+                              logsumexp(a, axis=axis, keepdims=True))
+    assert cm.logsumexp(np.zeros((0, 0)), axis=1, keepdims=True).shape == (0, 1)
+    assert np.array_equal(cm.logsumexp(np.zeros((2, 0)), axis=1), [-np.inf, -np.inf])
 
 
 def test_scopes_cover_variables(rng):
@@ -206,8 +227,8 @@ def test_save_load_round_trip(tmp_path, rng):
         back = cm.load(path)
         assert cm.structural_equal(c, back)
         x = rng.normal(0.5, 0.5, size=c.num_variables)
-        for root in c.class_roots:
-            assert cm.log_value(back, root, x) == cm.log_value(c, root, x)
+        assert np.array_equal(inference.class_log_densities(back, x),
+                              inference.class_log_densities(c, x))
 
 
 def test_save_refuses_invalid_circuit(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from cfspn import circuit as cm
 from cfspn import counterfactual as cf
+from cfspn import data
 from cfspn.cli import main
 
 MOONS_CONFIG = {
@@ -167,6 +168,48 @@ def test_benchmark_reports_mean_l1_distance(trained, tmp_path, capsys):
     assert "mean_l1=" in capsys.readouterr().out
 
 
+def test_benchmark_reports_one_hot_consistency(tmp_path, capsys):
+    config = tmp_path / "onehot.json"
+    config.write_text(json.dumps({
+        "seed": 3,
+        "dataset": {"kind": "onehot", "n": 240},
+        "structure": {"repetitions": 2, "sum_nodes_per_region": 2,
+                      "leaf_distributions_per_region": 3},
+        "train": {"epochs": 4, "variance_floor": 0.02},
+        "counterfactual": {"epsilon1": 0.1, "epsilon2": 0.01},
+        "baseline": {"max_iters": 20},
+    }))
+    model = tmp_path / "model.json"
+    results_path = tmp_path / "results.jsonl"
+    bench = tmp_path / "bench.json"
+    assert main(["train", "--config", str(config), "--out", str(model)]) == 0
+    assert main(["counterfactual", "--config", str(config),
+                 "--model", str(model), "--target-class", "1",
+                 "--out", str(results_path)]) == 0
+    assert main(["benchmark", "--config", str(config),
+                 "--model", str(model), "--target-class", "1",
+                 "--method", "both", "--out", str(bench)]) == 0
+    meta = data.FeatureMeta.from_dict(
+        json.loads((tmp_path / "model.meta.json").read_text()))
+    assert meta.group_slices()
+    results = cf.load_results(results_path)
+    two_step, wachter = json.loads(bench.read_text())["records"]
+    assert two_step["n"] == len(results) > 0
+    assert two_step["median_abs_group_sum"] == cf.one_hot_consistency(
+        results, meta).median_abs_sum
+    assert wachter["median_abs_group_sum"] >= 0.0
+    assert capsys.readouterr().out.count("median_abs_group_sum=") == 2
+
+
+def test_removed_optimizer_option_is_named(tmp_path, capsys):
+    bad = dict(MOONS_CONFIG, train={"epochs": 1, "optimizer": "sgd"})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    assert main(["train", "--config", str(config),
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert "optimizer" in capsys.readouterr().err
+
+
 def test_counterfactual_with_no_queries_warns_and_succeeds(tmp_path, capsys):
     csv_path = tmp_path / "flat.csv"
     rows = ["x1,x2,y"] + [f"0.{i},0.{9 - i},only" for i in range(10)] * 4
@@ -208,6 +251,7 @@ def test_benchmark_compares_methods(trained, tmp_path, capsys):
         assert 0.0 <= record["success_rate"] <= 1.0
         assert record["n"] > 0
         assert "mean_time_seconds" in record
+        assert "median_abs_group_sum" not in record
     two_step = doc["records"][0]
     assert two_step["mean_grad_evals"] == 2.0
 

@@ -204,6 +204,20 @@ def test_wachter_without_early_stop_runs_all_iterations():
     assert res.success
 
 
+@pytest.mark.parametrize("early_stop", [True, False])
+def test_wachter_makes_one_forward_pass_per_iteration(passes, early_stop):
+    c = two_gaussian_classifier()
+    cfg = cf.BaselineConfig(lam=0.0, learning_rate=0.05, max_iters=30,
+                            early_stop=early_stop)
+    res = cf.wachter_baseline(c, np.array([-1.0]), 1, cfg)
+    # one gradient at x and one after each update, which also scores z
+    assert res.success
+    assert res.grad_evals == res.iterations
+    assert passes["forward"] <= res.iterations + 1
+    assert passes["backward"] <= res.iterations + 1
+    assert (res.iterations < 30) == early_stop
+
+
 def test_run_queries_validates_method():
     c = two_gaussian_classifier()
     with pytest.raises(ValueError):

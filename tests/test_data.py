@@ -157,6 +157,22 @@ def test_rings_lie_on_circle_loci():
         assert radius == pytest.approx(1.0 if label == 0 else 0.5, abs=1e-9)
 
 
+def test_onehot_tabular_rows_follow_their_rule():
+    ds = data.make_onehot_tabular(500, seed=4)
+    X = ds.features
+    assert X.shape == (500, 8)
+    assert ds.meta.group_slices() == {0: slice(0, 3), 1: slice(3, 6)}
+    for group in (X[:, 0:3], X[:, 3:6]):
+        assert set(np.unique(group)) <= {0.0, 1.0}
+        assert np.all(group.sum(axis=1) == 1.0)
+    assert X[:, 6:].min() >= 0.0 and X[:, 6:].max() <= 1.0
+    a, b = X[:, 0:3].argmax(axis=1), X[:, 3:6].argmax(axis=1)
+    score = (2.0 * (a == 1) - 1.5 * (b == 2)
+             + 3.0 * (X[:, 6] - 0.5) - 2.0 * (X[:, 7] - 0.5))
+    assert np.array_equal(ds.labels, (score > 0.0).astype(np.int64))
+    assert 0 < ds.labels.sum() < 500
+
+
 def idx_images_bytes(array):
     n, rows, cols = array.shape
     head = struct.pack(">IIII", data.IDX_IMAGES_MAGIC, n, rows, cols)

@@ -23,8 +23,8 @@ def test_train_config_rejects_bad_values():
         training.TrainConfig(variance_floor=0.0)
     with pytest.raises(ValueError):
         training.TrainConfig(validation_fraction=1.0)
-    with pytest.raises(ValueError):
-        training.TrainConfig(optimizer="sgdm")
+    with pytest.raises(TypeError):
+        training.TrainConfig(optimizer="sgd")
 
 
 def test_single_gaussian_reaches_closed_form_mle():
@@ -154,7 +154,7 @@ def test_early_stopping_restores_best_snapshot():
         fitted, ds.features[held], ds.labels[held])
 
 
-def test_sgd_step_on_padded_level_matches_per_node_update():
+def test_adam_step_on_padded_level_matches_per_node_update():
     # Sums 5 (fan-in 2) and 6 (fan-in 3) share an engine level, so that
     # level's weight array is padded.
     leaves = [cm.GaussianLeaf(0, m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0, 3.0)]
@@ -174,8 +174,8 @@ def test_sgd_step_on_padded_level_matches_per_node_update():
     labels = np.repeat([0, 1], 20)
     lr = 0.5
     tc = training.TrainConfig(learning_rate=lr, epochs=1, batch_size=64,
-                              optimizer="sgd", validation_fraction=0.0,
-                              patience=0, init_from_data=False)
+                              validation_fraction=0.0, patience=0,
+                              init_from_data=False)
     fitted, _ = training.fit(circuit, data.Dataset(X, labels, 2), tc)
 
     V = comp.forward(X)
@@ -184,8 +184,9 @@ def test_sgd_step_on_padded_level_matches_per_node_update():
     grads = comp.per_sum_node(back.sum_log_weight_grads)
     for i in (5, 6, 7, 8):
         lw = circuit.nodes[i].log_weights
-        g = grads[i]
-        theta = lw + lr * (g - np.exp(lw) * g.sum())
+        g = grads[i] - np.exp(lw) * grads[i].sum()
+        # Adam's bias-corrected first step is g / (|g| + eps) per parameter
+        theta = lw + lr * g / (np.abs(g) + 1e-8)
         got = fitted.nodes[i].log_weights
         assert got.shape == (len(circuit.nodes[i].children),)
         assert not np.any(np.isnan(got))
@@ -239,17 +240,6 @@ def test_mean_joint_log_likelihood_matches_manual():
         inference.class_log_density(c, int(y), x) + c.log_prior[int(y)]
         for x, y in zip(ds.features, ds.labels)])
     assert got == pytest.approx(manual, abs=1e-10)
-
-
-def test_sgd_optimizer_also_trains():
-    features = np.array([[0.0], [2.0]] * 64)
-    dataset = data.Dataset(features, np.zeros(128, dtype=np.int64), 1)
-    cfg = training.TrainConfig(epochs=200, seed=0, optimizer="sgd",
-                               validation_fraction=0.0, patience=0,
-                               learning_rate=0.1)
-    fitted, _ = training.fit(single_gaussian_circuit(), dataset, cfg)
-    leaf = next(n for n in fitted.nodes if n.kind == "gaussian")
-    assert leaf.mean == pytest.approx(1.0, abs=0.05)
 
 
 def test_cross_validate_prefers_reasonable_variance_floor():
