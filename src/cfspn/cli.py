@@ -49,11 +49,25 @@ def _section(cfg: dict, name: str) -> dict:
     return dict(value)
 
 
-def _build_config(cls, section: dict, **overrides):
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - allowed)
+#: The keys each dataset kind reads, besides ``kind``; and the split's keys.
+_DATASET_KEYS = {
+    "mnist": {"dir", "digits"},
+    "csv": {"path", "schema"},
+    "moons": {"n", "noise", "seed"},
+    "rings": {"n", "noise", "seed"},
+    "onehot": {"n", "seed"},
+}
+_SPLIT_KEYS = {"train_fraction", "seed"}
+
+
+def _check_keys(where: str, keys, allowed: set[str]) -> None:
+    unknown = sorted(set(keys) - allowed)
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} option(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown {where} option(s): {', '.join(unknown)}")
+
+
+def _build_config(cls, section: dict, **overrides):
+    _check_keys(cls.__name__, section, {f.name for f in dataclasses.fields(cls)})
     merged = {**section, **{k: v for k, v in overrides.items() if v is not None}}
     if "categorical_cardinalities" in merged and merged["categorical_cardinalities"]:
         merged["categorical_cardinalities"] = tuple(
@@ -70,13 +84,18 @@ def _global_seed(cfg: dict, args) -> int:
 def _load_pair(cfg: dict, args, seed: int):
     """Materialize (train, test) datasets from the config's dataset section."""
     section = _section(cfg, "dataset")
+    given = set(section)
     if getattr(args, "data", None):
         section.setdefault("kind", "csv")
         section["path"] = args.data
     if getattr(args, "schema", None):
         section["schema"] = args.schema
     kind = section.get("kind", "csv")
+    if kind not in _DATASET_KEYS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    _check_keys(f"{kind} dataset", given, _DATASET_KEYS[kind] | {"kind"})
     split_cfg = _section(cfg, "split")
+    _check_keys("split", split_cfg, _SPLIT_KEYS)
     fraction = float(split_cfg.get("train_fraction", 0.7))
     split_seed = int(split_cfg.get("seed", seed))
 
@@ -102,8 +121,6 @@ def _load_pair(cfg: dict, args, seed: int):
     elif kind == "onehot":
         dataset = data_mod.make_onehot_tabular(int(section.get("n", 1200)),
                                                int(section.get("seed", seed)))
-    else:
-        raise ValueError(f"unknown dataset kind {kind!r}")
     return data_mod.split(dataset, fraction, split_seed)
 
 

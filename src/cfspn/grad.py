@@ -1,11 +1,11 @@
 """Exact reverse-mode input gradients of circuit outputs.
 
 Every gradient is one forward and one backward sweep over the compiled
-circuit (``gradient``), propagating adjoints of log node values top-down
-and converting to input partials at the leaves.  Working in log space until
-the leaf conversion avoids the underflow that direct density
-differentiation hits in high dimension.  The named functions below only
-choose the class-root seeds.
+circuit per chunk of rows (``gradient``), propagating adjoints of log node
+values top-down and converting to input partials at the leaves.  Working
+in log space until the leaf conversion avoids the underflow that direct
+density differentiation hits in high dimension.  The named functions below
+only choose the class-root seeds.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import engine
 from .circuit import LOG_TINY, Circuit, logsumexp
+from .inference import CHUNK
 
 GRAD_MODES = ("density", "log_density")
 
@@ -60,7 +61,8 @@ def gradient(circuit: Circuit, x, class_weights: dict[int, float],
              density_weight: float = 0.0) -> Gradient:
     """grad_x [sum_y class_weights[y] log S(x|y) + density_weight log S(x)].
 
-    x is one point (d,) or a batch (B, d).  The forward pass gives every
+    x is one point (d,) or a batch (B, d), evaluated in chunks of
+    ``inference.CHUNK`` rows.  Per chunk, the forward pass gives every
     class-root log value; the quantity's partials with respect to them,
     class_weights[y] + density_weight * P(y|x), seed a single backward pass.
     """
@@ -71,18 +73,22 @@ def gradient(circuit: Circuit, x, class_weights: dict[int, float],
             raise ValueError(f"class {y} out of range [0, {circuit.num_classes})")
         weights[y] = w
     compiled = engine.compile_circuit(circuit)
-    V = compiled.forward(X)
-    values = V[list(circuit.class_roots)].T
-    adjoints = np.broadcast_to(weights, values.shape)
-    if density_weight:
-        # P(y|x) as a softmax of the joint log values, shifted by their max
-        joint = values + circuit.log_prior
-        e = np.exp(joint - joint.max(axis=1, keepdims=True))
-        adjoints = adjoints + density_weight * (e / e.sum(axis=1, keepdims=True))
-    seeds: dict[int, np.ndarray] = {}
-    for k, root in enumerate(circuit.class_roots):
-        seeds[root] = seeds.get(root, 0.0) + adjoints[:, k]
-    G = compiled.backward(V, X, seeds).input_grads
+    G = np.empty_like(X)
+    values = np.empty((X.shape[0], circuit.num_classes))
+    for start in range(0, X.shape[0], CHUNK):
+        rows = slice(start, start + CHUNK)
+        V = compiled.forward(X[rows])
+        values[rows] = compiled.root_values(V)
+        adjoints = np.broadcast_to(weights, values[rows].shape)
+        if density_weight:
+            # P(y|x) as a softmax of the joint log values, shifted by their max
+            joint = values[rows] + circuit.log_prior
+            e = np.exp(joint - joint.max(axis=1, keepdims=True))
+            adjoints = adjoints + density_weight * (e / e.sum(axis=1, keepdims=True))
+        seeds: dict[int, np.ndarray] = {}
+        for k, root in enumerate(circuit.class_roots):
+            seeds[root] = seeds.get(root, 0.0) + adjoints[:, k]
+        G[rows] = compiled.backward(V, X[rows], seeds).input_grads
     return Gradient(G[0], values[0]) if single else Gradient(G, values)
 
 

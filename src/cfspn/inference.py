@@ -45,12 +45,10 @@ def _as_batch(circuit: Circuit, evidence) -> tuple[np.ndarray, bool]:
 def _root_values(circuit: Circuit, X: np.ndarray) -> np.ndarray:
     """Log values of every class root, shape (B, C); chunked over rows."""
     compiled = engine.compile_circuit(circuit)
-    roots = np.asarray(circuit.class_roots)
-    out = np.empty((X.shape[0], roots.size))
+    out = np.empty((X.shape[0], circuit.num_classes))
     for start in range(0, X.shape[0], CHUNK):
-        chunk = X[start:start + CHUNK]
-        V = compiled.forward(chunk)
-        out[start:start + chunk.shape[0]] = V[roots].T
+        rows = slice(start, start + CHUNK)
+        out[rows] = compiled.root_values(compiled.forward(X[rows]))
     # A fully marginalized row integrates a normalized density: exactly 1.
     all_missing = np.all(np.isnan(X), axis=1)
     if np.any(all_missing):

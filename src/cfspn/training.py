@@ -105,15 +105,16 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 
 def _log_normalize(theta: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax; -inf pads stay -inf."""
+    """Row-wise log-softmax."""
     return theta - logsumexp(theta, axis=1, keepdims=True)
 
 
 class _Parameters:
     """The trainable values, held unconstrained and pushed into a CompiledCircuit.
 
-    Sum weights are logits in the compiled form's own layout, a list of
-    padded arrays, so every update is one array operation per array.
+    Sum weights are logits in the compiled form's own layout, one
+    (sums, children) array per bucket, so every update is one array
+    operation per array.
     """
 
     def __init__(self, compiled: CompiledCircuit, floor: float):
@@ -169,17 +170,14 @@ def _class_seeds(circuit: Circuit, labels: np.ndarray, scale: float) -> dict[int
     return seeds
 
 
-def _mean_joint_ll_compiled(compiled: CompiledCircuit, class_roots,
-                            log_prior: np.ndarray, X: np.ndarray, y: np.ndarray,
-                            chunk: int = 256) -> float:
-    roots = np.asarray(class_roots)
+def _mean_joint_ll_compiled(compiled: CompiledCircuit, log_prior: np.ndarray,
+                            X: np.ndarray, y: np.ndarray, chunk: int = 256) -> float:
     total = 0.0
     for start in range(0, X.shape[0], chunk):
         Xb = X[start:start + chunk]
         yb = y[start:start + chunk]
-        V = compiled.forward(Xb)
-        total += float(np.sum(V[roots[yb], np.arange(Xb.shape[0])]
-                              + log_prior[yb]))
+        values = compiled.root_values(compiled.forward(Xb))
+        total += float(np.sum(values[np.arange(Xb.shape[0]), yb] + log_prior[yb]))
     return total / X.shape[0]
 
 
@@ -189,7 +187,7 @@ def mean_joint_log_likelihood(circuit: Circuit, features, labels) -> float:
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     return _mean_joint_ll_compiled(engine.compile_circuit(circuit),
-                                   circuit.class_roots, circuit.log_prior, X, y)
+                                   circuit.log_prior, X, y)
 
 
 def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainReport]:
@@ -244,7 +242,6 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
             compiled.bernoulli_p[:] = np.clip(
                 freq[compiled.bernoulli_vars], 0.05, 0.95)
     params = _Parameters(compiled, config.variance_floor)
-    roots = np.asarray(circuit.class_roots)
 
     train_ll: list[float] = []
     best_val = -np.inf
@@ -261,7 +258,7 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
             idx = epoch_order[start:start + config.batch_size]
             Xb, yb = X[idx], y[idx]
             V = compiled.forward(Xb)
-            batch_ll = (V[roots[yb], np.arange(idx.size)]
+            batch_ll = (compiled.root_values(V)[np.arange(idx.size), yb]
                         + log_prior[yb])
             if not np.all(np.isfinite(batch_ll)):
                 raise ValueError(
@@ -274,7 +271,7 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
         train_ll.append(ll_sum / epoch_order.size)
 
         if n_val > 0:
-            val_ll = _mean_joint_ll_compiled(compiled, roots, log_prior,
+            val_ll = _mean_joint_ll_compiled(compiled, log_prior,
                                              X[val_idx], y[val_idx])
             last_val = val_ll
             if val_ll > best_val:

@@ -210,6 +210,22 @@ def test_removed_optimizer_option_is_named(tmp_path, capsys):
     assert "optimizer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, value, key", [
+    ("dataset", {"kind": "moons", "N": 100}, "N"),
+    ("dataset", {"kind": "onehot", "n": 100, "noise": 0.1}, "noise"),
+    ("split", {"train_fraction": 0.7, "test_fraction": 0.3}, "test_fraction"),
+])
+def test_unknown_data_option_is_named(tmp_path, capsys, section, value, key):
+    bad = dict(MOONS_CONFIG, **{section: value})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and section in err
+    assert not out.exists()
+
+
 def test_counterfactual_with_no_queries_warns_and_succeeds(tmp_path, capsys):
     csv_path = tmp_path / "flat.csv"
     rows = ["x1,x2,y"] + [f"0.{i},0.{9 - i},only" for i in range(10)] * 4
