@@ -13,7 +13,6 @@ from .circuit import (
     GaussianLeaf,
     ProductNode,
     SumNode,
-    ValidationReport,
     load,
     save,
     validate,
@@ -35,7 +34,6 @@ __all__ = [
     "SumNode",
     "TrainConfig",
     "TrainReport",
-    "ValidationReport",
     "build_circuit",
     "cross_validate",
     "fit",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Union
@@ -58,7 +58,7 @@ def _frozen_array(values) -> np.ndarray:
 
 class _Immutable:
     """Copies and unpickled instances go through the constructor, so their
-    arrays are read-only too."""
+    arrays are read-only too and a circuit is validated again."""
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
@@ -131,7 +131,9 @@ class Circuit(_Immutable):
     sequences are stored as tuples and parameter arrays are read-only, so a
     compiled form cached per instance can never go stale.  To change a
     parameter, build a new circuit (``dataclasses.replace`` reuses every
-    node left as it is).  Constructors do not validate; see :func:`validate`.
+    node left as it is).  Circuits are valid by construction: the constructor,
+    and so ``dataclasses.replace``, copies and unpickling, raises
+    ``ValueError`` listing every violation :func:`validate` finds.
     """
 
     nodes: tuple[Node, ...]
@@ -144,6 +146,7 @@ class Circuit(_Immutable):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "class_roots", tuple(self.class_roots))
         object.__setattr__(self, "log_prior", _frozen_array(self.log_prior))
+        validate(self)
 
     @property
     def num_classes(self) -> int:
@@ -151,11 +154,7 @@ class Circuit(_Immutable):
 
     @cached_property
     def scopes(self) -> tuple[frozenset[int], ...]:
-        """Variable scope of every node, computed bottom-up.
-
-        Assumes valid child references and topological order; use
-        :func:`validate` first on untrusted circuits.
-        """
+        """Variable scope of every node, computed bottom-up."""
         scopes: list[frozenset[int]] = []
         for node in self.nodes:
             if isinstance(node, (GaussianLeaf, BernoulliLeaf, CategoricalLeaf)):
@@ -168,103 +167,86 @@ class Circuit(_Immutable):
         return tuple(scopes)
 
 
-@dataclass
-class Violation:
-    node: int | None
-    kind: str
-    message: str
+def validate(circuit: Circuit) -> None:
+    """Check every structural invariant of a circuit; raise on any violation.
 
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        if self.ok:
-            return "ok"
-        return "; ".join(f"[{v.kind}] node {v.node}: {v.message}" for v in self.violations)
-
-
-def validate(circuit: Circuit, variance_floor: float = 0.0) -> ValidationReport:
-    """Check every structural invariant of a circuit, reporting all violations.
-
-    Pure: never raises on bad circuits and never mutates its input.  Checks
-    node references and topological order, smoothness of sum nodes,
+    Checks node references and topological order, smoothness of sum nodes,
     decomposability of product nodes, weight/prior normalization, leaf
-    parameter domains and class-root scopes.
+    parameter domains and class-root scopes.  One ``ValueError`` lists every
+    violation found, as ``[kind] node i: message; ...``.  The :class:`Circuit`
+    constructor calls this, so every circuit that exists is valid.
     """
-    report = ValidationReport()
+    violations = [f"[{kind}] node {node}: {message}"
+                  for node, kind, message in _violations(circuit)]
+    if violations:
+        raise ValueError("invalid circuit: " + "; ".join(violations))
+
+
+def _violations(circuit: Circuit):
+    """(node or None, kind, message) of each violated invariant."""
     n = len(circuit.nodes)
-
-    def bad(node: int | None, kind: str, message: str) -> None:
-        report.violations.append(Violation(node, kind, message))
-
     if n == 0:
-        bad(None, "structure", "circuit has no nodes")
-        return report
+        yield (None, "structure", "circuit has no nodes")
+        return
     if circuit.num_variables < 1:
-        bad(None, "structure", f"num_variables must be >= 1, got {circuit.num_variables}")
+        yield (None, "structure",
+               f"num_variables must be >= 1, got {circuit.num_variables}")
 
     # Child references must resolve and respect children-before-parents order.
     refs_ok = True
     for i, node in enumerate(circuit.nodes):
         if isinstance(node, (SumNode, ProductNode)):
             if len(node.children) < 1:
-                bad(i, "structure", f"{node.kind} node has no children")
+                yield (i, "structure", f"{node.kind} node has no children")
                 refs_ok = False
                 continue
             for c in node.children:
                 if not (0 <= c < n):
-                    bad(i, "node-ref", f"child id {c} out of range")
+                    yield (i, "node-ref", f"child id {c} out of range")
                     refs_ok = False
                 elif c >= i:
-                    bad(i, "topological-order", f"child {c} does not precede parent {i}")
+                    yield (i, "topological-order",
+                           f"child {c} does not precede parent {i}")
                     refs_ok = False
 
     # Leaf parameter domains.
     for i, node in enumerate(circuit.nodes):
         if isinstance(node, (GaussianLeaf, BernoulliLeaf, CategoricalLeaf)):
             if not (0 <= node.variable < circuit.num_variables):
-                bad(i, "leaf-domain", f"variable {node.variable} out of range")
+                yield (i, "leaf-domain", f"variable {node.variable} out of range")
         if isinstance(node, GaussianLeaf):
             if not (node.variance > 0.0) or not np.isfinite(node.variance):
-                bad(i, "leaf-domain", f"variance {node.variance} is not positive")
-            elif node.variance < variance_floor - 1e-12:
-                bad(i, "leaf-domain", f"variance {node.variance} below floor {variance_floor}")
+                yield (i, "leaf-domain", f"variance {node.variance} is not positive")
             if not np.isfinite(node.mean):
-                bad(i, "leaf-domain", f"mean {node.mean} is not finite")
+                yield (i, "leaf-domain", f"mean {node.mean} is not finite")
         elif isinstance(node, BernoulliLeaf):
             if not (0.0 <= node.p <= 1.0):
-                bad(i, "leaf-domain", f"p {node.p} outside [0, 1]")
+                yield (i, "leaf-domain", f"p {node.p} outside [0, 1]")
         elif isinstance(node, CategoricalLeaf):
             probs = node.probabilities
             if probs.ndim != 1 or probs.size < 1:
-                bad(i, "leaf-domain", "probabilities must be a non-empty vector")
+                yield (i, "leaf-domain", "probabilities must be a non-empty vector")
             elif np.any(probs < 0) or abs(probs.sum() - 1.0) > NORMALIZATION_TOL:
-                bad(i, "leaf-domain", "probabilities are not a simplex")
+                yield (i, "leaf-domain", "probabilities are not a simplex")
 
     # Sum-weight normalization.
     for i, node in enumerate(circuit.nodes):
         if isinstance(node, SumNode):
             lw = node.log_weights
             if lw.shape != (len(node.children),):
-                bad(i, "weight-normalization",
-                    f"{lw.size} weights for {len(node.children)} children")
+                yield (i, "weight-normalization",
+                       f"{lw.size} weights for {len(node.children)} children")
                 continue
             if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-                bad(i, "weight-normalization", "log weights contain nan or +inf")
+                yield (i, "weight-normalization", "log weights contain nan or +inf")
                 continue
             total = np.exp(lw).sum()
             if abs(total - 1.0) > NORMALIZATION_TOL:
-                bad(i, "weight-normalization", f"weights sum to {total!r}")
+                yield (i, "weight-normalization", f"weights sum to {float(total)!r}")
 
     if not refs_ok:
         # Scope-dependent checks need resolvable references.
-        return report
+        return
 
     scopes = circuit.scopes
     for i, node in enumerate(circuit.nodes):
@@ -272,36 +254,36 @@ def validate(circuit: Circuit, variance_floor: float = 0.0) -> ValidationReport:
             first = scopes[node.children[0]]
             for c in node.children[1:]:
                 if scopes[c] != first:
-                    bad(i, "smoothness", f"children {node.children[0]} and {c} differ in scope")
+                    yield (i, "smoothness",
+                           f"children {node.children[0]} and {c} differ in scope")
                     break
         elif isinstance(node, ProductNode):
             seen: set[int] = set()
             for c in node.children:
                 if seen & scopes[c]:
-                    bad(i, "decomposability",
-                        f"child {c} overlaps the scope of a sibling")
+                    yield (i, "decomposability",
+                           f"child {c} overlaps the scope of a sibling")
                     break
                 seen |= scopes[c]
 
     # Class roots and prior.
     if not circuit.class_roots:
-        bad(None, "structure", "circuit has no class roots")
+        yield (None, "structure", "circuit has no class roots")
     full = frozenset(range(circuit.num_variables))
     for y, r in enumerate(circuit.class_roots):
         if not (0 <= r < n):
-            bad(None, "node-ref", f"class root {y} id {r} out of range")
+            yield (None, "node-ref", f"class root {y} id {r} out of range")
         elif scopes[r] != full:
-            bad(r, "scope", f"class root {y} does not cover all variables")
+            yield (r, "scope", f"class root {y} does not cover all variables")
 
     prior = circuit.log_prior
     if prior.shape != (len(circuit.class_roots),):
-        bad(None, "prior", f"log_prior length {prior.size} != {len(circuit.class_roots)} classes")
+        yield (None, "prior",
+               f"log_prior length {prior.size} != {len(circuit.class_roots)} classes")
     elif np.any(np.isnan(prior)) or np.any(prior == np.inf):
-        bad(None, "prior", "log_prior contains nan or +inf")
+        yield (None, "prior", "log_prior contains nan or +inf")
     elif abs(np.exp(prior).sum() - 1.0) > NORMALIZATION_TOL:
-        bad(None, "prior", f"prior sums to {np.exp(prior).sum()!r}")
-
-    return report
+        yield (None, "prior", f"prior sums to {float(np.exp(prior).sum())!r}")
 
 
 def _node_to_dict(node: Node) -> dict:
@@ -346,9 +328,6 @@ def save(circuit: Circuit, destination: str | Path) -> None:
     Floats are emitted as shortest decimal strings that round-trip to the
     identical float64, so ``load(save(c))`` is bit-equal parameter-wise.
     """
-    report = validate(circuit)
-    if not report.ok:
-        raise ValueError(f"refusing to save an invalid circuit: {report.summary()}")
     doc = {
         "format_version": circuit.format_version,
         "num_variables": circuit.num_variables,
@@ -362,7 +341,7 @@ def save(circuit: Circuit, destination: str | Path) -> None:
 
 
 def load(source: str | Path) -> Circuit:
-    """Load and validate a circuit saved by :func:`save`.
+    """Load a circuit saved by :func:`save`.
 
     Raises :class:`CircuitFormatError` on version mismatch, malformed
     documents or circuits that fail validation after parsing.
@@ -390,9 +369,6 @@ def load(source: str | Path) -> Circuit:
         if isinstance(exc, CircuitFormatError):
             raise
         raise CircuitFormatError(f"malformed document: {exc}") from exc
-    report = validate(circuit)
-    if not report.ok:
-        raise CircuitFormatError(f"loaded circuit is invalid: {report.summary()}")
     return circuit
 
 

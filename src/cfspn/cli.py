@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,6 +26,12 @@ from . import data as data_mod
 from . import grad, inference
 from .structure import StructureConfig, build_circuit
 from .training import TrainConfig, fit
+
+
+#: The top-level keys of a config file, and the keys of its grid section.
+_CONFIG_KEYS = {"seed", "dataset", "split", "structure", "train",
+                "counterfactual", "baseline", "grid"}
+_GRID_KEYS = {"resolution", "x1", "x2"}
 
 
 def _read_config(path: str | None) -> dict:
@@ -39,6 +46,7 @@ def _read_config(path: str | None) -> dict:
         raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    _check_keys("top-level config", cfg, _CONFIG_KEYS)
     return cfg
 
 
@@ -269,6 +277,18 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
+def _interval(section: dict, key: str) -> tuple[float, float]:
+    value = section.get(key, [0.0, 1.0])
+    try:
+        lo, hi = map(float, value)
+        ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ValueError(f"grid.{key} must be two finite numbers lo < hi, got {value!r}")
+    return lo, hi
+
+
 def cmd_grid(args) -> int:
     cfg = _read_config(args.config)
     if not args.model:
@@ -280,12 +300,13 @@ def cmd_grid(args) -> int:
     out = args.out or "grid.csv"
     _check_distinct([args.config, args.model], [out])
 
-    resolution = int(args.resolution or cfg.get("grid", {}).get("resolution", 50))
+    section = _section(cfg, "grid")
+    _check_keys("grid", section, _GRID_KEYS)
+    resolution = int(args.resolution or section.get("resolution", 50))
     if resolution < 2:
         raise ValueError(f"resolution must be >= 2, got {resolution}")
-    bounds = cfg.get("grid", {})
-    x1_lo, x1_hi = bounds.get("x1", [0.0, 1.0])
-    x2_lo, x2_hi = bounds.get("x2", [0.0, 1.0])
+    x1_lo, x1_hi = _interval(section, "x1")
+    x2_lo, x2_hi = _interval(section, "x2")
 
     y_prime = int(args.target_class) if args.target_class is not None else 1
     if not (0 <= y_prime < model.num_classes):

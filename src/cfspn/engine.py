@@ -557,16 +557,16 @@ class CompiledCircuit:
             b = self._bernoulli
             Ab = A[self._bernoulli_rows]
             Xb = XT[b.variables]
-            observed = ~np.isnan(Xb)
+            # A dead leaf (zero adjoint) adds exactly 0, also where p is 0 or 1
+            # and its derivatives are infinite.
+            live = (Ab != 0.0) & ~np.isnan(Xb)
             p = self.bernoulli_p[b.order, None]
-            if gx is not None:
-                with np.errstate(divide="ignore"):
-                    logit = np.log(p) - np.log1p(-p)
-                b.add_to(gx, Ab * np.where(observed, logit, 0.0))
-            if params:
-                safe = np.where(observed, Xb, 0.0)
-                result.bernoulli_p_grads[b.order] += np.where(
-                    observed, Ab * (safe / p - (1.0 - safe) / (1.0 - p)), 0.0).sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if gx is not None:
+                    b.add_to(gx, np.where(live, Ab * (np.log(p) - np.log1p(-p)), 0.0))
+                if params:
+                    result.bernoulli_p_grads[b.order] += np.where(
+                        live, Ab * (Xb / p - (1.0 - Xb) / (1.0 - p)), 0.0).sum(axis=1)
 
 
 _cache: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = weakref.WeakKeyDictionary()

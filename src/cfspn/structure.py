@@ -23,7 +23,6 @@ from .circuit import (
     ProductNode,
     SumNode,
     uniform_log_weights,
-    validate,
 )
 
 LEAF_FAMILIES = ("gaussian", "bernoulli", "categorical")
@@ -178,16 +177,12 @@ def instantiate(region_graph: RegionGraph, config: StructureConfig) -> Circuit:
     class_roots = [add(SumNode(top_products, lw))
                    for _ in range(config.num_classes)]
 
-    circuit = Circuit(
+    return Circuit(
         nodes=nodes,
         class_roots=class_roots,
         log_prior=uniform_log_weights(config.num_classes),
         num_variables=len(region_graph.regions[0]),
     )
-    report = validate(circuit)
-    if not report.ok:
-        raise RuntimeError(f"construction bug, invalid circuit: {report.summary()}")
-    return circuit
 
 
 def _single_variable_circuit(config: StructureConfig) -> Circuit:
@@ -202,13 +197,9 @@ def _single_variable_circuit(config: StructureConfig) -> Circuit:
     for _ in range(config.num_classes):
         nodes.append(SumNode(range(I), lw))
         class_roots.append(len(nodes) - 1)
-    circuit = Circuit(nodes=nodes, class_roots=class_roots,
-                      log_prior=uniform_log_weights(config.num_classes),
-                      num_variables=1)
-    report = validate(circuit)
-    if not report.ok:
-        raise RuntimeError(f"construction bug, invalid circuit: {report.summary()}")
-    return circuit
+    return Circuit(nodes=nodes, class_roots=class_roots,
+                   log_prior=uniform_log_weights(config.num_classes),
+                   num_variables=1)
 
 
 def build_circuit(num_variables: int, config: StructureConfig) -> Circuit:

@@ -119,27 +119,21 @@ def test_scopes_cover_variables(rng):
 
 def test_validate_accepts_random_circuits(rng):
     for _ in range(10):
-        report = cm.validate(random_circuit(rng))
-        assert report.ok, report.summary()
+        assert cm.validate(random_circuit(rng)) is None
 
 
 def test_validate_rejects_unnormalized_weights():
     c = two_gaussian_classifier()
     nodes = list(c.nodes) + [cm.SumNode(children=[0, 1],
                                         log_weights=np.log([0.5, 0.6]))]
-    broken = cm.Circuit(nodes=nodes, class_roots=[2, 2],
-                        log_prior=c.log_prior, num_variables=1)
-    report = cm.validate(broken)
-    assert not report.ok
-    assert any(v.kind == "weight-normalization" for v in report.violations)
+    with pytest.raises(ValueError, match=r"\[weight-normalization\] node 2"):
+        cm.Circuit(nodes=nodes, class_roots=[2, 2],
+                   log_prior=c.log_prior, num_variables=1)
 
 
 def test_validate_rejects_nonpositive_variance():
-    c = two_gaussian_classifier()
-    c = with_node(c, 0, variance=0.0)
-    report = cm.validate(c)
-    assert not report.ok
-    assert any(v.kind == "leaf-domain" for v in report.violations)
+    with pytest.raises(ValueError, match=r"\[leaf-domain\] node 0: variance 0.0"):
+        with_node(two_gaussian_classifier(), 0, variance=0.0)
 
 
 def test_validate_rejects_bad_child_reference():
@@ -147,10 +141,9 @@ def test_validate_rejects_bad_child_reference():
         cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
         cm.SumNode(children=[0, 5], log_weights=cm.uniform_log_weights(2)),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[1],
+    with pytest.raises(ValueError, match=r"\[node-ref\] node 1: child id 5"):
+        cm.Circuit(nodes=nodes, class_roots=[1],
                    log_prior=np.array([0.0]), num_variables=1)
-    report = cm.validate(c)
-    assert any(v.kind == "node-ref" for v in report.violations)
 
 
 def test_validate_rejects_forward_reference():
@@ -159,10 +152,9 @@ def test_validate_rejects_forward_reference():
         cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
         cm.GaussianLeaf(variable=0, mean=1.0, variance=1.0),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[0],
+    with pytest.raises(ValueError, match=r"\[topological-order\] node 0"):
+        cm.Circuit(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=1)
-    report = cm.validate(c)
-    assert any(v.kind == "topological-order" for v in report.violations)
 
 
 def test_validate_rejects_smoothness_violation():
@@ -174,11 +166,9 @@ def test_validate_rejects_smoothness_violation():
         cm.GaussianLeaf(variable=1, mean=1.0, variance=1.0),
         cm.ProductNode(children=[3, 4]),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[5],
+    with pytest.raises(ValueError, match=r"\[smoothness\] node 2"):
+        cm.Circuit(nodes=nodes, class_roots=[5],
                    log_prior=np.array([0.0]), num_variables=2)
-    report = cm.validate(c)
-    assert not report.ok
-    assert any(v.kind == "smoothness" for v in report.violations)
 
 
 def test_validate_rejects_decomposability_violation():
@@ -188,35 +178,62 @@ def test_validate_rejects_decomposability_violation():
         cm.GaussianLeaf(variable=1, mean=0.0, variance=1.0),
         cm.ProductNode(children=[0, 1, 2]),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[3],
+    with pytest.raises(ValueError, match=r"\[decomposability\] node 3"):
+        cm.Circuit(nodes=nodes, class_roots=[3],
                    log_prior=np.array([0.0]), num_variables=2)
-    report = cm.validate(c)
-    assert not report.ok
-    assert any(v.kind == "decomposability" for v in report.violations)
 
 
 def test_validate_rejects_partial_scope_root():
     nodes = [
         cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[0],
+    with pytest.raises(ValueError, match=r"\[scope\] node 0: class root 0"):
+        cm.Circuit(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=2)
-    report = cm.validate(c)
-    assert any(v.kind == "scope" for v in report.violations)
 
 
 def test_validate_rejects_bad_prior():
-    c = dataclasses.replace(two_gaussian_classifier(), log_prior=np.log([0.9, 0.9]))
-    report = cm.validate(c)
-    assert any(v.kind == "prior" for v in report.violations)
+    with pytest.raises(ValueError, match=r"\[prior\] node None: prior sums to"):
+        dataclasses.replace(two_gaussian_classifier(), log_prior=np.log([0.9, 0.9]))
 
 
-def test_validate_enforces_variance_floor():
-    c = two_gaussian_classifier(variance=0.01)
-    assert cm.validate(c).ok
-    report = cm.validate(c, variance_floor=0.05)
-    assert not report.ok
-    assert any("floor" in v.message for v in report.violations)
+@pytest.mark.parametrize("nodes, roots, message", [
+    ([], [], "circuit has no nodes"),
+    ([cm.GaussianLeaf(0, 0.0, 1.0), cm.ProductNode([])], [0], "product node has no children"),
+    ([cm.GaussianLeaf(0, 0.0, 1.0)], [], "circuit has no class roots"),
+])
+def test_validate_rejects_structure_errors(nodes, roots, message):
+    with pytest.raises(ValueError, match=r"\[structure\] node \w+: " + message):
+        cm.Circuit(nodes, class_roots=roots, log_prior=cm.uniform_log_weights(1),
+                   num_variables=1)
+
+
+def test_validation_error_lists_every_violation():
+    nodes = [
+        cm.GaussianLeaf(variable=0, mean=0.0, variance=-1.0),
+        cm.GaussianLeaf(variable=1, mean=0.0, variance=1.0),
+        cm.SumNode(children=[0, 1], log_weights=np.log([0.5, 0.6])),
+    ]
+    with pytest.raises(ValueError) as info:
+        cm.Circuit(nodes, class_roots=[2], log_prior=np.log([0.5]), num_variables=2)
+    assert str(info.value) == (
+        "invalid circuit: [leaf-domain] node 0: variance -1.0 is not positive; "
+        "[weight-normalization] node 2: weights sum to 1.1; "
+        "[smoothness] node 2: children 0 and 1 differ in scope; "
+        "[prior] node None: prior sums to 0.5")
+
+
+def test_circuits_that_gave_silently_wrong_answers_are_refused():
+    # Weights summing to 1.8 made a "density" whose total over {0, 1} was 1.8.
+    with pytest.raises(ValueError, match="weight-normalization"):
+        cm.Circuit([cm.BernoulliLeaf(0, 0.5), cm.BernoulliLeaf(0, 0.2),
+                    cm.SumNode([0, 1], np.log([0.9, 0.9]))],
+                   class_roots=[2], log_prior=np.array([0.0]), num_variables=1)
+    # A sum reading later nodes was evaluated before its children existed.
+    with pytest.raises(ValueError, match="topological-order"):
+        cm.Circuit([cm.SumNode([1, 2], cm.uniform_log_weights(2)),
+                    cm.BernoulliLeaf(0, 0.5), cm.BernoulliLeaf(0, 0.2)],
+                   class_roots=[0], log_prior=np.array([0.0]), num_variables=1)
 
 
 def test_save_load_round_trip(tmp_path, rng):
@@ -232,9 +249,11 @@ def test_save_load_round_trip(tmp_path, rng):
 
 
 def test_save_refuses_invalid_circuit(tmp_path):
-    c = with_node(two_gaussian_classifier(), 0, variance=-1.0)
-    with pytest.raises(ValueError):
-        cm.save(c, tmp_path / "bad.json")
+    # No invalid circuit exists to be saved: building one raises first.
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="leaf-domain"):
+        cm.save(with_node(two_gaussian_classifier(), 0, variance=-1.0), path)
+    assert not path.exists()
 
 
 def test_load_rejects_wrong_format_version(tmp_path, rng):
@@ -264,7 +283,7 @@ def test_load_rejects_invalid_circuit_content(tmp_path, rng):
             node["variance"] = -3.0
             break
     path.write_text(json.dumps(doc))
-    with pytest.raises(cm.CircuitFormatError):
+    with pytest.raises(cm.CircuitFormatError, match=r"\[leaf-domain\] node \d+: variance -3.0"):
         cm.load(path)
 
 

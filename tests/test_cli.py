@@ -226,6 +226,50 @@ def test_unknown_data_option_is_named(tmp_path, capsys, section, value, key):
     assert not out.exists()
 
 
+def test_unknown_top_level_key_is_named(tmp_path, capsys):
+    bad = dict(MOONS_CONFIG, trian={"epochs": 1})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "top-level" in err and "trian" in err
+    assert not out.exists()
+
+
+def run_grid(tmp_path, model, grid):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "grid.csv"
+    code = main(["grid", "--config", str(config), "--model", str(model),
+                 "--resolution", "3", "--out", str(out)])
+    assert code == 2 and not out.exists()
+
+
+def test_unknown_grid_key_is_named(trained, tmp_path, capsys):
+    run_grid(tmp_path, trained[2], {"X1": [0, 2]})
+    err = capsys.readouterr().err
+    assert "grid" in err and "X1" in err
+
+
+@pytest.mark.parametrize("bounds", [[0], [1, 0], [0, 0], [0, float("nan")],
+                                    [0, float("inf")], "ab", 3])
+def test_bad_grid_bounds_are_named(trained, tmp_path, capsys, bounds):
+    run_grid(tmp_path, trained[2], {"x1": [0, 1], "x2": bounds})
+    assert "grid.x2 must be two finite numbers lo < hi" in capsys.readouterr().err
+
+
+def test_invalid_model_document_exits_two(trained, tmp_path, capsys):
+    doc = json.loads(trained[2].read_text())
+    root = doc["nodes"][doc["class_roots"][0]]
+    root["log_weights"][0] += 1.0
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(doc))
+    code = main(["grid", "--model", str(model), "--out", str(tmp_path / "g.csv")])
+    assert code == 2
+    assert f"[weight-normalization] node {doc['class_roots'][0]}" in capsys.readouterr().err
+
+
 def test_counterfactual_with_no_queries_warns_and_succeeds(tmp_path, capsys):
     csv_path = tmp_path / "flat.csv"
     rows = ["x1,x2,y"] + [f"0.{i},0.{9 - i},only" for i in range(10)] * 4

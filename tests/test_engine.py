@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,17 @@ def assert_roots_match_naive(circuit, X, atol=1e-10):
         for k, root in enumerate(circuit.class_roots):
             assert R[b, k] == pytest.approx(
                 naive_log_value(circuit, root, X[b]), abs=atol)
+
+
+def central_difference(circuit, array_of, j, h, objective, X):
+    """(f(+h) - f(-h)) / 2h, where f moves array_of(compiled)[j] of a private
+    compiled form, as a trainer does, and takes objective of its root values."""
+    values = []
+    for delta in (h, -h):
+        private = engine.CompiledCircuit(circuit)
+        array_of(private)[j] += delta
+        values.append(objective(private.root_values(private.forward(X))))
+    return (values[0] - values[1]) / (2 * h)
 
 
 def test_forward_matches_naive_on_batches(rng):
@@ -83,6 +95,25 @@ def test_bernoulli_input_gradient_is_logit():
     assert out.input_grads[0, 0] == pytest.approx(math.log(0.8 / 0.2))
 
 
+@pytest.mark.parametrize("dead_p", [1.0, 0.0])
+def test_dead_bernoulli_leaf_with_infinite_logit_adds_zero(dead_p):
+    # At x = 0 a leaf with p = 1 has value -inf, and at x = 1 so does a leaf
+    # with p = 0; their logits and p-derivatives are infinite, but a zero
+    # adjoint must add exactly 0.
+    x = 1.0 - dead_p
+    nodes = [cm.BernoulliLeaf(0, dead_p), cm.BernoulliLeaf(0, 0.3),
+             cm.SumNode([0, 1], np.log([0.5, 0.5]))]
+    c = cm.Circuit(nodes, class_roots=[2], log_prior=np.array([0.0]), num_variables=1)
+    comp = engine.compile_circuit(c)
+    X = np.array([[x]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = comp.backward(comp.forward(X), X, {2: np.ones(1)}, want_params=True)
+    assert out.input_grads[0, 0] == math.log(0.3) - math.log1p(-0.3)
+    assert out.bernoulli_p_grads[0] == 0.0
+    assert out.bernoulli_p_grads[1] == pytest.approx(x / 0.3 - (1.0 - x) / 0.7)
+
+
 def test_sum_adjoint_splits_by_posterior_weight():
     means, prior = np.array([-1.0, 1.0]), np.array([0.3, 0.7])
     nodes = [
@@ -131,31 +162,21 @@ def test_parameter_gradients_match_finite_differences(rng):
     out = comp.backward(V, x, {root: np.ones(1)},
                         want_input=False, want_params=True)
 
-    def root_value(nid, **changes):
-        nodes = list(c.nodes)
-        nodes[nid] = dataclasses.replace(nodes[nid], **changes)
-        perturbed = dataclasses.replace(c, nodes=nodes)
-        comp = engine.compile_circuit(perturbed)
-        return comp.root_values(comp.forward(x))[0, 0]
-
     sum_ids = [i for i, n in enumerate(c.nodes) if n.kind == "sum"]
     nid = sum_ids[0]
     got = comp.per_sum_node(out.sum_log_weight_grads)[nid]
-    keep = c.nodes[nid].log_weights
     for j in range(len(c.nodes[nid].children)):
-        step = h * (np.arange(keep.size) == j)
-        up = root_value(nid, log_weights=keep + step)
-        dn = root_value(nid, log_weights=keep - step)
-        assert got[j] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-7)
+        fd = central_difference(
+            c, lambda p: p.per_sum_node(p.sum_log_weights)[nid], j, h,
+            lambda R: R[0, 0], x)
+        assert got[j] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
-    gid = int(comp.gaussian_ids[0])
-    node = c.nodes[gid]
-    for attr, grads in (("mean", out.gaussian_mean_grads),
-                        ("variance", out.gaussian_variance_grads)):
-        keep = getattr(node, attr)
-        up = root_value(gid, **{attr: keep + h})
-        dn = root_value(gid, **{attr: keep - h})
-        assert grads[0] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-7)
+    # gaussian row 0 is node gaussian_ids[0]
+    for attr, grads in (("gaussian_mean", out.gaussian_mean_grads),
+                        ("gaussian_variance", out.gaussian_variance_grads)):
+        fd = central_difference(c, lambda p: getattr(p, attr), 0, h,
+                                lambda R: R[0, 0], x)
+        assert grads[0] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
 
 def test_compile_cache_reuses_per_instance(rng):
@@ -276,8 +297,9 @@ def test_children_spanning_a_thousand_nats_match_naive():
 
 def shared_child_circuit():
     """Leaves 0-5, 3-ary products 6 and 7 read by two sum groups of one
-    level (8 and 9), a sum (10) over a leaf, a 3-ary product and a sum, and
-    a product (11) of that sum and a leaf under the second root (12)."""
+    level (8 and 9), a sum (10) over two leaves, a unary product (11), a
+    sum (12) over a leaf, that product and that sum, and a product (13) of
+    sum 12 and two leaves, mixed with sum 8 under the second root (14)."""
     nodes = [cm.GaussianLeaf(v % 3, m, s) for v, (m, s) in enumerate(
         [(0.2, 0.3), (0.6, 0.2), (0.4, 0.5), (0.8, 0.1), (0.1, 0.4), (0.5, 0.3)])]
     nodes += [
@@ -285,47 +307,45 @@ def shared_child_circuit():
         cm.ProductNode([3, 4, 5]),
         cm.SumNode([6, 7], np.log([0.35, 0.65])),
         cm.SumNode([7, 6], np.log([0.9, 0.1])),
-        cm.SumNode([0, 6, 8], np.log([0.2, 0.5, 0.3])),
-        cm.ProductNode([10, 5]),
-        cm.SumNode([11, 6], np.log([0.45, 0.55])),
+        cm.SumNode([0, 3], np.log([0.6, 0.4])),
+        cm.ProductNode([3]),
+        cm.SumNode([0, 11, 10], np.log([0.2, 0.5, 0.3])),
+        cm.ProductNode([12, 4, 5]),
+        cm.SumNode([13, 8], np.log([0.45, 0.55])),
     ]
-    return cm.Circuit(nodes, class_roots=[9, 12], log_prior=cm.uniform_log_weights(2),
+    return cm.Circuit(nodes, class_roots=[9, 14], log_prior=cm.uniform_log_weights(2),
                       num_variables=3)
 
 
 def test_node_shared_by_two_groups_and_mixed_sum_match_naive_and_finite_differences(rng):
     c = shared_child_circuit()
     comp = engine.compile_circuit(c)
-    # 8 and 9 share a bucket; 10 and 12 have buckets of their own
-    assert [w.shape for w in comp.sum_log_weights] == [(2, 2), (1, 3), (1, 2)]
+    # 10 is alone at level 1; 8 and 9 share a bucket and 12 has its own at
+    # level 2; 14 is alone at level 4
+    assert [w.shape for w in comp.sum_log_weights] == [(1, 2), (2, 2), (1, 3), (1, 2)]
     X = rng.normal(0.5, 0.4, size=(5, 3))
     assert_roots_match_naive(c, X)
 
     h = 1e-6
     x = X[0]
     V = comp.forward(X[:1])
-    seeds = {9: np.array([0.7]), 12: np.array([-1.3])}
+    seeds = {9: np.array([0.7]), 14: np.array([-1.3])}
     out = comp.backward(V, X[:1], seeds, want_params=True)
 
     def objective(circuit, point):
         return (0.7 * naive_log_value(circuit, 9, point)
-                - 1.3 * naive_log_value(circuit, 12, point))
+                - 1.3 * naive_log_value(circuit, 14, point))
 
     for j in range(3):
         step = h * (np.arange(3) == j)
         fd = (objective(c, x + step) - objective(c, x - step)) / (2 * h)
         assert out.input_grads[0, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
     grads = comp.per_sum_node(out.sum_log_weight_grads)
-    for i in (8, 9, 10, 12):
-        lw = c.nodes[i].log_weights
-        for j in range(lw.size):
-            step = h * (np.arange(lw.size) == j)
-            shifted = []
-            for sign in (1.0, -1.0):
-                nodes = list(c.nodes)
-                nodes[i] = dataclasses.replace(nodes[i], log_weights=lw + sign * step)
-                shifted.append(objective(dataclasses.replace(c, nodes=nodes), x))
-            fd = (shifted[0] - shifted[1]) / (2 * h)
+    for i in (8, 9, 10, 12, 14):
+        for j in range(len(c.nodes[i].children)):
+            fd = central_difference(
+                c, lambda p: p.per_sum_node(p.sum_log_weights)[i], j, h,
+                lambda R: 0.7 * R[0, 0] - 1.3 * R[0, 1], X[:1])
             assert grads[i][j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
@@ -359,15 +379,27 @@ def test_region_sums_compile_to_cross_product_buckets(tmp_path, d, depth,
         assert cm.structural_equal(comp.to_circuit(c.log_prior), c)
 
 
+def test_to_circuit_refuses_invalid_parameters(rng):
+    c = random_circuit(rng, num_classes=1)
+    private = engine.CompiledCircuit(c)
+    private.gaussian_variance[0] = -1.0
+    private.sum_log_weights[0][0, 0] += 1.0
+    with pytest.raises(ValueError, match=r"\[leaf-domain\].*\[weight-normalization\]"):
+        private.to_circuit(c.log_prior)
+
+
 def test_dead_class_root_passes_no_adjoint():
-    # At x0 = 0 both categorical leaves have probability 0, so every block of
-    # root 8 is -inf: its value is -inf and its seed must change nothing.
+    # At x0 = 0 the categorical leaves 0 and 1 have probability 0, so every
+    # block of root 8 is -inf: its value is -inf and its seed must change
+    # nothing.  Root 12 reads leaf 9 on x0 instead, and stays finite.
     nodes = [cm.CategoricalLeaf(0, [0.0, 1.0]), cm.CategoricalLeaf(0, [0.0, 1.0]),
              cm.GaussianLeaf(1, 0.2, 0.3), cm.GaussianLeaf(1, 0.7, 0.2)]
     nodes += [cm.ProductNode([a, b]) for a in (0, 1) for b in (2, 3)]
     nodes += [cm.SumNode([4, 5, 6, 7], np.log([0.1, 0.2, 0.3, 0.4])),
-              cm.SumNode([2, 3], np.log([0.5, 0.5]))]
-    c = cm.Circuit(nodes, class_roots=[8, 9], log_prior=cm.uniform_log_weights(2),
+              cm.CategoricalLeaf(0, [0.4, 0.6]),
+              cm.ProductNode([9, 2]), cm.ProductNode([9, 3]),
+              cm.SumNode([10, 11], np.log([0.5, 0.5]))]
+    c = cm.Circuit(nodes, class_roots=[8, 12], log_prior=cm.uniform_log_weights(2),
                    num_variables=2)
     comp = engine.compile_circuit(c)
     X = np.array([[0.0, 0.3], [1.0, 0.3]])
@@ -377,15 +409,16 @@ def test_dead_class_root_passes_no_adjoint():
     dead = comp.backward(V, X, {8: np.array([1.0, 0.0])}, want_params=True)
     assert np.all(dead.input_grads == 0.0)
     assert np.all(comp.per_sum_node(dead.sum_log_weight_grads)[8] == 0.0)
-    both = comp.backward(V, X, {8: np.ones(2), 9: np.ones(2)})
-    live = comp.backward(V, X, {9: np.ones(2)})
+    both = comp.backward(V, X, {8: np.ones(2), 12: np.ones(2)})
+    live = comp.backward(V, X, {12: np.ones(2)})
     assert np.array_equal(both.input_grads[0], live.input_grads[0])
 
 
 def test_sums_whose_heaviest_children_have_zero_weight_are_exact():
     # At x = (0, 0) the children with mean 0 dominate by about 800 nats, but
-    # the roots 9 and 11 give them weight 0: their values come from children
-    # far below every block shift.  Sums 8 and 10 share the roots' groups.
+    # the sums 9 and 11 give them weight 0: their values come from children
+    # far below every block shift.  Sums 8 and 10 share their groups.  Sum 11
+    # is a class root; sum 9, over x0 alone, reaches root 12 through a product.
     leaves = [cm.GaussianLeaf(v, m, 0.01) for v in (0, 1) for m in (0.0, 4.0)]
     products = [cm.ProductNode([a, b]) for a in (0, 1) for b in (2, 3)]
     nodes = leaves + products + [
@@ -393,8 +426,9 @@ def test_sums_whose_heaviest_children_have_zero_weight_are_exact():
         cm.SumNode([0, 1], [-np.inf, 0.0]),
         cm.SumNode([4, 5, 6, 7], np.log([0.25, 0.25, 0.25, 0.25])),
         cm.SumNode([4, 5, 6, 7], [-np.inf, np.log(0.3), np.log(0.7), -np.inf]),
+        cm.ProductNode([9, 2]),
     ]
-    c = cm.Circuit(nodes, class_roots=[9, 11], log_prior=cm.uniform_log_weights(2),
+    c = cm.Circuit(nodes, class_roots=[12, 11], log_prior=cm.uniform_log_weights(2),
                    num_variables=2)
     comp = engine.compile_circuit(c)
     X = np.array([[0.0, 0.0], [0.1, -0.2], [4.0, 0.0], [2.0, 2.0]])
@@ -403,11 +437,11 @@ def test_sums_whose_heaviest_children_have_zero_weight_are_exact():
 
     h = 1e-6
     V = comp.forward(X)
-    seeds = {9: np.full(4, 0.6), 11: np.full(4, -1.1)}
+    seeds = {12: np.full(4, 0.6), 11: np.full(4, -1.1)}
     out = comp.backward(V, X, seeds, want_params=True)
 
     def objective(circuit, x):
-        return (0.6 * naive_log_value(circuit, 9, x)
+        return (0.6 * naive_log_value(circuit, 12, x)
                 - 1.1 * naive_log_value(circuit, 11, x))
 
     for row, x in enumerate(X):
@@ -415,15 +449,12 @@ def test_sums_whose_heaviest_children_have_zero_weight_are_exact():
             step = h * (np.arange(2) == j)
             fd = (objective(c, x + step) - objective(c, x - step)) / (2 * h)
             assert out.input_grads[row, j] == pytest.approx(fd, rel=1e-5, abs=1e-6)
-    lw = c.nodes[11].log_weights
-    got = comp.per_sum_node(out.sum_log_weight_grads)[11]
-    for j in (1, 2):
-        step = h * (np.arange(4) == j)
-        shifted = []
-        for sign in (1.0, -1.0):
-            nodes = list(c.nodes)
-            nodes[11] = dataclasses.replace(nodes[11], log_weights=lw + sign * step)
-            changed = dataclasses.replace(c, nodes=nodes)
-            shifted.append(sum(objective(changed, x) for x in X))
-        assert got[j] == pytest.approx((shifted[0] - shifted[1]) / (2 * h), rel=1e-5)
-    assert got[0] == 0.0 and got[3] == 0.0
+    grads = comp.per_sum_node(out.sum_log_weight_grads)
+    for i, live in ((9, (1,)), (11, (1, 2))):
+        for j in live:
+            fd = central_difference(
+                c, lambda p: p.per_sum_node(p.sum_log_weights)[i], j, h,
+                lambda R: np.sum(0.6 * R[:, 0] - 1.1 * R[:, 1]), X)
+            assert grads[i][j] == pytest.approx(fd, rel=1e-5)
+    assert grads[9][0] == 0.0
+    assert grads[11][0] == 0.0 and grads[11][3] == 0.0
