@@ -6,13 +6,8 @@ gradient steps: one across the decision boundary, one toward higher density.
 """
 
 from .circuit import (
-    BernoulliLeaf,
-    CategoricalLeaf,
     Circuit,
     CircuitFormatError,
-    GaussianLeaf,
-    ProductNode,
-    SumNode,
     load,
     save,
     validate,
@@ -22,16 +17,11 @@ from .training import TrainConfig, TrainReport, cross_validate, fit
 from .counterfactual import CfConfig, CfResult, generate, wachter_baseline
 
 __all__ = [
-    "BernoulliLeaf",
-    "CategoricalLeaf",
     "CfConfig",
     "CfResult",
     "Circuit",
     "CircuitFormatError",
-    "GaussianLeaf",
-    "ProductNode",
     "StructureConfig",
-    "SumNode",
     "TrainConfig",
     "TrainReport",
     "build_circuit",

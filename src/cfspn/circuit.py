@@ -1,23 +1,39 @@
 """Circuit representation, validation, serialization and log-space arithmetic.
 
-A circuit is a DAG of sum, product and univariate leaf nodes stored in a flat
-arena in topological order (children before parents), with one root per class
-plus a class prior.  All evaluation happens in log space; linear-space
-probabilities only appear at API boundaries.
+A circuit is a DAG of sum, product and univariate leaf nodes held in flat
+arrays, with one root per class plus a class prior.  Node ids are
+topological: children come before parents, so one bottom-up pass evaluates
+the whole DAG.  Node ``i`` has kind ``KINDS[kind[i]]`` and, if it is a leaf,
+the variable ``variable[i]`` (-1 for sums and products).  Its children are
+``ids[ptr[i]:ptr[i + 1]]`` (compressed sparse rows), and ``log_weights``
+holds one log weight per child edge, aligned with ``ids`` (0 on product
+edges).  Leaf parameters are one array per family, listing that family's
+leaves in id order: ``mean`` and ``variance`` for Gaussians, ``p`` for
+Bernoullis, and for categoricals the probabilities of leaf k as
+``probs[probs_ptr[k]:probs_ptr[k + 1]]``.
+
+All evaluation happens in log space; linear-space probabilities only appear
+at API boundaries.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-from typing import Union
 
 import numpy as np
 
-FORMAT_VERSION = 1
+#: Version written by :func:`save`; :func:`load` also reads version 1, which
+#: listed one JSON object per node.
+FORMAT_VERSION = 2
+
+KINDS = ("gaussian", "bernoulli", "categorical", "sum", "product")
+GAUSSIAN, BERNOULLI, CATEGORICAL, SUM, PRODUCT = range(len(KINDS))
 
 #: Normalization tolerance for weight vectors, leaf simplices and priors.
 NORMALIZATION_TOL = 1e-9
@@ -49,132 +65,133 @@ class CircuitFormatError(ValueError):
     """A model document could not be parsed into a valid circuit."""
 
 
-def _frozen_array(values) -> np.ndarray:
-    """A private read-only float64 copy, so no caller can write through it."""
-    out = np.array(values, dtype=np.float64)
-    out.flags.writeable = False
-    return out
-
-
-class _Immutable:
-    """Copies and unpickled instances go through the constructor, so their
-    arrays are read-only too and a circuit is validated again."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianLeaf(_Immutable):
-    variable: int
-    mean: float
-    variance: float
-
-    kind = "gaussian"
-
-
-@dataclass(frozen=True, eq=False)
-class BernoulliLeaf(_Immutable):
-    variable: int
-    p: float
-
-    kind = "bernoulli"
-
-
-@dataclass(frozen=True, eq=False)
-class CategoricalLeaf(_Immutable):
-    variable: int
-    probabilities: np.ndarray
-
-    kind = "categorical"
-
-    def __post_init__(self):
-        object.__setattr__(self, "probabilities", _frozen_array(self.probabilities))
-
-
-@dataclass(frozen=True, eq=False)
-class SumNode(_Immutable):
-    children: tuple[int, ...]
-    log_weights: np.ndarray
-
-    kind = "sum"
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "log_weights", _frozen_array(self.log_weights))
-
-
-@dataclass(frozen=True, eq=False)
-class ProductNode(_Immutable):
-    children: tuple[int, ...]
-
-    kind = "product"
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(self.children))
-
-
-LeafNode = Union[GaussianLeaf, BernoulliLeaf, CategoricalLeaf]
-Node = Union[GaussianLeaf, BernoulliLeaf, CategoricalLeaf, SumNode, ProductNode]
+#: Fields of :class:`Circuit` that hold integers; the other arrays hold float64.
+_INTEGER_FIELDS = ("kind", "variable", "ptr", "ids", "class_roots", "probs_ptr")
 
 
 def uniform_log_weights(n: int) -> np.ndarray:
     return np.full(n, -math.log(n), dtype=np.float64)
 
 
-@dataclass(frozen=True, eq=False)
-class Circuit(_Immutable):
-    """Flat-arena circuit with per-class roots.
+def _frozen(name: str, values) -> np.ndarray:
+    """A read-only vector; one that is already read-only and owns its data is shared."""
+    dtype = np.int64 if name in _INTEGER_FIELDS else np.float64
+    if not (isinstance(values, np.ndarray) and values.dtype == dtype
+            and values.flags.owndata and not values.flags.writeable):
+        values = np.array(values, dtype=dtype)
+        values.flags.writeable = False
+    if values.ndim != 1:
+        raise ValueError(f"invalid circuit: [structure] node None: {name} "
+                         "is not a vector")
+    return values
 
-    ``nodes`` must list children before parents so one bottom-up pass
-    evaluates the whole DAG.  Circuits and their nodes are immutable:
-    sequences are stored as tuples and parameter arrays are read-only, so a
-    compiled form cached per instance can never go stale.  To change a
-    parameter, build a new circuit (``dataclasses.replace`` reuses every
-    node left as it is).  Circuits are valid by construction: the constructor,
-    and so ``dataclasses.replace``, copies and unpickling, raises
-    ``ValueError`` listing every violation :func:`validate` finds.
+
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """Flat-array circuit with per-class roots; the module docstring gives the layout.
+
+    Circuits are immutable: every array is read-only, so a compiled form
+    cached per instance can never go stale.  To change a parameter, build a
+    new circuit, e.g. ``dataclasses.replace(c, mean=new_means)``; arrays left
+    as they are are shared.  Circuits are valid by construction: the
+    constructor, and so ``dataclasses.replace``, copies and unpickling,
+    raises ``ValueError`` listing every violation :func:`validate` finds.
     """
 
-    nodes: tuple[Node, ...]
+    kind: np.ndarray
+    variable: np.ndarray
+    ptr: np.ndarray
+    ids: np.ndarray
+    log_weights: np.ndarray
     class_roots: tuple[int, ...]
     log_prior: np.ndarray
     num_variables: int
-    format_version: int = FORMAT_VERSION
+    mean: np.ndarray = ()
+    variance: np.ndarray = ()
+    p: np.ndarray = ()
+    probs_ptr: np.ndarray = (0,)
+    probs: np.ndarray = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "class_roots", tuple(self.class_roots))
-        object.__setattr__(self, "log_prior", _frozen_array(self.log_prior))
+        for f in fields(self):
+            if f.name not in ("class_roots", "num_variables"):
+                object.__setattr__(self, f.name, _frozen(f.name, getattr(self, f.name)))
+        # Python ints: the engine looks seed ids up in it on every backward pass.
+        object.__setattr__(self, "class_roots",
+                           tuple(map(operator.index, self.class_roots)))
         validate(self)
+
+    def __reduce__(self):
+        # Copies and unpickled instances go through the constructor, so their
+        # arrays are read-only too and they are validated again.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @property
+    def nodes(self) -> range:
+        """Node ids; ``len(circuit.nodes)`` is the node count."""
+        return range(self.kind.size)
 
     @property
     def num_classes(self) -> int:
         return len(self.class_roots)
 
     @cached_property
-    def scopes(self) -> tuple[frozenset[int], ...]:
-        """Variable scope of every node, computed bottom-up."""
-        scopes: list[frozenset[int]] = []
-        for node in self.nodes:
-            if isinstance(node, (GaussianLeaf, BernoulliLeaf, CategoricalLeaf)):
-                scopes.append(frozenset((node.variable,)))
-            else:
-                merged: set[int] = set()
-                for c in node.children:
-                    merged |= scopes[c]
-                scopes.append(frozenset(merged))
-        return tuple(scopes)
+    def scopes(self) -> np.ndarray:
+        """Variable scope of every node as a bitset, (nodes, ceil(d / 64)) uint64:
+        variable v is in the scope of node i when bit v % 64 of word v // 64 is set."""
+        words = -(-self.num_variables // 64)
+        S = np.zeros((self.kind.size, words), dtype=np.uint64)
+        leaves = np.flatnonzero(self.kind < SUM)
+        v = self.variable[leaves]
+        S[leaves, v // 64] = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
+        return _bottom_up(self, np.bitwise_or, S)
+
+
+def _bottom_up(circuit: Circuit, ufunc, values: np.ndarray, add=0) -> np.ndarray:
+    """Set each sum and product's row of ``values`` to ufunc over its children's
+    rows, plus ``add``, from the leaves' rows up; returns ``values``.
+
+    Every sweep settles at least one more level of the DAG.
+    """
+    internal = np.flatnonzero(circuit.kind >= SUM)
+    starts = circuit.ptr[internal]
+    while internal.size:
+        new = ufunc.reduceat(values[circuit.ids], starts, axis=0) + add
+        if np.array_equal(new, values[internal]):
+            break
+        values[internal] = new
+    return values
+
+
+def _node_arrays(nodes: list[dict]) -> dict[str, list]:
+    """Circuit arrays from version-1 node objects: ``kind`` plus that kind's fields."""
+    children = [o.get("children", []) for o in nodes]
+    family = {k: [o for o in nodes if o["kind"] == k] for k in KINDS[:SUM]}
+    return {
+        "kind": [KINDS.index(o["kind"]) if o["kind"] in KINDS else -1 for o in nodes],
+        "variable": [o.get("variable", -1) for o in nodes],
+        "ptr": [0, *itertools.accumulate(map(len, children))],
+        "ids": [c for cs in children for c in cs],
+        "log_weights": [w for o, cs in zip(nodes, children)
+                        for w in o.get("log_weights", [0.0] * len(cs))],
+        "mean": [o["mean"] for o in family["gaussian"]],
+        "variance": [o["variance"] for o in family["gaussian"]],
+        "p": [o["p"] for o in family["bernoulli"]],
+        "probs_ptr": [0, *itertools.accumulate(len(o["probabilities"])
+                                               for o in family["categorical"])],
+        "probs": [q for o in family["categorical"] for q in o["probabilities"]],
+    }
 
 
 def validate(circuit: Circuit) -> None:
     """Check every structural invariant of a circuit; raise on any violation.
 
-    Checks node references and topological order, smoothness of sum nodes,
-    decomposability of product nodes, weight/prior normalization, leaf
-    parameter domains and class-root scopes.  One ``ValueError`` lists every
-    violation found, as ``[kind] node i: message; ...``.  The :class:`Circuit`
-    constructor calls this, so every circuit that exists is valid.
+    Checks the array layout, node references and topological order,
+    smoothness of sum nodes, decomposability of product nodes, weight/prior
+    normalization, leaf parameter domains and class-root scopes.  One
+    ``ValueError`` lists every violation found, as ``[kind] node i: message;
+    ...``.  The :class:`Circuit` constructor calls this, so every circuit
+    that exists is valid.
     """
     violations = [f"[{kind}] node {node}: {message}"
                   for node, kind, message in _violations(circuit)]
@@ -182,169 +199,176 @@ def validate(circuit: Circuit) -> None:
         raise ValueError("invalid circuit: " + "; ".join(violations))
 
 
-def _violations(circuit: Circuit):
-    """(node or None, kind, message) of each violated invariant."""
-    n = len(circuit.nodes)
+def _per_node(ufunc, values: np.ndarray, parent: np.ndarray):
+    """(node, ufunc over its values) for each run of equal ``parent`` entries."""
+    starts = np.flatnonzero(np.diff(parent, prepend=-1))
+    return parent[starts], ufunc.reduceat(values, starts, axis=0)
+
+
+def _layout_violations(c: Circuit) -> list:
+    """Array lengths and CSR pointers; every other check relies on them."""
+    n = c.kind.size
+    out = [(i, "structure", f"unknown kind code {c.kind[i]}")
+           for i in np.flatnonzero((c.kind < 0) | (c.kind >= len(KINDS)))]
+    count = np.bincount(c.kind[(c.kind >= 0) & (c.kind < len(KINDS))],
+                        minlength=len(KINDS))
+    sizes = {"variable": n, "ptr": n + 1, "log_weights": c.ids.size,
+             "mean": count[GAUSSIAN], "variance": count[GAUSSIAN],
+             "p": count[BERNOULLI], "probs_ptr": count[CATEGORICAL] + 1}
+    out += [(None, "structure", f"{name} has {getattr(c, name).size} entries, "
+                                f"expected {size}")
+            for name, size in sizes.items() if getattr(c, name).size != size]
+    for name, target in (("ptr", "ids"), ("probs_ptr", "probs")):
+        ptr, end = getattr(c, name), getattr(c, target).size
+        if ptr.size == sizes[name] and (ptr[0] != 0 or ptr[-1] != end):
+            out.append((None, "structure", f"{name} runs from {ptr[0]} to {ptr[-1]}, "
+                                           f"not from 0 to len({target}) = {end}"))
+        elif ptr.size == sizes[name] and np.any(np.diff(ptr) < 0):
+            out.append((None, "structure", f"{name} decreases after entry "
+                                           f"{np.argmax(np.diff(ptr) < 0)}"))
+    return out
+
+
+def _violations(c: Circuit) -> list:
+    """(node or None, kind, message) of each violated invariant, by check, then node."""
+    n, d = c.kind.size, c.num_variables
     if n == 0:
-        yield (None, "structure", "circuit has no nodes")
-        return
-    if circuit.num_variables < 1:
-        yield (None, "structure",
-               f"num_variables must be >= 1, got {circuit.num_variables}")
+        return [(None, "structure", "circuit has no nodes")]
+    out = [] if d >= 1 else [(None, "structure", f"num_variables must be >= 1, got {d}")]
+    layout = _layout_violations(c)
+    if layout:
+        return out + layout
 
     # Child references must resolve and respect children-before-parents order.
-    refs_ok = True
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, (SumNode, ProductNode)):
-            if len(node.children) < 1:
-                yield (i, "structure", f"{node.kind} node has no children")
-                refs_ok = False
-                continue
-            for c in node.children:
-                if not (0 <= c < n):
-                    yield (i, "node-ref", f"child id {c} out of range")
-                    refs_ok = False
-                elif c >= i:
-                    yield (i, "topological-order",
-                           f"child {c} does not precede parent {i}")
-                    refs_ok = False
+    arity = np.diff(c.ptr)
+    parent = np.repeat(np.arange(n), arity)
+    internal = c.kind >= SUM
+    unresolved = (c.ids < 0) | (c.ids >= n)
+    refs = [(i, "structure", f"{KINDS[c.kind[i]]} node has no children")
+            for i in np.flatnonzero(internal & (arity == 0))]
+    refs += [(i, "structure", f"{KINDS[c.kind[i]]} leaf has children")
+             for i in np.flatnonzero(~internal & (arity > 0))]
+    refs += [(parent[e], "node-ref", f"child id {c.ids[e]} out of range")
+             for e in np.flatnonzero(unresolved)]
+    refs += [(parent[e], "topological-order",
+              f"child {c.ids[e]} does not precede parent {parent[e]}")
+             for e in np.flatnonzero(~unresolved & (c.ids >= parent))]
+    out += refs
 
     # Leaf parameter domains.
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, (GaussianLeaf, BernoulliLeaf, CategoricalLeaf)):
-            if not (0 <= node.variable < circuit.num_variables):
-                yield (i, "leaf-domain", f"variable {node.variable} out of range")
-        if isinstance(node, GaussianLeaf):
-            if not (node.variance > 0.0) or not np.isfinite(node.variance):
-                yield (i, "leaf-domain", f"variance {node.variance} is not positive")
-            if not np.isfinite(node.mean):
-                yield (i, "leaf-domain", f"mean {node.mean} is not finite")
-        elif isinstance(node, BernoulliLeaf):
-            if not (0.0 <= node.p <= 1.0):
-                yield (i, "leaf-domain", f"p {node.p} outside [0, 1]")
-        elif isinstance(node, CategoricalLeaf):
-            probs = node.probabilities
-            if probs.ndim != 1 or probs.size < 1:
-                yield (i, "leaf-domain", "probabilities must be a non-empty vector")
-            elif np.any(probs < 0) or abs(probs.sum() - 1.0) > NORMALIZATION_TOL:
-                yield (i, "leaf-domain", "probabilities are not a simplex")
+    v = c.variable
+    stray = ~internal & ((v < 0) | (v >= d))
+    out += [(i, "leaf-domain", f"variable {v[i]} out of range")
+            for i in np.flatnonzero(stray)]
+    out += [(i, "structure", f"{KINDS[c.kind[i]]} node has variable {v[i]}")
+            for i in np.flatnonzero(internal & (v != -1))]
+    gaussians, bernoullis, categoricals = (
+        np.flatnonzero(c.kind == code) for code in (GAUSSIAN, BERNOULLI, CATEGORICAL))
+    out += [(gaussians[k], "leaf-domain", f"variance {float(c.variance[k])} is not positive")
+            for k in np.flatnonzero(~(c.variance > 0.0) | ~np.isfinite(c.variance))]
+    out += [(gaussians[k], "leaf-domain", f"mean {float(c.mean[k])} is not finite")
+            for k in np.flatnonzero(~np.isfinite(c.mean))]
+    out += [(bernoullis[k], "leaf-domain", f"p {float(c.p[k])} outside [0, 1]")
+            for k in np.flatnonzero(~((c.p >= 0.0) & (c.p <= 1.0)))]
+    owner = np.repeat(np.arange(categoricals.size), np.diff(c.probs_ptr))
+    out += [(categoricals[k], "leaf-domain", "probabilities must be a non-empty vector")
+            for k in np.flatnonzero(np.diff(c.probs_ptr) == 0)]
+    filled, negative = _per_node(np.logical_or, c.probs < 0.0, owner)
+    _, total = _per_node(np.add, c.probs, owner)
+    out += [(categoricals[k], "leaf-domain", "probabilities are not a simplex")
+            for k in filled[negative | ~(np.abs(total - 1.0) <= NORMALIZATION_TOL)]]
 
-    # Sum-weight normalization.
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, SumNode):
-            lw = node.log_weights
-            if lw.shape != (len(node.children),):
-                yield (i, "weight-normalization",
-                       f"{lw.size} weights for {len(node.children)} children")
-                continue
-            if np.any(np.isnan(lw)) or np.any(lw == np.inf):
-                yield (i, "weight-normalization", "log weights contain nan or +inf")
-                continue
-            total = np.exp(lw).sum()
-            if abs(total - 1.0) > NORMALIZATION_TOL:
-                yield (i, "weight-normalization", f"weights sum to {float(total)!r}")
+    # Sum-weight normalization; product edges carry no weight.
+    lw = c.log_weights
+    on_sum = c.kind[parent] == SUM
+    out += [(i, "weight-normalization", "product node has log weights")
+            for i in np.unique(parent[~on_sum & (lw != 0.0)])]
+    sums, broken = _per_node(np.logical_or, np.isnan(lw[on_sum]) | (lw[on_sum] == np.inf),
+                             parent[on_sum])
+    with np.errstate(over="ignore"):
+        _, total = _per_node(np.add, np.exp(lw[on_sum]), parent[on_sum])
+    for i, bad, t in zip(sums, broken, total):
+        if bad:
+            out.append((i, "weight-normalization", "log weights contain nan or +inf"))
+        elif abs(t - 1.0) > NORMALIZATION_TOL:
+            out.append((i, "weight-normalization", f"weights sum to {float(t)!r}"))
 
-    if not refs_ok:
+    if refs:
         # Scope-dependent checks need resolvable references.
-        return
-
-    scopes = circuit.scopes
-    for i, node in enumerate(circuit.nodes):
-        if isinstance(node, SumNode):
-            first = scopes[node.children[0]]
-            for c in node.children[1:]:
-                if scopes[c] != first:
-                    yield (i, "smoothness",
-                           f"children {node.children[0]} and {c} differ in scope")
+        return out
+    scopes = None if stray.any() else c.scopes
+    if scopes is not None:
+        edges = np.flatnonzero(on_sum)
+        first = c.ids[c.ptr[parent[edges]]]
+        differs = edges[np.any(scopes[c.ids[edges]] != scopes[first], axis=1)]
+        for i, e in zip(*np.unique(parent[differs], return_index=True)):
+            out.append((i, "smoothness", f"children {c.ids[c.ptr[i]]} and "
+                                         f"{c.ids[differs[e]]} differ in scope"))
+        edges = np.flatnonzero(c.kind[parent] == PRODUCT)
+        child_scopes = scopes[c.ids[edges]]
+        products, union = _per_node(np.bitwise_or, child_scopes, parent[edges])
+        _, size = _per_node(np.add, np.bitwise_count(child_scopes).sum(axis=1),
+                            parent[edges])
+        for i in products[np.bitwise_count(union).sum(axis=1) != size]:
+            seen = np.zeros_like(scopes[i])
+            for child in c.ids[c.ptr[i]:c.ptr[i + 1]]:
+                if np.any(seen & scopes[child]):
+                    out.append((i, "decomposability",
+                                f"child {child} overlaps the scope of a sibling"))
                     break
-        elif isinstance(node, ProductNode):
-            seen: set[int] = set()
-            for c in node.children:
-                if seen & scopes[c]:
-                    yield (i, "decomposability",
-                           f"child {c} overlaps the scope of a sibling")
-                    break
-                seen |= scopes[c]
+                seen |= scopes[child]
 
     # Class roots and prior.
-    if not circuit.class_roots:
-        yield (None, "structure", "circuit has no class roots")
-    full = frozenset(range(circuit.num_variables))
-    for y, r in enumerate(circuit.class_roots):
+    if not c.class_roots:
+        out.append((None, "structure", "circuit has no class roots"))
+    for y, r in enumerate(c.class_roots):
         if not (0 <= r < n):
-            yield (None, "node-ref", f"class root {y} id {r} out of range")
-        elif scopes[r] != full:
-            yield (r, "scope", f"class root {y} does not cover all variables")
+            out.append((None, "node-ref", f"class root {y} id {r} out of range"))
+        elif scopes is not None and np.bitwise_count(scopes[r]).sum() != d:
+            out.append((r, "scope", f"class root {y} does not cover all variables"))
 
-    prior = circuit.log_prior
-    if prior.shape != (len(circuit.class_roots),):
-        yield (None, "prior",
-               f"log_prior length {prior.size} != {len(circuit.class_roots)} classes")
+    prior = c.log_prior
+    if prior.shape != (c.num_classes,):
+        out.append((None, "prior", f"log_prior length {prior.size} != "
+                                   f"{c.num_classes} classes"))
     elif np.any(np.isnan(prior)) or np.any(prior == np.inf):
-        yield (None, "prior", "log_prior contains nan or +inf")
+        out.append((None, "prior", "log_prior contains nan or +inf"))
     elif abs(np.exp(prior).sum() - 1.0) > NORMALIZATION_TOL:
-        yield (None, "prior", f"prior sums to {float(np.exp(prior).sum())!r}")
-
-
-def _node_to_dict(node: Node) -> dict:
-    if isinstance(node, GaussianLeaf):
-        return {"kind": "gaussian", "variable": node.variable,
-                "mean": node.mean, "variance": node.variance}
-    if isinstance(node, BernoulliLeaf):
-        return {"kind": "bernoulli", "variable": node.variable, "p": node.p}
-    if isinstance(node, CategoricalLeaf):
-        return {"kind": "categorical", "variable": node.variable,
-                "probabilities": node.probabilities.tolist()}
-    if isinstance(node, SumNode):
-        return {"kind": "sum", "children": list(node.children),
-                "log_weights": node.log_weights.tolist()}
-    if isinstance(node, ProductNode):
-        return {"kind": "product", "children": list(node.children)}
-    raise TypeError(f"unknown node type {type(node)!r}")
-
-
-def _node_from_dict(obj: dict, index: int) -> Node:
-    try:
-        kind = obj["kind"]
-        if kind == "gaussian":
-            return GaussianLeaf(int(obj["variable"]), float(obj["mean"]),
-                                float(obj["variance"]))
-        if kind == "bernoulli":
-            return BernoulliLeaf(int(obj["variable"]), float(obj["p"]))
-        if kind == "categorical":
-            return CategoricalLeaf(int(obj["variable"]), obj["probabilities"])
-        if kind == "sum":
-            return SumNode([int(c) for c in obj["children"]], obj["log_weights"])
-        if kind == "product":
-            return ProductNode([int(c) for c in obj["children"]])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitFormatError(f"malformed node {index}: {exc}") from exc
-    raise CircuitFormatError(f"node {index} has unknown kind {kind!r}")
+        out.append((None, "prior", f"prior sums to {float(np.exp(prior).sum())!r}"))
+    return out
 
 
 def save(circuit: Circuit, destination: str | Path) -> None:
-    """Write a circuit as a versioned JSON document.
+    """Write a circuit as a versioned JSON document of flat arrays.
 
     Floats are emitted as shortest decimal strings that round-trip to the
     identical float64, so ``load(save(c))`` is bit-equal parameter-wise.
     """
-    doc = {
-        "format_version": circuit.format_version,
-        "num_variables": circuit.num_variables,
-        "log_prior": circuit.log_prior.tolist(),
-        "class_roots": list(circuit.class_roots),
-        "nodes": [_node_to_dict(n) for n in circuit.nodes],
-    }
+    doc = {"format_version": FORMAT_VERSION, "num_variables": int(circuit.num_variables)}
+    doc.update((f.name, np.asarray(getattr(circuit, f.name)).tolist())
+               for f in fields(circuit) if f.name != "num_variables")
     with open(destination, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
-def load(source: str | Path) -> Circuit:
-    """Load a circuit saved by :func:`save`.
+def _typed(doc: dict, name: str) -> list:
+    """doc[name] if it is a list of integers (or of numbers, for a float array)."""
+    values = doc[name]
+    integral = name in _INTEGER_FIELDS
+    if (not isinstance(values, list)
+            or not set(map(type, values)) <= ({int} if integral else {int, float})):
+        raise CircuitFormatError(
+            f"{name} must be a list of {'integers' if integral else 'numbers'}")
+    return values
 
-    Raises :class:`CircuitFormatError` on version mismatch, malformed
-    documents or circuits that fail validation after parsing.
+
+def load(source: str | Path) -> Circuit:
+    """Load a circuit saved by :func:`save`, in format version 1 or 2.
+
+    Raises :class:`CircuitFormatError` on unknown versions, malformed
+    documents (nothing is cast: a string or a fractional id is an error) or
+    circuits that fail validation after parsing.
     """
     try:
         with open(source, "r", encoding="utf-8") as fh:
@@ -354,49 +378,26 @@ def load(source: str | Path) -> Circuit:
     if not isinstance(doc, dict):
         raise CircuitFormatError("top level is not an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in (1, FORMAT_VERSION):
         raise CircuitFormatError(
-            f"format_version {version!r} not supported (expected {FORMAT_VERSION})")
+            f"format_version {version!r} not supported (expected 1 or {FORMAT_VERSION})")
     try:
-        circuit = Circuit(
-            nodes=[_node_from_dict(o, i) for i, o in enumerate(doc["nodes"])],
-            class_roots=[int(r) for r in doc["class_roots"]],
-            log_prior=doc["log_prior"],
-            num_variables=int(doc["num_variables"]),
-            format_version=int(version),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, CircuitFormatError):
-            raise
+        arrays = doc if version == FORMAT_VERSION else {
+            **_node_arrays(doc["nodes"]), "class_roots": doc["class_roots"],
+            "log_prior": doc["log_prior"]}
+        d = doc["num_variables"]
+        if type(d) is not int:
+            raise CircuitFormatError("num_variables must be an integer")
+        return Circuit(**{f.name: _typed(arrays, f.name)
+                          for f in fields(Circuit) if f.name != "num_variables"},
+                       num_variables=d)
+    except CircuitFormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CircuitFormatError(f"malformed document: {exc}") from exc
-    return circuit
 
 
 def structural_equal(a: Circuit, b: Circuit) -> bool:
-    """Node-by-node equality with bit-exact parameter comparison."""
-    if (a.num_variables != b.num_variables or a.format_version != b.format_version
-            or a.class_roots != b.class_roots
-            or not np.array_equal(a.log_prior, b.log_prior)
-            or len(a.nodes) != len(b.nodes)):
-        return False
-    for na, nb in zip(a.nodes, b.nodes):
-        if type(na) is not type(nb):
-            return False
-        if isinstance(na, GaussianLeaf):
-            if (na.variable, na.mean, na.variance) != (nb.variable, nb.mean, nb.variance):
-                return False
-        elif isinstance(na, BernoulliLeaf):
-            if (na.variable, na.p) != (nb.variable, nb.p):
-                return False
-        elif isinstance(na, CategoricalLeaf):
-            if na.variable != nb.variable or not np.array_equal(na.probabilities,
-                                                                nb.probabilities):
-                return False
-        elif isinstance(na, SumNode):
-            if (na.children != nb.children
-                    or not np.array_equal(na.log_weights, nb.log_weights)):
-                return False
-        else:
-            if na.children != nb.children:
-                return False
-    return True
+    """Equality of every array, with bit-exact parameter comparison."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+               for f in fields(Circuit))

@@ -212,6 +212,12 @@ def _query_setup(args, default_out: str):
     cf_cfg = _build_config(
         cf.CfConfig, cf_section,
         epsilon1=args.epsilon1, epsilon2=args.epsilon2, grad_mode=args.grad_mode)
+    standardized = [c.name for c in (test_ds.meta.columns if test_ds.meta else [])
+                    if c.scaling_kind == "standard"]
+    if cf_cfg.clip_to_unit and standardized:
+        raise ValueError(f"column {standardized[0]!r} is standardized, but clip_to_unit "
+                         "clamps every column to [0, 1]; set "
+                         '"counterfactual": {"clip_to_unit": false}')
     preds = inference.predict(model, test_ds.features)
     rows = np.flatnonzero(preds != y_prime)
     if limit is not None:

@@ -33,6 +33,13 @@ METHODS = ("two_step", "wachter")
 
 @dataclass
 class CfConfig:
+    """Step sizes and options of the two-step method.
+
+    ``clip_to_unit`` clamps every column to [0, 1], the range of min-max
+    scaled and one-hot columns; the CLI refuses it on data with a
+    standardized column.
+    """
+
     epsilon1: float = 10.0
     epsilon2: float = 1.0
     grad_mode: str = "density"

@@ -1,8 +1,9 @@
 """Batched evaluation and differentiation of circuits, tensorized by region.
 
-``compile_circuit`` lowers a :class:`~cfspn.circuit.Circuit` into a few
-dense array operations per topological level.  Sum nodes that share one
-children tuple form a *group*: the S sums of a region, or the C class roots.
+``compile_circuit`` reads the flat arrays of a :class:`~cfspn.circuit.Circuit`
+and lowers them into a few dense array operations per topological level.
+Sum nodes that share one children tuple form a *group*: the S sums of a
+region, or the C class roots.
 When that tuple is a sequence of K blocks, each a run of binary products
 whose (left, right) children list L x R row-major (the order in which
 ``structure.instantiate`` creates them), and no node outside the group
@@ -29,25 +30,27 @@ input coordinates and, optionally, to leaf and sum parameters.
 Sum-node log-weights live in one (sums, children) array per bucket
 (``sum_log_weights``), columns in each node's own child order, and their
 gradients come back in the same layout, so a trainer updates every sum of a
-bucket with one array operation.
+bucket with one array operation; ``to_circuit`` writes them back into the
+circuit's per-edge ``log_weights``.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .circuit import (
+    BERNOULLI,
+    CATEGORICAL,
+    GAUSSIAN,
     LOG_2PI,
-    BernoulliLeaf,
-    CategoricalLeaf,
+    PRODUCT,
+    SUM,
     Circuit,
-    GaussianLeaf,
-    ProductNode,
-    SumNode,
+    _bottom_up,
     logsumexp,
 )
 
@@ -269,85 +272,68 @@ class CompiledCircuit:
 
     def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        nodes = circuit.nodes
-        n = len(nodes)
+        n = len(circuit.nodes)
         self.d = circuit.num_variables
+        kind, ptr, ids = circuit.kind, circuit.ptr, circuit.ids
+        arity = np.diff(ptr)
 
-        # Sum groups, and the one group (if any) that alone reads each node.
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, node in enumerate(nodes):
-            if isinstance(node, SumNode):
-                groups.setdefault(node.children, []).append(i)
+        # Sum groups: the sums with equal children, keyed by the first of them.
+        sums = np.flatnonzero(kind == SUM)
+        first = np.empty(n, dtype=np.int64)
+        for k in np.unique(arity[sums]):
+            members = sums[arity[sums] == k]
+            _, at, inverse = np.unique(ids[ptr[members][:, None] + np.arange(k)], axis=0,
+                                       return_index=True, return_inverse=True)
+            first[members] = members[at][inverse.ravel()]
+        heads = np.unique(first[sums])
+        group_sums = [sums[first[sums] == h] for h in heads]
+        group_children = [ids[ptr[h]:ptr[h + 1]] for h in heads]
+
+        # The one group (if any) that alone reads each node.
         owner = np.full(n, -2, dtype=np.int64)
-        for g, children in enumerate(groups):
+        for g, children in enumerate(group_children):
             children = np.unique(children)
             owner[children] = np.where(owner[children] == -2, g, -1)
-        for node in nodes:
-            if isinstance(node, ProductNode):
-                owner[list(node.children)] = -1
+        owner[ids[np.repeat(kind == PRODUCT, arity)]] = -1
         owner[list(circuit.class_roots)] = -1
 
         absorbed = np.zeros(n, dtype=bool)
         group_blocks = []
-        for g, children in enumerate(groups):
+        for g, children in enumerate(group_children):
             blocks = None
-            if all(isinstance(nodes[c], ProductNode) and len(nodes[c].children) == 2
-                   and owner[c] == g for c in children):
-                blocks = _blocks(np.array([nodes[c].children for c in children]))
-            if blocks is not None:
-                absorbed[list(children)] = True
+            if np.all((kind[children] == PRODUCT) & (arity[children] == 2)
+                      & (owner[children] == g)):
+                blocks = _blocks(ids[ptr[children][:, None] + np.arange(2)])
+                absorbed[children] = blocks is not None
             group_blocks.append(blocks)
 
-        # Levels of the materialized nodes, in one topological sweep; leaves
-        # are level 0, and a group's level is set at its first sum.
-        level = np.zeros(n, dtype=np.int64)
-        group_of = {i: g for g, sums in enumerate(groups.values()) for i in sums}
-        group_list = list(groups.items())
-        g_ids, b_ids, c_ids = [], [], []
-        products: dict[tuple[int, int], list[int]] = {}
+        # Levels of the materialized nodes: leaves are level 0, and an absorbed
+        # product passes its children's level to the sums that absorb it.
+        level = _bottom_up(circuit, np.maximum, np.zeros(n, dtype=np.int64),
+                           ~absorbed[kind >= SUM])
         buckets: dict[tuple, list[int]] = {}
-        for i, node in enumerate(nodes):
-            if isinstance(node, GaussianLeaf):
-                g_ids.append(i)
-            elif isinstance(node, BernoulliLeaf):
-                b_ids.append(i)
-            elif isinstance(node, CategoricalLeaf):
-                c_ids.append(i)
-            elif isinstance(node, ProductNode):
-                if not absorbed[i]:
-                    level[i] = 1 + level[list(node.children)].max()
-                    products.setdefault((level[i], len(node.children)), []).append(i)
-            elif level[i] == 0:
-                g = group_of[i]
-                children, sums = group_list[g]
-                blocks = group_blocks[g]
-                if blocks is None:
-                    inputs = list(children)
-                    shape = (1, len(children), 1, False)
-                else:
-                    inputs = [c for block in blocks for part in block for c in part]
-                    shape = (len(blocks), len(blocks[0][0]), len(blocks[0][1]), True)
-                level[sums] = 1 + level[inputs].max()
-                buckets.setdefault((level[i], len(sums), *shape), []).append(g)
+        for g, (head, blocks) in enumerate(zip(heads, group_blocks)):
+            if blocks is None:
+                shape = (1, arity[head], 1, False)
+            else:
+                shape = (len(blocks), len(blocks[0][0]), len(blocks[0][1]), True)
+            buckets.setdefault((level[head], len(group_sums[g]), *shape), []).append(g)
+        products = np.flatnonzero((kind == PRODUCT) & ~absorbed)
 
-        self.gaussian_ids = np.asarray(g_ids, dtype=np.int64)
-        self.gaussian_vars = np.array([nodes[i].variable for i in g_ids], dtype=np.int64)
-        self.gaussian_mean = np.array([nodes[i].mean for i in g_ids], dtype=np.float64)
-        self.gaussian_variance = np.array([nodes[i].variance for i in g_ids],
-                                          dtype=np.float64)
-        self.bernoulli_ids = np.asarray(b_ids, dtype=np.int64)
-        self.bernoulli_vars = np.array([nodes[i].variable for i in b_ids], dtype=np.int64)
-        self.bernoulli_p = np.array([nodes[i].p for i in b_ids], dtype=np.float64)
-        self.categorical_ids = np.asarray(c_ids, dtype=np.int64)
-        self.categorical_vars = np.array([nodes[i].variable for i in c_ids],
-                                         dtype=np.int64)
-        sizes = np.array([nodes[i].probabilities.size for i in c_ids], dtype=np.int64)
+        self.gaussian_ids = np.flatnonzero(kind == GAUSSIAN)
+        self.gaussian_vars = circuit.variable[self.gaussian_ids]
+        self.gaussian_mean = np.array(circuit.mean)
+        self.gaussian_variance = np.array(circuit.variance)
+        self.bernoulli_ids = np.flatnonzero(kind == BERNOULLI)
+        self.bernoulli_vars = circuit.variable[self.bernoulli_ids]
+        self.bernoulli_p = np.array(circuit.p)
+        self.categorical_ids = np.flatnonzero(kind == CATEGORICAL)
+        self.categorical_vars = circuit.variable[self.categorical_ids]
         # every leaf's log probabilities, concatenated; leaf r starts at offset r
-        self.categorical_offsets = np.cumsum(sizes) - sizes
-        self.categorical_sizes = sizes
+        self.categorical_offsets = circuit.probs_ptr[:-1]
+        self.categorical_sizes = np.diff(circuit.probs_ptr)
         with np.errstate(divide="ignore"):
-            self.categorical_log_probs = np.log(np.concatenate(
-                [nodes[i].probabilities for i in c_ids] or [np.empty(0)]))
+            self.categorical_log_probs = np.log(circuit.probs)
         self._gaussian = _ByVariable(self.gaussian_vars)
         self._bernoulli = _ByVariable(self.bernoulli_vars)
 
@@ -355,7 +341,7 @@ class CompiledCircuit:
         row_of = np.full(n, -1, dtype=np.int64)
         top = 0
 
-        def take(ids: list[int]) -> slice:
+        def take(ids: np.ndarray) -> slice:
             nonlocal top
             row_of[ids] = np.arange(top, top + len(ids))
             top += len(ids)
@@ -363,34 +349,33 @@ class CompiledCircuit:
 
         self._gaussian_rows = take(self.gaussian_ids[self._gaussian.order])
         self._bernoulli_rows = take(self.bernoulli_ids[self._bernoulli.order])
-        self._categorical_rows = take(c_ids)
+        self._categorical_rows = take(self.categorical_ids)
         self._steps: list[_Products | _Sums] = []
         self._sums: list[_Sums] = []
         for lev in range(1, int(level.max(initial=0)) + 1):
-            for (plev, _), ids in sorted(products.items()):
-                if plev == lev:
-                    rows = take(ids)
-                    children = row_of[np.array([nodes[i].children for i in ids])]
-                    self._steps.append(_Products(
-                        rows, children, all(map(_is_unique, children.T))))
+            at_level = products[level[products] == lev]
+            for k in np.unique(arity[at_level]):
+                members = at_level[arity[at_level] == k]
+                rows = take(members)
+                children = row_of[ids[ptr[members][:, None] + np.arange(k)]]
+                self._steps.append(_Products(
+                    rows, children, all(map(_is_unique, children.T))))
             for key, members in buckets.items():
                 if key[0] != lev:
                     continue
-                paired = key[-1]
-                sum_ids = [i for g in members for i in group_list[g][1]]
+                sum_ids = np.concatenate([group_sums[g] for g in members])
                 rows = take(sum_ids)
-                if paired:
+                if key[-1]:
                     left = row_of[np.array([[L for L, _ in group_blocks[g]]
                                             for g in members])]
                     right = row_of[np.array([[R for _, R in group_blocks[g]]
                                              for g in members])]
                 else:
-                    children = np.array([group_list[g][0] for g in members])
+                    children = np.array([group_children[g] for g in members])
                     left, right = row_of[children][:, None, :], None
-                log_weights = np.array([nodes[i].log_weights for i in sum_ids],
-                                       dtype=np.float64)
-                step = _Sums(rows, np.asarray(sum_ids, dtype=np.int64), left, right,
-                             log_weights,
+                log_weights = circuit.log_weights[ptr[sum_ids][:, None]
+                                                  + np.arange(arity[sum_ids[0]])]
+                step = _Sums(rows, sum_ids, left, right, log_weights,
                              _is_unique(left) and (right is None or _is_unique(right)))
                 self._steps.append(step)
                 self._sums.append(step)
@@ -416,21 +401,16 @@ class CompiledCircuit:
     def to_circuit(self, log_prior: np.ndarray) -> Circuit:
         """A new circuit holding this instance's current parameters.
 
-        Leaf and sum nodes are rebuilt from the compiled arrays; product and
-        categorical nodes, which carry no trained parameters, are shared.
+        Its structure arrays and categorical leaves are the source circuit's.
         """
         source = self.circuit
-        nodes = list(source.nodes)
-        for row, i in enumerate(self.gaussian_ids):
-            nodes[i] = GaussianLeaf(nodes[i].variable,
-                                    float(self.gaussian_mean[row]),
-                                    float(self.gaussian_variance[row]))
-        for row, i in enumerate(self.bernoulli_ids):
-            nodes[i] = BernoulliLeaf(nodes[i].variable, float(self.bernoulli_p[row]))
-        for i, lw in self.per_sum_node(self.sum_log_weights).items():
-            nodes[i] = SumNode(nodes[i].children, lw)
-        return Circuit(nodes, source.class_roots, log_prior,
-                       source.num_variables, source.format_version)
+        log_weights = np.array(source.log_weights)
+        for step in self._sums:
+            columns = np.arange(step.log_weights.shape[1])
+            log_weights[source.ptr[step.ids][:, None] + columns] = step.log_weights
+        return replace(source, log_weights=log_weights, log_prior=log_prior,
+                       mean=self.gaussian_mean, variance=self.gaussian_variance,
+                       p=self.bernoulli_p)
 
     def _column_blocks(self, B: int) -> list[slice]:
         return [slice(b, min(b + self._block_cols, B))
@@ -563,10 +543,18 @@ class CompiledCircuit:
             p = self.bernoulli_p[b.order, None]
             with np.errstate(divide="ignore", invalid="ignore"):
                 if gx is not None:
-                    b.add_to(gx, np.where(live, Ab * (np.log(p) - np.log1p(-p)), 0.0))
+                    dx = np.where(live, Ab * (np.log(p) - np.log1p(-p)), 0.0)
+                    if not np.all(np.isfinite(dx)):
+                        raise ValueError("non-finite input gradient: a live Bernoulli "
+                                         "leaf has p = 0 or 1, so its logit is infinite")
+                    b.add_to(gx, dx)
                 if params:
+                    # One-sided at p = 0 or 1, as in _leaf_values: the x / p term
+                    # is 0 at x = 0 and the (1 - x) / (1 - p) term is 0 at x = 1.
+                    dp = (np.where(Xb == 0.0, 0.0, Xb / p)
+                          - np.where(Xb == 1.0, 0.0, (1.0 - Xb) / (1.0 - p)))
                     result.bernoulli_p_grads[b.order] += np.where(
-                        live, Ab * (Xb / p - (1.0 - Xb) / (1.0 - p)), 0.0).sum(axis=1)
+                        live, Ab * dp, 0.0).sum(axis=1)
 
 
 _cache: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = weakref.WeakKeyDictionary()

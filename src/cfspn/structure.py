@@ -9,21 +9,12 @@ class on the root region.  Repetitions never share nodes.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    BernoulliLeaf,
-    CategoricalLeaf,
-    Circuit,
-    GaussianLeaf,
-    Node,
-    ProductNode,
-    SumNode,
-    uniform_log_weights,
-)
+from .circuit import KINDS, PRODUCT, SUM, Circuit, uniform_log_weights
 
 LEAF_FAMILIES = ("gaussian", "bernoulli", "categorical")
 
@@ -106,19 +97,59 @@ def build_region_graph(num_variables: int, depth: int, repetitions: int,
     return RegionGraph(regions, partitions, depth, repetitions)
 
 
-def _make_leaf(variable: int, config: StructureConfig,
-               rng: np.random.Generator) -> Node:
-    if config.leaf_family == "gaussian":
-        return GaussianLeaf(variable, mean=float(rng.uniform(0.0, 1.0)),
-                            variance=1.0)
-    if config.leaf_family == "bernoulli":
-        return BernoulliLeaf(variable, p=float(rng.uniform(0.1, 0.9)))
-    sizes = config.categorical_cardinalities
-    if sizes is None or variable >= len(sizes):
-        raise ValueError("categorical leaves need categorical_cardinalities "
-                         "covering every variable")
-    probs = rng.dirichlet(np.ones(sizes[variable]))
-    return CategoricalLeaf(variable, probs)
+class _Arena:
+    """Nodes appended in blocks; each block's ids follow the previous block's."""
+
+    def __init__(self):
+        self.blocks: list[list[np.ndarray]] = []
+        self.size = 0
+
+    def add(self, count: int, kind, variable=-1, arity=0, children=(),
+            log_weight: float = 0.0) -> np.ndarray:
+        """Append ``count`` nodes with the given (per-node or shared) kind code,
+        variable and number of children, whose child ids are ``children``
+        flattened; return the new ids."""
+        children = np.asarray(children, dtype=np.int64).ravel()
+        self.blocks.append([np.broadcast_to(a, count) for a in (kind, variable, arity)]
+                           + [children, np.full(children.size, log_weight)])
+        self.size += count
+        return np.arange(self.size - count, self.size)
+
+    def products(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Binary products of every (a, b) in left x right, row-major."""
+        pairs = np.stack(np.meshgrid(left, right, indexing="ij"), axis=-1)
+        return self.add(pairs.size // 2, PRODUCT, arity=2, children=pairs)
+
+    def sums(self, count: int, children: np.ndarray) -> np.ndarray:
+        """``count`` uniformly weighted sums over the same children."""
+        return self.add(count, SUM, arity=children.size,
+                        children=np.tile(children, count),
+                        log_weight=-math.log(children.size))
+
+    def circuit(self, config: StructureConfig, rng: np.random.Generator,
+                class_roots: np.ndarray, num_variables: int) -> Circuit:
+        """The circuit, with leaf parameters drawn in node order."""
+        kind, variable, arity, ids, log_weights = (np.concatenate(parts)
+                                                   for parts in zip(*self.blocks))
+        leaf_vars = variable[kind < SUM]
+        if config.leaf_family == "gaussian":
+            params = {"mean": rng.uniform(0.0, 1.0, leaf_vars.size),
+                      "variance": np.ones(leaf_vars.size)}
+        elif config.leaf_family == "bernoulli":
+            params = {"p": rng.uniform(0.1, 0.9, leaf_vars.size)}
+        else:
+            sizes = config.categorical_cardinalities
+            if sizes is None or leaf_vars.max() >= len(sizes):
+                raise ValueError("categorical leaves need categorical_cardinalities "
+                                 "covering every variable")
+            probs = [rng.dirichlet(np.ones(sizes[v])) for v in leaf_vars]
+            params = {"probs_ptr": np.cumsum([0] + [q.size for q in probs]),
+                      "probs": np.concatenate(probs)}
+        return Circuit(kind=kind, variable=variable,
+                       ptr=np.concatenate([[0], np.cumsum(arity)]), ids=ids,
+                       log_weights=log_weights, class_roots=class_roots,
+                       log_prior=uniform_log_weights(config.num_classes),
+                       num_variables=num_variables, **params)
 
 
 def instantiate(region_graph: RegionGraph, config: StructureConfig) -> Circuit:
@@ -130,11 +161,9 @@ def instantiate(region_graph: RegionGraph, config: StructureConfig) -> Circuit:
     C sum nodes over every repetition's top products, uniformly weighted.
     """
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    nodes: list[Node] = []
-
-    def add(node: Node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
+    arena = _Arena()
+    leaf = KINDS.index(config.leaf_family)
+    I, S = config.leaf_distributions_per_region, config.sum_nodes_per_region
 
     children_of: dict[int, tuple[int, int]] = {}
     root_partitions: list[tuple[int, int]] = []
@@ -148,58 +177,36 @@ def instantiate(region_graph: RegionGraph, config: StructureConfig) -> Circuit:
     if not root_partitions:
         raise ValueError("region graph has no root partition")
 
-    def region_nodes(region_index: int) -> list[int]:
+    def region_nodes(region_index: int) -> np.ndarray:
         scope = region_graph.regions[region_index]
         pair = children_of.get(region_index)
         if pair is None:
-            out = []
-            for _ in range(config.leaf_distributions_per_region):
-                leaves = [add(_make_leaf(v, config, rng)) for v in scope]
-                out.append(leaves[0] if len(leaves) == 1
-                           else add(ProductNode(leaves)))
-            return out
-        left = region_nodes(pair[0])
-        right = region_nodes(pair[1])
-        products = [add(ProductNode([a, b]))
-                    for a, b in itertools.product(left, right)]
-        S = config.sum_nodes_per_region
-        lw = uniform_log_weights(len(products))
-        return [add(SumNode(products, lw)) for _ in range(S)]
+            k = len(scope)
+            if k == 1:
+                return arena.add(I, leaf, scope[0])
+            # each distribution: its k leaves, then their product
+            base = arena.size + (k + 1) * np.arange(I)[:, None]
+            ids = arena.add(I * (k + 1), np.tile([leaf] * k + [PRODUCT], I),
+                            np.tile([*scope, -1], I), np.tile([0] * k + [k], I),
+                            base + np.arange(k))
+            return ids[k::k + 1]
+        products = arena.products(region_nodes(pair[0]), region_nodes(pair[1]))
+        return arena.sums(S, products)
 
-    top_products: list[int] = []
-    for li, ri in root_partitions:
-        left = region_nodes(li)
-        right = region_nodes(ri)
-        top_products.extend(add(ProductNode([a, b]))
-                            for a, b in itertools.product(left, right))
-
-    lw = uniform_log_weights(len(top_products))
-    class_roots = [add(SumNode(top_products, lw))
-                   for _ in range(config.num_classes)]
-
-    return Circuit(
-        nodes=nodes,
-        class_roots=class_roots,
-        log_prior=uniform_log_weights(config.num_classes),
-        num_variables=len(region_graph.regions[0]),
-    )
+    top_products = np.concatenate([arena.products(region_nodes(li), region_nodes(ri))
+                                   for li, ri in root_partitions])
+    class_roots = arena.sums(config.num_classes, top_products)
+    return arena.circuit(config, rng, class_roots, len(region_graph.regions[0]))
 
 
 def _single_variable_circuit(config: StructureConfig) -> Circuit:
     # One variable admits no partition: each class root mixes I leaves directly.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    nodes: list[Node] = []
-    I = config.leaf_distributions_per_region
-    for _ in range(I):
-        nodes.append(_make_leaf(0, config, rng))
-    lw = uniform_log_weights(I)
-    class_roots = []
-    for _ in range(config.num_classes):
-        nodes.append(SumNode(range(I), lw))
-        class_roots.append(len(nodes) - 1)
-    return Circuit(nodes=nodes, class_roots=class_roots,
-                   log_prior=uniform_log_weights(config.num_classes),
-                   num_variables=1)
+    arena = _Arena()
+    leaves = arena.add(config.leaf_distributions_per_region,
+                       KINDS.index(config.leaf_family), 0)
+    class_roots = arena.sums(config.num_classes, leaves)
+    return arena.circuit(config, rng, class_roots, 1)
 
 
 def build_circuit(num_variables: int, config: StructureConfig) -> Circuit:

@@ -1,7 +1,8 @@
-"""Shared test helpers: a naive reference evaluator and parameter randomizers."""
+"""Shared test helpers: node records for hand-built circuits, a naive reference
+evaluator and parameter randomizers."""
 
 import math
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,22 +12,88 @@ from cfspn.engine import CompiledCircuit
 from cfspn.structure import StructureConfig, build_circuit
 
 
+class GaussianLeaf(NamedTuple):
+    variable: int
+    mean: float
+    variance: float
+    kind: str = "gaussian"
+
+
+class BernoulliLeaf(NamedTuple):
+    variable: int
+    p: float
+    kind: str = "bernoulli"
+
+
+class CategoricalLeaf(NamedTuple):
+    variable: int
+    probabilities: np.ndarray
+    kind: str = "categorical"
+
+
+class SumNode(NamedTuple):
+    children: tuple[int, ...]
+    log_weights: np.ndarray
+    kind: str = "sum"
+
+
+class ProductNode(NamedTuple):
+    children: tuple[int, ...]
+    kind: str = "product"
+
+
+def from_nodes(nodes, class_roots, log_prior, num_variables):
+    """A circuit from node records listed children before parents, read
+    like the node objects of a version-1 model document."""
+    return cm.Circuit(**cm._node_arrays([n._asdict() for n in nodes]),
+                      class_roots=class_roots, log_prior=log_prior,
+                      num_variables=num_variables)
+
+
+def nodes_of(circuit):
+    """The circuit's nodes as records (GaussianLeaf, ...), in id order."""
+    gaussians = iter(zip(circuit.mean, circuit.variance))
+    bernoullis = iter(circuit.p)
+    categoricals = iter(np.split(circuit.probs, circuit.probs_ptr[1:-1]))
+    nodes = []
+    for i, code in enumerate(circuit.kind):
+        kind, v = cm.KINDS[code], int(circuit.variable[i])
+        edges = slice(circuit.ptr[i], circuit.ptr[i + 1])
+        children = tuple(int(c) for c in circuit.ids[edges])
+        if kind == "gaussian":
+            mean, variance = next(gaussians)
+            nodes.append(GaussianLeaf(v, float(mean), float(variance)))
+        elif kind == "bernoulli":
+            nodes.append(BernoulliLeaf(v, float(next(bernoullis))))
+        elif kind == "categorical":
+            nodes.append(CategoricalLeaf(v, next(categoricals)))
+        elif kind == "sum":
+            nodes.append(SumNode(children, circuit.log_weights[edges]))
+        else:
+            nodes.append(ProductNode(children))
+    return nodes
+
+
 def naive_log_value(circuit, node_id, evidence):
     """Recursive log evaluation of one node, written for clarity not speed.
 
     evidence is a 1-D float array with NaN marking missing variables.
     Marginalized leaves contribute log 1 = 0.
     """
-    node = circuit.nodes[node_id]
+    return _naive_log_value(nodes_of(circuit), node_id, evidence)
+
+
+def _naive_log_value(nodes, node_id, evidence):
+    node = nodes[node_id]
     if node.kind == "sum":
-        terms = [lw + naive_log_value(circuit, child, evidence)
+        terms = [lw + _naive_log_value(nodes, child, evidence)
                  for child, lw in zip(node.children, node.log_weights)]
         top = max(terms)
         if top == -math.inf:
             return -math.inf
         return top + math.log(sum(math.exp(t - top) for t in terms))
     if node.kind == "product":
-        return sum(naive_log_value(circuit, child, evidence)
+        return sum(_naive_log_value(nodes, child, evidence)
                    for child in node.children)
     x = evidence[node.variable]
     if math.isnan(x):
@@ -50,21 +117,21 @@ def naive_class_log_density(circuit, y, evidence):
 def randomize_parameters(circuit, rng):
     """A copy of the circuit with every parameter replaced by a random valid draw."""
     nodes = []
-    for node in circuit.nodes:
+    for node in nodes_of(circuit):
         if node.kind == "sum":
-            node = replace(node, log_weights=np.log(
+            node = node._replace(log_weights=np.log(
                 rng.dirichlet(np.ones(len(node.children)))))
         elif node.kind == "gaussian":
-            node = replace(node, mean=float(rng.normal(0.5, 0.3)),
-                           variance=float(rng.uniform(0.05, 0.4)))
+            node = node._replace(mean=float(rng.normal(0.5, 0.3)),
+                                 variance=float(rng.uniform(0.05, 0.4)))
         elif node.kind == "bernoulli":
-            node = replace(node, p=float(rng.uniform(0.1, 0.9)))
+            node = node._replace(p=float(rng.uniform(0.1, 0.9)))
         elif node.kind == "categorical":
-            node = replace(node, probabilities=rng.dirichlet(
+            node = node._replace(probabilities=rng.dirichlet(
                 np.ones(node.probabilities.size)))
         nodes.append(node)
-    return replace(circuit, nodes=nodes, log_prior=np.log(
-        rng.dirichlet(np.ones(circuit.num_classes))))
+    return from_nodes(nodes, circuit.class_roots, np.log(
+        rng.dirichlet(np.ones(circuit.num_classes))), circuit.num_variables)
 
 
 def random_circuit(rng, num_variables=None, leaf_family="gaussian",
@@ -91,10 +158,10 @@ def random_circuit(rng, num_variables=None, leaf_family="gaussian",
 def two_gaussian_classifier(mean0=-1.0, mean1=1.0, variance=0.25):
     """One-variable model with a single Gaussian leaf per class."""
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=mean0, variance=variance),
-        cm.GaussianLeaf(variable=0, mean=mean1, variance=variance),
+        GaussianLeaf(variable=0, mean=mean0, variance=variance),
+        GaussianLeaf(variable=0, mean=mean1, variance=variance),
     ]
-    return cm.Circuit(
+    return from_nodes(
         nodes=nodes,
         class_roots=[0, 1],
         log_prior=cm.uniform_log_weights(2),

@@ -1,20 +1,24 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfspn import circuit as cm
 from cfspn import inference
-from conftest import naive_log_value, random_circuit, two_gaussian_classifier
+from conftest import (BernoulliLeaf, CategoricalLeaf, GaussianLeaf, ProductNode,
+                      SumNode, from_nodes, naive_log_value, nodes_of, random_circuit,
+                      two_gaussian_classifier)
 
 
 def with_node(circuit, index, **changes):
     """A copy of the circuit whose node ``index`` has the given fields changed."""
-    nodes = list(circuit.nodes)
-    nodes[index] = dataclasses.replace(nodes[index], **changes)
-    return dataclasses.replace(circuit, nodes=nodes)
+    nodes = nodes_of(circuit)
+    nodes[index] = nodes[index]._replace(**changes)
+    return from_nodes(nodes, circuit.class_roots, circuit.log_prior,
+                      circuit.num_variables)
 
 
 def gaussian_log_pdf(x, mean, variance):
@@ -29,8 +33,8 @@ def test_gaussian_leaf_log_value():
 
 
 def test_bernoulli_leaf_log_value():
-    nodes = [cm.BernoulliLeaf(variable=0, p=0.3)]
-    c = cm.Circuit(nodes=nodes, class_roots=[0],
+    nodes = [BernoulliLeaf(variable=0, p=0.3)]
+    c = from_nodes(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=1)
     got = inference.class_log_densities(c, np.array([[1.0], [0.0]]))[:, 0]
     assert got[0] == pytest.approx(math.log(0.3))
@@ -38,8 +42,8 @@ def test_bernoulli_leaf_log_value():
 
 
 def test_categorical_leaf_log_value():
-    nodes = [cm.CategoricalLeaf(variable=0, probabilities=np.array([0.2, 0.5, 0.3]))]
-    c = cm.Circuit(nodes=nodes, class_roots=[0],
+    nodes = [CategoricalLeaf(variable=0, probabilities=np.array([0.2, 0.5, 0.3]))]
+    c = from_nodes(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=1)
     got = inference.class_log_densities(c, np.array([[1.0], [2.0]]))[:, 0]
     assert got[0] == pytest.approx(math.log(0.5))
@@ -48,11 +52,11 @@ def test_categorical_leaf_log_value():
 
 def test_sum_node_is_log_mixture():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=-1.0, variance=1.0),
-        cm.GaussianLeaf(variable=0, mean=2.0, variance=1.0),
-        cm.SumNode(children=[0, 1], log_weights=np.log([0.25, 0.75])),
+        GaussianLeaf(variable=0, mean=-1.0, variance=1.0),
+        GaussianLeaf(variable=0, mean=2.0, variance=1.0),
+        SumNode(children=[0, 1], log_weights=np.log([0.25, 0.75])),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[2],
+    c = from_nodes(nodes=nodes, class_roots=[2],
                    log_prior=np.array([0.0]), num_variables=1)
     x = np.array([0.5])
     expected = math.log(0.25 * math.exp(gaussian_log_pdf(0.5, -1.0, 1.0))
@@ -62,11 +66,11 @@ def test_sum_node_is_log_mixture():
 
 def test_product_node_adds_logs():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
-        cm.GaussianLeaf(variable=1, mean=1.0, variance=2.0),
-        cm.ProductNode(children=[0, 1]),
+        GaussianLeaf(variable=0, mean=0.0, variance=1.0),
+        GaussianLeaf(variable=1, mean=1.0, variance=2.0),
+        ProductNode(children=[0, 1]),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[2],
+    c = from_nodes(nodes=nodes, class_roots=[2],
                    log_prior=np.array([0.0]), num_variables=2)
     x = np.array([0.3, -0.7])
     expected = gaussian_log_pdf(0.3, 0.0, 1.0) + gaussian_log_pdf(-0.7, 1.0, 2.0)
@@ -114,7 +118,7 @@ def test_logsumexp_matches_scipy_bit_for_bit(rng):
 def test_scopes_cover_variables(rng):
     c = random_circuit(rng, num_variables=6)
     for root in c.class_roots:
-        assert c.scopes[root] == frozenset(range(6))
+        assert np.array_equal(c.scopes[root], [2 ** 6 - 1])
 
 
 def test_validate_accepts_random_circuits(rng):
@@ -124,10 +128,10 @@ def test_validate_accepts_random_circuits(rng):
 
 def test_validate_rejects_unnormalized_weights():
     c = two_gaussian_classifier()
-    nodes = list(c.nodes) + [cm.SumNode(children=[0, 1],
-                                        log_weights=np.log([0.5, 0.6]))]
+    nodes = nodes_of(c) + [SumNode(children=[0, 1],
+                                   log_weights=np.log([0.5, 0.6]))]
     with pytest.raises(ValueError, match=r"\[weight-normalization\] node 2"):
-        cm.Circuit(nodes=nodes, class_roots=[2, 2],
+        from_nodes(nodes=nodes, class_roots=[2, 2],
                    log_prior=c.log_prior, num_variables=1)
 
 
@@ -138,57 +142,57 @@ def test_validate_rejects_nonpositive_variance():
 
 def test_validate_rejects_bad_child_reference():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
-        cm.SumNode(children=[0, 5], log_weights=cm.uniform_log_weights(2)),
+        GaussianLeaf(variable=0, mean=0.0, variance=1.0),
+        SumNode(children=[0, 5], log_weights=cm.uniform_log_weights(2)),
     ]
     with pytest.raises(ValueError, match=r"\[node-ref\] node 1: child id 5"):
-        cm.Circuit(nodes=nodes, class_roots=[1],
+        from_nodes(nodes=nodes, class_roots=[1],
                    log_prior=np.array([0.0]), num_variables=1)
 
 
 def test_validate_rejects_forward_reference():
     nodes = [
-        cm.SumNode(children=[1, 2], log_weights=cm.uniform_log_weights(2)),
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
-        cm.GaussianLeaf(variable=0, mean=1.0, variance=1.0),
+        SumNode(children=[1, 2], log_weights=cm.uniform_log_weights(2)),
+        GaussianLeaf(variable=0, mean=0.0, variance=1.0),
+        GaussianLeaf(variable=0, mean=1.0, variance=1.0),
     ]
     with pytest.raises(ValueError, match=r"\[topological-order\] node 0"):
-        cm.Circuit(nodes=nodes, class_roots=[0],
+        from_nodes(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=1)
 
 
 def test_validate_rejects_smoothness_violation():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
-        cm.GaussianLeaf(variable=1, mean=0.0, variance=1.0),
-        cm.SumNode(children=[0, 1], log_weights=cm.uniform_log_weights(2)),
-        cm.GaussianLeaf(variable=0, mean=1.0, variance=1.0),
-        cm.GaussianLeaf(variable=1, mean=1.0, variance=1.0),
-        cm.ProductNode(children=[3, 4]),
+        GaussianLeaf(variable=0, mean=0.0, variance=1.0),
+        GaussianLeaf(variable=1, mean=0.0, variance=1.0),
+        SumNode(children=[0, 1], log_weights=cm.uniform_log_weights(2)),
+        GaussianLeaf(variable=0, mean=1.0, variance=1.0),
+        GaussianLeaf(variable=1, mean=1.0, variance=1.0),
+        ProductNode(children=[3, 4]),
     ]
     with pytest.raises(ValueError, match=r"\[smoothness\] node 2"):
-        cm.Circuit(nodes=nodes, class_roots=[5],
+        from_nodes(nodes=nodes, class_roots=[5],
                    log_prior=np.array([0.0]), num_variables=2)
 
 
 def test_validate_rejects_decomposability_violation():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
-        cm.GaussianLeaf(variable=0, mean=1.0, variance=1.0),
-        cm.GaussianLeaf(variable=1, mean=0.0, variance=1.0),
-        cm.ProductNode(children=[0, 1, 2]),
+        GaussianLeaf(variable=0, mean=0.0, variance=1.0),
+        GaussianLeaf(variable=0, mean=1.0, variance=1.0),
+        GaussianLeaf(variable=1, mean=0.0, variance=1.0),
+        ProductNode(children=[0, 1, 2]),
     ]
     with pytest.raises(ValueError, match=r"\[decomposability\] node 3"):
-        cm.Circuit(nodes=nodes, class_roots=[3],
+        from_nodes(nodes=nodes, class_roots=[3],
                    log_prior=np.array([0.0]), num_variables=2)
 
 
 def test_validate_rejects_partial_scope_root():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
+        GaussianLeaf(variable=0, mean=0.0, variance=1.0),
     ]
     with pytest.raises(ValueError, match=r"\[scope\] node 0: class root 0"):
-        cm.Circuit(nodes=nodes, class_roots=[0],
+        from_nodes(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=2)
 
 
@@ -199,23 +203,23 @@ def test_validate_rejects_bad_prior():
 
 @pytest.mark.parametrize("nodes, roots, message", [
     ([], [], "circuit has no nodes"),
-    ([cm.GaussianLeaf(0, 0.0, 1.0), cm.ProductNode([])], [0], "product node has no children"),
-    ([cm.GaussianLeaf(0, 0.0, 1.0)], [], "circuit has no class roots"),
+    ([GaussianLeaf(0, 0.0, 1.0), ProductNode([])], [0], "product node has no children"),
+    ([GaussianLeaf(0, 0.0, 1.0)], [], "circuit has no class roots"),
 ])
 def test_validate_rejects_structure_errors(nodes, roots, message):
     with pytest.raises(ValueError, match=r"\[structure\] node \w+: " + message):
-        cm.Circuit(nodes, class_roots=roots, log_prior=cm.uniform_log_weights(1),
+        from_nodes(nodes, class_roots=roots, log_prior=cm.uniform_log_weights(1),
                    num_variables=1)
 
 
 def test_validation_error_lists_every_violation():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=-1.0),
-        cm.GaussianLeaf(variable=1, mean=0.0, variance=1.0),
-        cm.SumNode(children=[0, 1], log_weights=np.log([0.5, 0.6])),
+        GaussianLeaf(variable=0, mean=0.0, variance=-1.0),
+        GaussianLeaf(variable=1, mean=0.0, variance=1.0),
+        SumNode(children=[0, 1], log_weights=np.log([0.5, 0.6])),
     ]
     with pytest.raises(ValueError) as info:
-        cm.Circuit(nodes, class_roots=[2], log_prior=np.log([0.5]), num_variables=2)
+        from_nodes(nodes, class_roots=[2], log_prior=np.log([0.5]), num_variables=2)
     assert str(info.value) == (
         "invalid circuit: [leaf-domain] node 0: variance -1.0 is not positive; "
         "[weight-normalization] node 2: weights sum to 1.1; "
@@ -226,13 +230,13 @@ def test_validation_error_lists_every_violation():
 def test_circuits_that_gave_silently_wrong_answers_are_refused():
     # Weights summing to 1.8 made a "density" whose total over {0, 1} was 1.8.
     with pytest.raises(ValueError, match="weight-normalization"):
-        cm.Circuit([cm.BernoulliLeaf(0, 0.5), cm.BernoulliLeaf(0, 0.2),
-                    cm.SumNode([0, 1], np.log([0.9, 0.9]))],
+        from_nodes([BernoulliLeaf(0, 0.5), BernoulliLeaf(0, 0.2),
+                    SumNode([0, 1], np.log([0.9, 0.9]))],
                    class_roots=[2], log_prior=np.array([0.0]), num_variables=1)
     # A sum reading later nodes was evaluated before its children existed.
     with pytest.raises(ValueError, match="topological-order"):
-        cm.Circuit([cm.SumNode([1, 2], cm.uniform_log_weights(2)),
-                    cm.BernoulliLeaf(0, 0.5), cm.BernoulliLeaf(0, 0.2)],
+        from_nodes([SumNode([1, 2], cm.uniform_log_weights(2)),
+                    BernoulliLeaf(0, 0.5), BernoulliLeaf(0, 0.2)],
                    class_roots=[0], log_prior=np.array([0.0]), num_variables=1)
 
 
@@ -278,12 +282,62 @@ def test_load_rejects_invalid_circuit_content(tmp_path, rng):
     c = random_circuit(rng, leaf_family="gaussian")
     cm.save(c, path)
     doc = json.loads(path.read_text())
-    for node in doc["nodes"]:
-        if node["kind"] == "gaussian":
-            node["variance"] = -3.0
-            break
+    doc["variance"][0] = -3.0
     path.write_text(json.dumps(doc))
     with pytest.raises(cm.CircuitFormatError, match=r"\[leaf-domain\] node \d+: variance -3.0"):
+        cm.load(path)
+
+
+# A version-1 model written before the flat-array format, with every node
+# kind, and its class log densities at V1_POINTS as computed then.
+V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
+V1_POINTS = np.array([[0.0, 0.0, 0.0], [1.1, 1.0, 2.0], [-2.3, 1.0, 1.0],
+                      [0.4, np.nan, 1.0]])
+V1_DENSITIES = np.array([[-3.5601170648842855, -3.527645070699074],
+                         [-2.2147875921306035, -2.7204003004701462],
+                         [-6.273762585509788, -5.851768185451344],
+                         [-2.7093611115675476, -3.325258266593867]])
+
+
+def test_version_1_model_loads_and_saves_as_version_2(tmp_path):
+    assert json.loads(V1_MODEL.read_text())["format_version"] == 1
+    c = cm.load(V1_MODEL)
+    assert set(c.kind) == set(range(len(cm.KINDS)))
+    assert np.array_equal(inference.class_log_densities(c, V1_POINTS), V1_DENSITIES)
+    path = tmp_path / "model.json"
+    cm.save(c, path)
+    assert json.loads(path.read_text())["format_version"] == 2
+    back = cm.load(path)
+    assert cm.structural_equal(back, c)
+    assert np.array_equal(inference.class_log_densities(back, V1_POINTS), V1_DENSITIES)
+
+
+def _set(name, index, value):
+    def edit(doc):
+        doc[name][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("ids", 0, 1.5), "ids must be a list of integers"),
+    (_set("ids", 0, 99), r"\[node-ref\] node 6: child id 99 out of range"),
+    (_set("variable", 0, 0.5), "variable must be a list of integers"),
+    (_set("variable", 0, 3), r"\[leaf-domain\] node 0: variable 3 out of range"),
+    (_set("ptr", 8, 2), r"\[structure\] node None: ptr decreases after entry 7"),
+    (_set("ptr", -1, 15), r"ptr runs from 0 to 15, not from 0 to len\(ids\) = 14"),
+    (lambda doc: doc["log_weights"].pop(), "log_weights has 13 entries, expected 14"),
+    (lambda doc: doc["mean"].pop(), "mean has 1 entries, expected 2"),
+    (_set("kind", 0, "gaussian"), "kind must be a list of integers"),
+    (_set("log_prior", 0, "-1.0"), "log_prior must be a list of numbers"),
+    (_set("p", 0, True), "p must be a list of numbers"),
+])
+def test_load_rejects_malformed_version_2_document(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    cm.save(cm.load(V1_MODEL), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cm.CircuitFormatError, match=message):
         cm.load(path)
 
 
@@ -292,6 +346,6 @@ def test_structural_equal_detects_parameter_change(rng):
     b = dataclasses.replace(a)
     assert b is not a
     assert cm.structural_equal(a, b)
-    gid = next(i for i, node in enumerate(a.nodes) if node.kind == "gaussian")
-    b = with_node(a, gid, mean=a.nodes[gid].mean + 1e-9)
+    gid = next(i for i, node in enumerate(nodes_of(a)) if node.kind == "gaussian")
+    b = with_node(a, gid, mean=nodes_of(a)[gid].mean + 1e-9)
     assert not cm.structural_equal(a, b)

@@ -261,8 +261,8 @@ def test_bad_grid_bounds_are_named(trained, tmp_path, capsys, bounds):
 
 def test_invalid_model_document_exits_two(trained, tmp_path, capsys):
     doc = json.loads(trained[2].read_text())
-    root = doc["nodes"][doc["class_roots"][0]]
-    root["log_weights"][0] += 1.0
+    root = doc["class_roots"][0]
+    doc["log_weights"][doc["ptr"][root]] += 1.0     # the root's first edge
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))
     code = main(["grid", "--model", str(model), "--out", str(tmp_path / "g.csv")])
@@ -295,6 +295,36 @@ def test_counterfactual_with_no_queries_warns_and_succeeds(tmp_path, capsys):
     assert code == 0
     assert "no queries" in capsys.readouterr().err
     assert cf.load_results(out) == []
+
+
+@pytest.mark.parametrize("command", ["counterfactual", "benchmark"])
+def test_clip_to_unit_refuses_standardized_columns(tmp_path, capsys, command):
+    # Clamping a standardized column to [0, 1] silently moved x = -2.4 to 0.
+    rng = np.random.default_rng(0)
+    csv_path = tmp_path / "std.csv"
+    rows = ["x1,x2,y"] + [f"{a:.3f},{b:.3f},{'ab'[int(a + b > 0)]}"
+                          for a, b in rng.normal(0.0, 1.0, size=(60, 2))]
+    csv_path.write_text("\n".join(rows) + "\n")
+    schema_path = tmp_path / "schema.json"
+    schema_path.write_text(json.dumps({"label": "y", "columns": [
+        {"name": "x1", "kind": "continuous"},
+        {"name": "x2", "kind": "continuous", "scaling": "standard"}]}))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "structure": {"repetitions": 2, "sum_nodes_per_region": 2,
+                      "leaf_distributions_per_region": 2},
+        "train": {"epochs": 2},
+    }))
+    model = tmp_path / "m.json"
+    data_args = ["--config", str(config), "--data", str(csv_path),
+                 "--schema", str(schema_path)]
+    assert main(["train", *data_args, "--out", str(model)]) == 0
+    code = main([command, *data_args, "--model", str(model), "--target-class", "0",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "column 'x2' is standardized" in err
+    assert '"counterfactual": {"clip_to_unit": false}' in err
 
 
 def test_benchmark_compares_methods(trained, tmp_path, capsys):

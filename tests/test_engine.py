@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from cfspn import circuit as cm
-from cfspn import engine, inference, structure
-from conftest import naive_log_value, random_circuit, randomize_parameters
+from cfspn import engine, grad, inference, structure
+from conftest import (BernoulliLeaf, CategoricalLeaf, GaussianLeaf, ProductNode,
+                      SumNode, from_nodes, naive_log_value, nodes_of, random_circuit,
+                      randomize_parameters)
 
 
 def forward_roots(circuit, X):
@@ -85,8 +87,8 @@ def test_gradient_of_marginalized_variable_is_zero(rng):
 
 
 def test_bernoulli_input_gradient_is_logit():
-    nodes = [cm.BernoulliLeaf(variable=0, p=0.8)]
-    c = cm.Circuit(nodes=nodes, class_roots=[0],
+    nodes = [BernoulliLeaf(variable=0, p=0.8)]
+    c = from_nodes(nodes=nodes, class_roots=[0],
                    log_prior=np.array([0.0]), num_variables=1)
     comp = engine.compile_circuit(c)
     X = np.array([[1.0]])
@@ -101,9 +103,9 @@ def test_dead_bernoulli_leaf_with_infinite_logit_adds_zero(dead_p):
     # with p = 0; their logits and p-derivatives are infinite, but a zero
     # adjoint must add exactly 0.
     x = 1.0 - dead_p
-    nodes = [cm.BernoulliLeaf(0, dead_p), cm.BernoulliLeaf(0, 0.3),
-             cm.SumNode([0, 1], np.log([0.5, 0.5]))]
-    c = cm.Circuit(nodes, class_roots=[2], log_prior=np.array([0.0]), num_variables=1)
+    nodes = [BernoulliLeaf(0, dead_p), BernoulliLeaf(0, 0.3),
+             SumNode([0, 1], np.log([0.5, 0.5]))]
+    c = from_nodes(nodes, class_roots=[2], log_prior=np.array([0.0]), num_variables=1)
     comp = engine.compile_circuit(c)
     X = np.array([[x]])
     with warnings.catch_warnings():
@@ -114,14 +116,34 @@ def test_dead_bernoulli_leaf_with_infinite_logit_adds_zero(dead_p):
     assert out.bernoulli_p_grads[1] == pytest.approx(x / 0.3 - (1.0 - x) / 0.7)
 
 
+def test_live_bernoulli_leaf_with_p_one_has_exact_gradients():
+    # At x = 1 a leaf with p = 1 has value log 1 = 0 and is live; its
+    # p-derivative is the one-sided x / p = 1, and its logit is infinite.
+    nodes = [BernoulliLeaf(0, 1.0), BernoulliLeaf(0, 0.3),
+             SumNode([0, 1], np.log([0.5, 0.5]))]
+    c = from_nodes(nodes, class_roots=[2], log_prior=np.array([0.0]), num_variables=1)
+    comp = engine.compile_circuit(c)
+    X = np.array([[1.0]])
+    V = comp.forward(X)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = comp.backward(V, X, {2: np.ones(1)}, want_input=False, want_params=True)
+    share = np.array([0.5, 0.5 * 0.3]) / 0.65      # adjoint of each leaf
+    np.testing.assert_allclose(out.bernoulli_p_grads, share / [1.0, 0.3], rtol=1e-12)
+    with pytest.raises(ValueError, match="non-finite input gradient"):
+        comp.backward(V, X, {2: np.ones(1)})
+    with pytest.raises(ValueError, match="non-finite input gradient"):
+        grad.gradient(c, X[0], {0: 1.0})
+
+
 def test_sum_adjoint_splits_by_posterior_weight():
     means, prior = np.array([-1.0, 1.0]), np.array([0.3, 0.7])
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=means[0], variance=1.0),
-        cm.GaussianLeaf(variable=0, mean=means[1], variance=1.0),
-        cm.SumNode(children=[0, 1], log_weights=np.log(prior)),
+        GaussianLeaf(variable=0, mean=means[0], variance=1.0),
+        GaussianLeaf(variable=0, mean=means[1], variance=1.0),
+        SumNode(children=[0, 1], log_weights=np.log(prior)),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[2],
+    c = from_nodes(nodes=nodes, class_roots=[2],
                    log_prior=np.array([0.0]), num_variables=1)
     comp = engine.compile_circuit(c)
     X = np.array([[0.25]])
@@ -139,11 +161,11 @@ def test_sum_adjoint_splits_by_posterior_weight():
 
 def test_product_passes_adjoint_through():
     nodes = [
-        cm.GaussianLeaf(variable=0, mean=0.0, variance=1.0),
-        cm.GaussianLeaf(variable=1, mean=0.0, variance=1.0),
-        cm.ProductNode(children=[0, 1]),
+        GaussianLeaf(variable=0, mean=0.0, variance=1.0),
+        GaussianLeaf(variable=1, mean=0.0, variance=1.0),
+        ProductNode(children=[0, 1]),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[2],
+    c = from_nodes(nodes=nodes, class_roots=[2],
                    log_prior=np.array([0.0]), num_variables=2)
     comp = engine.compile_circuit(c)
     X = np.array([[0.5, -0.5]])
@@ -162,10 +184,9 @@ def test_parameter_gradients_match_finite_differences(rng):
     out = comp.backward(V, x, {root: np.ones(1)},
                         want_input=False, want_params=True)
 
-    sum_ids = [i for i, n in enumerate(c.nodes) if n.kind == "sum"]
-    nid = sum_ids[0]
+    nid = np.flatnonzero(c.kind == cm.SUM)[0]
     got = comp.per_sum_node(out.sum_log_weight_grads)[nid]
-    for j in range(len(c.nodes[nid].children)):
+    for j in range(len(nodes_of(c)[nid].children)):
         fd = central_difference(
             c, lambda p: p.per_sum_node(p.sum_log_weights)[nid], j, h,
             lambda R: R[0, 0], x)
@@ -190,34 +211,33 @@ def test_circuits_are_immutable_so_the_cache_cannot_go_stale(rng):
     c = random_circuit(rng, num_variables=3, num_classes=2)
     x = rng.normal(0.5, 0.4, size=3)
     before = inference.class_log_densities(c, x)
-    gid = next(i for i, n in enumerate(c.nodes) if n.kind == "gaussian")
-    sid = next(i for i, n in enumerate(c.nodes) if n.kind == "sum")
 
     with pytest.raises(dataclasses.FrozenInstanceError):
-        c.nodes[gid].mean = 3.0
+        c.mean = c.mean + 3.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.log_prior = np.log([0.9, 0.1])
     with pytest.raises(dataclasses.FrozenInstanceError):
-        c.nodes[sid].log_weights = np.zeros(len(c.nodes[sid].children))
+        c.log_weights = np.zeros(c.ids.size)
     with pytest.raises(ValueError):
-        c.nodes[sid].log_weights[0] = 0.0
+        c.log_weights[0] = 0.0
     with pytest.raises(ValueError):
         c.log_prior[0] = 0.0
-    with pytest.raises(TypeError):
-        c.nodes[gid] = cm.GaussianLeaf(0, 3.0, 1.0)
+    with pytest.raises(ValueError):
+        c.mean[0] = 3.0
     with pytest.raises(ValueError):
         engine.compile_circuit(c).gaussian_mean[:] += 1.0
     for twin in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
         assert cm.structural_equal(twin, c)
         with pytest.raises(ValueError):
-            twin.nodes[sid].log_weights[0] = 0.0
+            twin.log_weights[0] = 0.0
         with pytest.raises(ValueError):
             twin.log_prior[0] = 0.0
     assert np.array_equal(inference.class_log_densities(c, x), before)
 
-    nodes = list(c.nodes)
-    nodes[gid] = dataclasses.replace(nodes[gid], mean=3.0)
-    changed = dataclasses.replace(c, nodes=nodes)
+    mean = np.array(c.mean)
+    mean[0] = 3.0
+    changed = dataclasses.replace(c, mean=mean)
+    mean[0] = -3.0      # the new circuit holds a copy
     comp = engine.compile_circuit(changed)
     got = comp.root_values(comp.forward(x[None, :]))
     for y, root in enumerate(c.class_roots):
@@ -225,6 +245,7 @@ def test_circuits_are_immutable_so_the_cache_cannot_go_stale(rng):
         assert got[0, y] == pytest.approx(expected, abs=1e-10)
         assert inference.class_log_densities(changed, x)[y] == pytest.approx(
             expected, abs=1e-10)
+    assert nodes_of(changed)[comp.gaussian_ids[0]].mean == 3.0
     assert not np.allclose(inference.class_log_densities(changed, x), before)
 
 
@@ -233,11 +254,11 @@ def test_dead_branch_adjoint_is_zero():
     # its log value is the larger one at x = 1.
     live_p, dead_p = 0.3, 0.8
     nodes = [
-        cm.BernoulliLeaf(variable=0, p=live_p),
-        cm.BernoulliLeaf(variable=0, p=dead_p),
-        cm.SumNode(children=[0, 1], log_weights=np.array([0.0, -np.inf])),
+        BernoulliLeaf(variable=0, p=live_p),
+        BernoulliLeaf(variable=0, p=dead_p),
+        SumNode(children=[0, 1], log_weights=np.array([0.0, -np.inf])),
     ]
-    c = cm.Circuit(nodes=nodes, class_roots=[2],
+    c = from_nodes(nodes=nodes, class_roots=[2],
                    log_prior=np.array([0.0]), num_variables=1)
     comp = engine.compile_circuit(c)
     X = np.array([[1.0]])
@@ -280,13 +301,13 @@ def test_children_spanning_a_thousand_nats_match_naive():
     # each block's max shift has to keep its largest term and let the
     # others underflow harmlessly.
     means, variance = (0.0, 10.0, 20.0, 45.0), 0.08
-    nodes = [cm.GaussianLeaf(v, m, variance) for v in (0, 1) for m in means]
+    nodes = [GaussianLeaf(v, m, variance) for v in (0, 1) for m in means]
     left, right = range(0, 4), range(4, 8)
-    nodes += [cm.ProductNode([a, b]) for a in left for b in right]
+    nodes += [ProductNode([a, b]) for a in left for b in right]
     rng = np.random.default_rng(5)
     products = list(range(8, 24))
-    nodes += [cm.SumNode(products, np.log(rng.dirichlet(np.ones(16)))) for _ in range(2)]
-    c = cm.Circuit(nodes, class_roots=[24, 25], log_prior=cm.uniform_log_weights(2),
+    nodes += [SumNode(products, np.log(rng.dirichlet(np.ones(16)))) for _ in range(2)]
+    c = from_nodes(nodes, class_roots=[24, 25], log_prior=cm.uniform_log_weights(2),
                    num_variables=2)
     X = np.array([[0.0, 0.0], [0.0, 45.0], [20.0, 10.0], [-3.0, 60.0], [0.0, np.nan]])
     for x in X:
@@ -300,20 +321,20 @@ def shared_child_circuit():
     level (8 and 9), a sum (10) over two leaves, a unary product (11), a
     sum (12) over a leaf, that product and that sum, and a product (13) of
     sum 12 and two leaves, mixed with sum 8 under the second root (14)."""
-    nodes = [cm.GaussianLeaf(v % 3, m, s) for v, (m, s) in enumerate(
+    nodes = [GaussianLeaf(v % 3, m, s) for v, (m, s) in enumerate(
         [(0.2, 0.3), (0.6, 0.2), (0.4, 0.5), (0.8, 0.1), (0.1, 0.4), (0.5, 0.3)])]
     nodes += [
-        cm.ProductNode([0, 1, 2]),
-        cm.ProductNode([3, 4, 5]),
-        cm.SumNode([6, 7], np.log([0.35, 0.65])),
-        cm.SumNode([7, 6], np.log([0.9, 0.1])),
-        cm.SumNode([0, 3], np.log([0.6, 0.4])),
-        cm.ProductNode([3]),
-        cm.SumNode([0, 11, 10], np.log([0.2, 0.5, 0.3])),
-        cm.ProductNode([12, 4, 5]),
-        cm.SumNode([13, 8], np.log([0.45, 0.55])),
+        ProductNode([0, 1, 2]),
+        ProductNode([3, 4, 5]),
+        SumNode([6, 7], np.log([0.35, 0.65])),
+        SumNode([7, 6], np.log([0.9, 0.1])),
+        SumNode([0, 3], np.log([0.6, 0.4])),
+        ProductNode([3]),
+        SumNode([0, 11, 10], np.log([0.2, 0.5, 0.3])),
+        ProductNode([12, 4, 5]),
+        SumNode([13, 8], np.log([0.45, 0.55])),
     ]
-    return cm.Circuit(nodes, class_roots=[9, 14], log_prior=cm.uniform_log_weights(2),
+    return from_nodes(nodes, class_roots=[9, 14], log_prior=cm.uniform_log_weights(2),
                       num_variables=3)
 
 
@@ -342,7 +363,7 @@ def test_node_shared_by_two_groups_and_mixed_sum_match_naive_and_finite_differen
         assert out.input_grads[0, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
     grads = comp.per_sum_node(out.sum_log_weight_grads)
     for i in (8, 9, 10, 12, 14):
-        for j in range(len(c.nodes[i].children)):
+        for j in range(len(nodes_of(c)[i].children)):
             fd = central_difference(
                 c, lambda p: p.per_sum_node(p.sum_log_weights)[i], j, h,
                 lambda R: 0.7 * R[0, 0] - 1.3 * R[0, 1], X[:1])
@@ -392,14 +413,14 @@ def test_dead_class_root_passes_no_adjoint():
     # At x0 = 0 the categorical leaves 0 and 1 have probability 0, so every
     # block of root 8 is -inf: its value is -inf and its seed must change
     # nothing.  Root 12 reads leaf 9 on x0 instead, and stays finite.
-    nodes = [cm.CategoricalLeaf(0, [0.0, 1.0]), cm.CategoricalLeaf(0, [0.0, 1.0]),
-             cm.GaussianLeaf(1, 0.2, 0.3), cm.GaussianLeaf(1, 0.7, 0.2)]
-    nodes += [cm.ProductNode([a, b]) for a in (0, 1) for b in (2, 3)]
-    nodes += [cm.SumNode([4, 5, 6, 7], np.log([0.1, 0.2, 0.3, 0.4])),
-              cm.CategoricalLeaf(0, [0.4, 0.6]),
-              cm.ProductNode([9, 2]), cm.ProductNode([9, 3]),
-              cm.SumNode([10, 11], np.log([0.5, 0.5]))]
-    c = cm.Circuit(nodes, class_roots=[8, 12], log_prior=cm.uniform_log_weights(2),
+    nodes = [CategoricalLeaf(0, [0.0, 1.0]), CategoricalLeaf(0, [0.0, 1.0]),
+             GaussianLeaf(1, 0.2, 0.3), GaussianLeaf(1, 0.7, 0.2)]
+    nodes += [ProductNode([a, b]) for a in (0, 1) for b in (2, 3)]
+    nodes += [SumNode([4, 5, 6, 7], np.log([0.1, 0.2, 0.3, 0.4])),
+              CategoricalLeaf(0, [0.4, 0.6]),
+              ProductNode([9, 2]), ProductNode([9, 3]),
+              SumNode([10, 11], np.log([0.5, 0.5]))]
+    c = from_nodes(nodes, class_roots=[8, 12], log_prior=cm.uniform_log_weights(2),
                    num_variables=2)
     comp = engine.compile_circuit(c)
     X = np.array([[0.0, 0.3], [1.0, 0.3]])
@@ -419,16 +440,16 @@ def test_sums_whose_heaviest_children_have_zero_weight_are_exact():
     # the sums 9 and 11 give them weight 0: their values come from children
     # far below every block shift.  Sums 8 and 10 share their groups.  Sum 11
     # is a class root; sum 9, over x0 alone, reaches root 12 through a product.
-    leaves = [cm.GaussianLeaf(v, m, 0.01) for v in (0, 1) for m in (0.0, 4.0)]
-    products = [cm.ProductNode([a, b]) for a in (0, 1) for b in (2, 3)]
+    leaves = [GaussianLeaf(v, m, 0.01) for v in (0, 1) for m in (0.0, 4.0)]
+    products = [ProductNode([a, b]) for a in (0, 1) for b in (2, 3)]
     nodes = leaves + products + [
-        cm.SumNode([0, 1], [0.0, -np.inf]),
-        cm.SumNode([0, 1], [-np.inf, 0.0]),
-        cm.SumNode([4, 5, 6, 7], np.log([0.25, 0.25, 0.25, 0.25])),
-        cm.SumNode([4, 5, 6, 7], [-np.inf, np.log(0.3), np.log(0.7), -np.inf]),
-        cm.ProductNode([9, 2]),
+        SumNode([0, 1], [0.0, -np.inf]),
+        SumNode([0, 1], [-np.inf, 0.0]),
+        SumNode([4, 5, 6, 7], np.log([0.25, 0.25, 0.25, 0.25])),
+        SumNode([4, 5, 6, 7], [-np.inf, np.log(0.3), np.log(0.7), -np.inf]),
+        ProductNode([9, 2]),
     ]
-    c = cm.Circuit(nodes, class_roots=[12, 11], log_prior=cm.uniform_log_weights(2),
+    c = from_nodes(nodes, class_roots=[12, 11], log_prior=cm.uniform_log_weights(2),
                    num_variables=2)
     comp = engine.compile_circuit(c)
     X = np.array([[0.0, 0.0], [0.1, -0.2], [4.0, 0.0], [2.0, 2.0]])

@@ -4,6 +4,7 @@ import pytest
 from cfspn import circuit as cm
 from cfspn.structure import (RegionGraph, StructureConfig, build_circuit,
                              build_region_graph)
+from conftest import nodes_of
 
 
 def test_region_graph_splits_are_balanced():
@@ -71,7 +72,7 @@ def test_node_count_small_example():
     c = count_nodes(4, 1, 2, 2, 2, 2)
     assert len(c.nodes) == 2 * (2 * 6 + 4) + 2
     for root in c.class_roots:
-        assert len(c.nodes[root].children) == 2 * 2 * 2
+        assert len(nodes_of(c)[root].children) == 2 * 2 * 2
 
 
 def test_node_count_default_structure():
@@ -81,12 +82,12 @@ def test_node_count_default_structure():
     # products) + 2 class roots.
     assert len(c.nodes) == 19 * (40 + 400) + 2
     for root in c.class_roots:
-        assert len(c.nodes[root].children) == 19 * 400
+        assert len(nodes_of(c)[root].children) == 19 * 400
 
 
 def test_class_roots_share_children_across_classes():
     c = count_nodes(6, 2, 3, 2, 3, 3)
-    children = [tuple(c.nodes[r].children) for r in c.class_roots]
+    children = [tuple(nodes_of(c)[r].children) for r in c.class_roots]
     assert len(set(children)) == 1
     assert len(set(c.class_roots)) == len(c.class_roots)
 
@@ -110,7 +111,7 @@ def test_built_circuits_validate():
 
 def test_internal_sums_start_uniform():
     c = count_nodes(8, 2, 2, 3, 2, 2)
-    for node in c.nodes:
+    for node in nodes_of(c):
         if node.kind == "sum":
             assert np.allclose(node.log_weights,
                                -np.log(len(node.children)))
@@ -130,7 +131,7 @@ def test_single_variable_circuit():
     cm.validate(c)  # raises on any violation
     assert len(c.class_roots) == 3
     for root in c.class_roots:
-        node = c.nodes[root]
+        node = nodes_of(c)[root]
         assert node.kind == "sum"
         assert len(node.children) == 4
 
@@ -145,14 +146,14 @@ def test_bernoulli_and_categorical_families():
     cfg = StructureConfig(num_classes=2, seed=1, repetitions=2,
                           leaf_family="bernoulli")
     c = build_circuit(4, cfg)
-    kinds = {n.kind for n in c.nodes if n.kind not in ("sum", "product")}
+    kinds = {n.kind for n in nodes_of(c) if n.kind not in ("sum", "product")}
     assert kinds == {"bernoulli"}
 
     cfg = StructureConfig(num_classes=2, seed=1, repetitions=2,
                           leaf_family="categorical",
                           categorical_cardinalities=(3, 2, 4, 2))
     c = build_circuit(4, cfg)
-    for n in c.nodes:
+    for n in nodes_of(c):
         if n.kind == "categorical":
             assert n.probabilities.size == (3, 2, 4, 2)[n.variable]
 

@@ -7,6 +7,7 @@ from scipy.special import logsumexp
 from cfspn import circuit as cm
 from cfspn import data, engine, inference, training
 from cfspn.structure import StructureConfig, build_circuit
+from conftest import GaussianLeaf, SumNode, from_nodes, nodes_of
 
 
 def single_gaussian_circuit():
@@ -34,9 +35,8 @@ def test_single_gaussian_reaches_closed_form_mle():
     cfg = training.TrainConfig(epochs=400, batch_size=128, seed=0,
                                validation_fraction=0.0, patience=0)
     fitted, report = training.fit(single_gaussian_circuit(), dataset, cfg)
-    leaf = next(n for n in fitted.nodes if n.kind == "gaussian")
-    assert leaf.mean == pytest.approx(1.0, abs=1e-3)
-    assert leaf.variance == pytest.approx(1.0, abs=1e-2)
+    assert fitted.mean[0] == pytest.approx(1.0, abs=1e-3)
+    assert fitted.variance[0] == pytest.approx(1.0, abs=1e-2)
     assert report.epochs_run == 400
 
 
@@ -44,10 +44,9 @@ def test_fit_returns_copy_and_keeps_input_circuit():
     features = np.array([[0.0], [2.0]] * 8)
     dataset = data.Dataset(features, np.zeros(16, dtype=np.int64), 1)
     base = single_gaussian_circuit()
-    before = [n.mean for n in base.nodes if n.kind == "gaussian"]
+    before = base.mean.copy()
     fitted, _ = training.fit(base, dataset, training.TrainConfig(epochs=2))
-    after = [n.mean for n in base.nodes if n.kind == "gaussian"]
-    assert before == after
+    assert np.array_equal(base.mean, before)
     assert fitted is not base
 
 
@@ -105,9 +104,7 @@ def test_variance_floor_is_respected():
                           leaf_distributions_per_region=3)
     tc = training.TrainConfig(epochs=30, seed=0, variance_floor=0.05)
     fitted, _ = training.fit(build_circuit(2, cfg), dataset, tc)
-    for node in fitted.nodes:
-        if node.kind == "gaussian":
-            assert node.variance >= 0.05 - 1e-12
+    assert np.all(fitted.variance >= 0.05 - 1e-12)
 
 
 def test_sum_weights_stay_normalized_after_training():
@@ -118,8 +115,11 @@ def test_sum_weights_stay_normalized_after_training():
     base = build_circuit(2, cfg)
     fitted, _ = training.fit(base, ds, training.TrainConfig(epochs=10, seed=2))
     cm.validate(fitted)  # raises on any violation
-    for new, old in zip(fitted.nodes, base.nodes):
-        assert (new is old) == (old.kind == "product")
+    # the structure is shared; the trained parameters are new arrays
+    for name in ("kind", "variable", "ptr", "ids"):
+        assert getattr(fitted, name) is getattr(base, name)
+    for name in ("log_weights", "mean", "variance"):
+        assert getattr(fitted, name) is not getattr(base, name)
 
 
 def test_empirical_prior_matches_label_frequencies():
@@ -156,14 +156,14 @@ def test_early_stopping_restores_best_snapshot():
 def test_adam_step_on_mixed_fan_in_sums_matches_per_node_update():
     # Sums 5 (fan-in 2) and 6 (fan-in 3) sit at one level in buckets of
     # their own; the roots 7 and 8 share a third.
-    leaves = [cm.GaussianLeaf(0, m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0, 3.0)]
+    leaves = [GaussianLeaf(0, m, 1.0) for m in (-1.0, 0.0, 1.0, 2.0, 3.0)]
     nodes = leaves + [
-        cm.SumNode([0, 1], np.log([0.3, 0.7])),
-        cm.SumNode([2, 3, 4], np.log([0.2, 0.3, 0.5])),
-        cm.SumNode([5, 6], np.log([0.4, 0.6])),
-        cm.SumNode([5, 6], np.log([0.5, 0.5])),
+        SumNode([0, 1], np.log([0.3, 0.7])),
+        SumNode([2, 3, 4], np.log([0.2, 0.3, 0.5])),
+        SumNode([5, 6], np.log([0.4, 0.6])),
+        SumNode([5, 6], np.log([0.5, 0.5])),
     ]
-    circuit = cm.Circuit(nodes, class_roots=[7, 8],
+    circuit = from_nodes(nodes, class_roots=[7, 8],
                          log_prior=cm.uniform_log_weights(2), num_variables=1)
     comp = engine.CompiledCircuit(circuit)
 
@@ -181,12 +181,12 @@ def test_adam_step_on_mixed_fan_in_sums_matches_per_node_update():
     back = comp.backward(V, X, seeds, want_input=False, want_params=True)
     grads = comp.per_sum_node(back.sum_log_weight_grads)
     for i in (5, 6, 7, 8):
-        lw = circuit.nodes[i].log_weights
+        lw = nodes_of(circuit)[i].log_weights
         g = grads[i] - np.exp(lw) * grads[i].sum()
         # Adam's bias-corrected first step is g / (|g| + eps) per parameter
         theta = lw + lr * g / (np.abs(g) + 1e-8)
-        got = fitted.nodes[i].log_weights
-        assert got.shape == (len(circuit.nodes[i].children),)
+        got = nodes_of(fitted)[i].log_weights
+        assert got.shape == (len(nodes_of(circuit)[i].children),)
         assert not np.any(np.isnan(got))
         assert np.allclose(got, theta - logsumexp(theta), rtol=0, atol=1e-12)
         assert not np.allclose(got, lw, rtol=0, atol=1e-6)
