@@ -122,8 +122,7 @@ class Circuit:
         validate(self)
 
     def __reduce__(self):
-        # Copies and unpickled instances go through the constructor, so their
-        # arrays are read-only too and they are validated again.
+        # Copies and unpickled circuits go through the constructor: read-only, valid.
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
     @property
@@ -149,10 +148,7 @@ class Circuit:
 
 def _bottom_up(circuit: Circuit, ufunc, values: np.ndarray, add=0) -> np.ndarray:
     """Set each sum and product's row of ``values`` to ufunc over its children's
-    rows, plus ``add``, from the leaves' rows up; returns ``values``.
-
-    Every sweep settles at least one more level of the DAG.
-    """
+    rows, plus ``add``, sweeping up from the leaves' rows; returns ``values``."""
     internal = np.flatnonzero(circuit.kind >= SUM)
     starts = circuit.ptr[internal]
     while internal.size:
@@ -264,7 +260,8 @@ def _violations(c: Circuit) -> list:
             for i in np.flatnonzero(internal & (v != -1))]
     gaussians, bernoullis, categoricals = (
         np.flatnonzero(c.kind == code) for code in (GAUSSIAN, BERNOULLI, CATEGORICAL))
-    out += [(gaussians[k], "leaf-domain", f"variance {float(c.variance[k])} is not positive")
+    out += [(gaussians[k], "leaf-domain",
+             f"variance {float(c.variance[k])} is not positive")
             for k in np.flatnonzero(~(c.variance > 0.0) | ~np.isfinite(c.variance))]
     out += [(gaussians[k], "leaf-domain", f"mean {float(c.mean[k])} is not finite")
             for k in np.flatnonzero(~np.isfinite(c.mean))]
@@ -296,7 +293,8 @@ def _violations(c: Circuit) -> list:
     if refs:
         # Scope-dependent checks need resolvable references.
         return out
-    scopes = None if stray.any() else c.scopes
+    # Bitsets need in-range variables, and covering d variables takes d leaves.
+    scopes = None if stray.any() or d > np.count_nonzero(~internal) else c.scopes
     if scopes is not None:
         edges = np.flatnonzero(on_sum)
         first = c.ids[c.ptr[parent[edges]]]
@@ -324,7 +322,8 @@ def _violations(c: Circuit) -> list:
     for y, r in enumerate(c.class_roots):
         if not (0 <= r < n):
             out.append((None, "node-ref", f"class root {y} id {r} out of range"))
-        elif scopes is not None and np.bitwise_count(scopes[r]).sum() != d:
+        elif not stray.any() and (scopes is None
+                                  or np.bitwise_count(scopes[r]).sum() != d):
             out.append((r, "scope", f"class root {y} does not cover all variables"))
 
     prior = c.log_prior

@@ -330,6 +330,8 @@ def _set(name, index, value):
     (_set("kind", 0, "gaussian"), "kind must be a list of integers"),
     (_set("log_prior", 0, "-1.0"), "log_prior must be a list of numbers"),
     (_set("p", 0, True), "p must be a list of numbers"),
+    (lambda doc: doc.update(num_variables=10 ** 12),
+     r"\[scope\] node 9: class root 0 does not cover all variables"),
 ])
 def test_load_rejects_malformed_version_2_document(tmp_path, edit, message):
     path = tmp_path / "model.json"
