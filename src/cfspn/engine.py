@@ -22,10 +22,18 @@ stacked into a bucket and computed with one batched matmul.  A group whose
 children are not such blocks is one block with J = 1 and no right factor.
 The remaining products are summed per arity.
 
-``forward`` returns one row of log values per materialized node (leaves,
-unabsorbed products, sums); ``root_values`` reads the class roots from it.
-``backward`` is the transposed contraction, from class-root seeds down to
-input coordinates and, optionally, to leaf and sum parameters.
+A batch is evaluated in column blocks of rows, each small enough that no
+temporary array outgrows ``_BLOCK_ELEMENTS``.  ``evaluate`` makes one pass
+per block.  It computes the log values of every materialized node (leaves,
+unabsorbed products, sums) and reads the block's class-root values.  Given
+adjoints, it then derives the block's class-root seeds from those values
+and runs the transposed contraction down to input coordinates and,
+optionally, to leaf and sum parameters; each sum step reuses the child
+products it built on the way up.  The node values never leave the block.
+Without adjoints the pass is forward only: it keeps no child products and
+returns only the class-root values.  ``forward`` and ``backward`` run the
+same block code as two passes over an array of node values that
+``forward`` returns; ``backward`` then builds the child products again.
 
 Sum-node log-weights live in one (sums, children) array per bucket
 (``sum_log_weights``), columns in each node's own child order, and their
@@ -38,6 +46,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -127,7 +136,7 @@ class _Products:
         for column in self.children.T[1:]:
             out += V[column]
 
-    def backward(self, V: np.ndarray, A: np.ndarray, grad=None) -> None:
+    def backward(self, V: np.ndarray, A: np.ndarray, grad=None, saved=None) -> None:
         adjoint = A[self.rows]
         for column in self.children.T:
             _scatter_add(A, column, adjoint, self.unique)
@@ -166,7 +175,8 @@ class _Sums:
         M = _finite_or_zero((m + m_right).max(axis=1))
         left = _exp_cut(L + (m_right - M[:, None, :])[:, :, None, :])
         right = _exp_cut(R - _finite_or_zero(m_right)[:, :, None, :])
-        return (left[:, :, :, None, :] * right[:, :, None, :, :]).reshape(G, -1, B), M
+        terms = left[:, :, :, None, :] * right[:, :, None, :, :]
+        return terms.reshape(G, K * I * R.shape[2], B), M
 
     def _log_terms(self, V: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Log child products, (n, K*I*J), of group g[k] at batch column b[k]."""
@@ -182,7 +192,8 @@ class _Sums:
         lw = self.log_weights.reshape(low.shape[0], low.shape[1], -1)[g, s]
         return g, s, b, lw + self._log_terms(V, g, b)
 
-    def forward(self, V: np.ndarray) -> None:
+    def forward(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write the sums' log values into V; return the terms P and contractions T."""
         P, M = self._terms(V)
         T = self._weights() @ P
         with np.errstate(divide="ignore"):
@@ -192,14 +203,23 @@ class _Sums:
         if low.any():
             g, s, b, terms = self._exact(V, low)
             out[g, s, b] = logsumexp(terms, axis=1)
-        V[self.rows] = out.reshape(-1, V.shape[1])
+        V[self.rows] = out.reshape(len(self.ids), V.shape[1])
+        return P, T
 
     def backward(self, V: np.ndarray, A: np.ndarray,
-                 grad: np.ndarray | None = None) -> None:
-        """Add the children's adjoints to A, and the log-weight gradients to grad."""
+                 grad: np.ndarray | None = None,
+                 saved: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+        """Add the children's adjoints to A, and the log-weight gradients to grad.
+
+        ``saved`` is the (P, T) that :meth:`forward` returned on the same V;
+        without it both are computed again.
+        """
         W = self._weights()
-        P, _ = self._terms(V)
-        T = W @ P
+        if saved is None:
+            P = self._terms(V)[0]
+            T = W @ P
+        else:
+            P, T = saved
         low = T < _LOW
         adjoint = A[self.rows].reshape(T.shape)
         Q = np.zeros_like(T)
@@ -209,7 +229,7 @@ class _Sums:
         if self.right is None:
             _scatter_add(A, self.left, H.reshape(*self.left.shape, -1), self.unique)
         else:
-            H = H.reshape(*self.left.shape, self.right.shape[2], -1)
+            H = H.reshape(*self.left.shape, self.right.shape[2], V.shape[1])
             _scatter_add(A, self.left, H.sum(axis=3), self.unique)
             _scatter_add(A, self.right, H.sum(axis=2), self.unique)
         if grad is not None:
@@ -416,25 +436,64 @@ class CompiledCircuit:
         return [slice(b, min(b + self._block_cols, B))
                 for b in range(0, max(B, 1), self._block_cols)]
 
+    def _batch(self, X) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"expected shape (batch, {self.d}), got {X.shape}")
+        return X
+
+    def evaluate(self, X: np.ndarray,
+                 adjoints: Callable[[np.ndarray, slice], np.ndarray] | None = None,
+                 want_input: bool = True,
+                 want_params: bool = False) -> tuple[np.ndarray, BackwardResult | None]:
+        """Class-root log values of a batch and, given ``adjoints``, gradients.
+
+        X has shape (B, d); NaN entries mark marginalized variables.  Each
+        column block runs forward and, with ``adjoints``, backward at once:
+        ``adjoints(values, rows)`` maps the block's class-root log values,
+        (b, C), and its row slice of X to the adjoints of the differentiated
+        quantity with respect to those values, (b, C).  Classes that share a
+        root node add their adjoints.  Returns the (B, C) values and the
+        gradients as :meth:`backward` gives them, or None without adjoints.
+        """
+        X = self._batch(X)
+        values = np.empty((X.shape[0], len(self._root_rows)))
+        result = None
+        if adjoints is not None:
+            result = self._result(X.shape[0], want_input, want_params)
+        for cols in self._column_blocks(X.shape[0]):
+            XT = np.ascontiguousarray(X[cols].T)
+            V, saved = self._forward_block(XT, keep=result is not None)
+            values[cols] = V[self._root_rows].T
+            if result is not None:
+                A = np.zeros_like(V)
+                np.add.at(A, self._root_rows, np.transpose(adjoints(values[cols], cols)))
+                self._backward_block(V, A, XT, result, cols, saved)
+        return values, result
+
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Log values of the materialized nodes on a batch.
 
         X has shape (B, d); NaN entries mark marginalized variables.  Returns
         V of shape (materialized nodes, B); read it with :meth:`root_values`
-        and pass it to :meth:`backward`.
+        and pass it to :meth:`backward`.  These two run the sweeps of
+        :meth:`evaluate` apart, so that each can be timed on its own.
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"expected shape (batch, {self.d}), got {X.shape}")
-        # Each column block is computed in a contiguous array of its own.
-        parts = []
-        for cols in self._column_blocks(X.shape[0]):
-            V = np.empty((self.n_rows, cols.stop - cols.start))
-            self._leaf_values(np.ascontiguousarray(X[cols].T), V)
-            for step in self._steps:
-                step.forward(V)
-            parts.append(V)
+        X = self._batch(X)
+        parts = [self._forward_block(np.ascontiguousarray(X[cols].T), keep=False)[0]
+                 for cols in self._column_blocks(X.shape[0])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    def _forward_block(self, XT: np.ndarray, keep: bool) -> tuple[np.ndarray, list | None]:
+        """V of one column block from its (d, b) inputs, and, if ``keep``, the
+        terms each step saves for its backward pass (else None)."""
+        V = np.empty((self.n_rows, XT.shape[1]))
+        self._leaf_values(XT, V)
+        if keep:
+            return V, [step.forward(V) for step in self._steps]
+        for step in self._steps:
+            step.forward(V)
+        return V, None
 
     def _leaf_values(self, XT: np.ndarray, V: np.ndarray) -> None:
         """Leaf log values from (d, B) inputs; a marginalized leaf is log 1 = 0."""
@@ -482,11 +541,22 @@ class CompiledCircuit:
         gradients of marginalized coordinates and of categorical leaves are
         zero.  A non-finite adjoint raises ValueError.
         """
-        X = np.asarray(X, dtype=np.float64)
+        X = self._batch(X)
         B = V.shape[1]
         for node_id in seeds:
             if node_id not in self.circuit.class_roots:
                 raise ValueError(f"seed at node {node_id}, which is not a class root")
+        result = self._result(B, want_input, want_params)
+        for cols in self._column_blocks(B):
+            Vc = np.ascontiguousarray(V[:, cols])
+            A = np.zeros_like(Vc)
+            for node_id, vec in seeds.items():
+                A[self._row_of[node_id]] += np.broadcast_to(vec, (B,))[cols]
+            self._backward_block(Vc, A, np.ascontiguousarray(X[cols].T), result, cols)
+        return result
+
+    def _result(self, B: int, want_input: bool, want_params: bool) -> BackwardResult:
+        """Zero gradients of B rows, for the requested fields."""
         result = BackwardResult()
         if want_input:
             result.input_grads = np.zeros((B, self.d))
@@ -496,19 +566,23 @@ class CompiledCircuit:
             result.gaussian_mean_grads = np.zeros(self.gaussian_ids.size)
             result.gaussian_variance_grads = np.zeros(self.gaussian_ids.size)
             result.bernoulli_p_grads = np.zeros(self.bernoulli_ids.size)
-        grads = dict(zip(self._sums, result.sum_log_weight_grads or []))
-        for cols in self._column_blocks(B):
-            Vc = np.ascontiguousarray(V[:, cols])
-            A = np.zeros_like(Vc)
-            for node_id, vec in seeds.items():
-                A[self._row_of[node_id]] += np.broadcast_to(vec, (B,))[cols]
-            for step in reversed(self._steps):
-                step.backward(Vc, A, grads.get(step))
-            if not np.all(np.isfinite(A)):
-                raise ValueError("non-finite adjoint in the backward pass; "
-                                 "check the seeds and the circuit's parameters")
-            self._leaf_grads(np.ascontiguousarray(X[cols].T), A, result, cols)
         return result
+
+    def _backward_block(self, V: np.ndarray, A: np.ndarray, XT: np.ndarray,
+                        result: BackwardResult, cols: slice, saved=None) -> None:
+        """Propagate one column block's seeded adjoints A down to result.
+
+        ``saved`` is what :meth:`_forward_block` kept for this V; without it
+        every sum step computes its terms again.
+        """
+        grads = dict(zip(self._sums, result.sum_log_weight_grads or []))
+        for step, kept in zip(reversed(self._steps),
+                              reversed(saved or [None] * len(self._steps))):
+            step.backward(V, A, grads.get(step), kept)
+        if not np.all(np.isfinite(A)):
+            raise ValueError("non-finite adjoint in the backward pass; "
+                             "check the seeds and the circuit's parameters")
+        self._leaf_grads(XT, A, result, cols)
 
     def _leaf_grads(self, XT: np.ndarray, A: np.ndarray, result: BackwardResult,
                     cols: slice) -> None:

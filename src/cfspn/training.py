@@ -163,20 +163,13 @@ class _Parameters:
         self.push()
 
 
-def _class_seeds(circuit: Circuit, labels: np.ndarray, scale: float) -> dict[int, np.ndarray]:
-    seeds: dict[int, np.ndarray] = {}
-    for y, root in enumerate(circuit.class_roots):
-        seeds[root] = seeds.get(root, 0.0) + (labels == y).astype(np.float64) * scale
-    return seeds
-
-
 def _mean_joint_ll_compiled(compiled: CompiledCircuit, log_prior: np.ndarray,
                             X: np.ndarray, y: np.ndarray, chunk: int = 256) -> float:
     total = 0.0
     for start in range(0, X.shape[0], chunk):
         Xb = X[start:start + chunk]
         yb = y[start:start + chunk]
-        values = compiled.root_values(compiled.forward(Xb))
+        values = compiled.evaluate(Xb)[0]
         total += float(np.sum(values[np.arange(Xb.shape[0]), yb] + log_prior[yb]))
     return total / X.shape[0]
 
@@ -254,16 +247,19 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
         for bi, start in enumerate(range(0, epoch_order.size, config.batch_size)):
             idx = epoch_order[start:start + config.batch_size]
             Xb, yb = X[idx], y[idx]
-            V = compiled.forward(Xb)
-            batch_ll = (compiled.root_values(V)[np.arange(idx.size), yb]
-                        + log_prior[yb])
-            if not np.all(np.isfinite(batch_ll)):
-                raise ValueError(
-                    f"non-finite loss in epoch {epoch}, batch {bi}")
-            ll_sum += float(batch_ll.sum())
-            seeds = _class_seeds(circuit, yb, 1.0 / idx.size)
-            back = compiled.backward(V, Xb, seeds, want_input=False,
-                                     want_params=True)
+            seeds = np.equal.outer(yb, np.arange(C)) / idx.size
+
+            def adjoints(values, rows):
+                # Every label present has a finite log prior, so the loss is
+                # finite where log S(x|y) is.  Checked before each column
+                # block's backward pass, so none runs on a non-finite loss.
+                if not np.all(np.isfinite(values[np.arange(values.shape[0]), yb[rows]])):
+                    raise ValueError(f"non-finite loss in epoch {epoch}, batch {bi}")
+                return seeds[rows]
+
+            values, back = compiled.evaluate(Xb, adjoints, want_input=False,
+                                             want_params=True)
+            ll_sum += float((values[np.arange(idx.size), yb] + log_prior[yb]).sum())
             params.ascend(back, config.learning_rate)
         train_ll.append(ll_sum / epoch_order.size)
 

@@ -176,7 +176,11 @@ def rng():
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Counts of engine forward and backward passes made during a test."""
+    """Counts of engine forward and backward passes made during a test.
+
+    A call of ``CompiledCircuit.evaluate`` is one forward pass, and one
+    backward pass too when it is given adjoints.
+    """
     counts = {"forward": 0, "backward": 0}
 
     def counted(name):
@@ -187,6 +191,14 @@ def passes(monkeypatch):
             return original(self, *args, **kwargs)
         return wrapper
 
+    original_evaluate = CompiledCircuit.evaluate
+
+    def evaluate(self, X, adjoints=None, **kwargs):
+        counts["forward"] += 1
+        counts["backward"] += adjoints is not None
+        return original_evaluate(self, X, adjoints, **kwargs)
+
     for name in counts:
         monkeypatch.setattr(CompiledCircuit, name, counted(name))
+    monkeypatch.setattr(CompiledCircuit, "evaluate", evaluate)
     return counts

@@ -278,10 +278,16 @@ def test_batch_forward_equals_per_row(rng):
         assert np.allclose(V[:, b], Vb[:, 0], equal_nan=True)
 
 
-def test_wide_batch_rows_equal_single_rows():
-    # The benchmark's wide structure: d=64, depth 3, 19 repetitions.
+@pytest.fixture(scope="module")
+def wide():
+    """The benchmark's wide structure (d=64, depth 3, 19 repetitions), with
+    random parameters."""
     cfg = structure.StructureConfig(depth=3, repetitions=19, num_classes=2, seed=7)
-    c = randomize_parameters(structure.build_circuit(64, cfg), np.random.default_rng(3))
+    return randomize_parameters(structure.build_circuit(64, cfg), np.random.default_rng(3))
+
+
+def test_wide_batch_rows_equal_single_rows(wide):
+    c = wide
     comp = engine.compile_circuit(c)
     X = np.random.default_rng(4).uniform(0.0, 1.0, size=(256, 64))
     seeds = {c.class_roots[0]: np.linspace(-1.0, 1.0, 256),
@@ -479,3 +485,90 @@ def test_sums_whose_heaviest_children_have_zero_weight_are_exact():
             assert grads[i][j] == pytest.approx(fd, rel=1e-5)
     assert grads[9][0] == 0.0
     assert grads[11][0] == 0.0 and grads[11][3] == 0.0
+
+
+def unfused(comp, circuit, X, adjoints, **wanted):
+    """evaluate's reference: forward, root_values and backward, with each
+    class root seeded by the adjoints of every class it serves."""
+    V = comp.forward(X)
+    values = comp.root_values(V)
+    adjoint = adjoints(values, slice(0, X.shape[0]))
+    seeds = {}
+    for k, root in enumerate(circuit.class_roots):
+        seeds[root] = seeds.get(root, 0.0) + adjoint[:, k]
+    return values, comp.backward(V, X, seeds, **wanted)
+
+
+def posterior_adjoints(circuit, rng, B):
+    """Adjoints that depend on the row and on the class-root values: a random
+    weight per row and class, plus -P(y|x) as grad.gradient seeds them."""
+    weights = rng.normal(size=(B, circuit.num_classes))
+
+    def adjoints(values, rows):
+        return weights[rows] - np.exp(inference.posterior_of(circuit, values))
+    return adjoints
+
+
+def assert_fused_equals_unfused(circuit, X, rng):
+    comp = engine.compile_circuit(circuit)
+    adjoints = posterior_adjoints(circuit, rng, X.shape[0])
+    values, none = comp.evaluate(X)
+    assert none is None
+    assert values.shape == (X.shape[0], circuit.num_classes)
+    assert np.array_equal(values, comp.root_values(comp.forward(X)))
+    for wanted in ({}, {"want_params": True}, {"want_input": False, "want_params": True}):
+        got_values, got = comp.evaluate(X, adjoints, **wanted)
+        ref_values, ref = unfused(comp, circuit, X, adjoints, **wanted)
+        assert np.array_equal(got_values, ref_values)
+        for field in dataclasses.fields(engine.BackwardResult):
+            a, b = getattr(got, field.name), getattr(ref, field.name)
+            assert (a is None) == (b is None), field.name
+            if a is not None:
+                assert len(a) == len(b)
+                assert all(np.array_equal(u, v) for u, v in zip(a, b)), field.name
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli", "categorical"])
+def test_fused_pass_equals_forward_then_backward(rng, family):
+    for _ in range(4):
+        c = random_circuit(rng, leaf_family=family)
+        if family == "gaussian":
+            X = rng.normal(0.5, 0.5, size=(7, c.num_variables))
+        else:
+            X = rng.integers(0, 4 if family == "categorical" else 2,
+                             size=(7, c.num_variables)).astype(float)
+        X[0, 0] = np.nan
+        X[3] = np.nan
+        assert_fused_equals_unfused(c, X, rng)
+
+
+def test_fused_pass_adds_the_adjoints_of_classes_sharing_a_root(rng):
+    # classes 0 and 2 both read root 9
+    shared = shared_child_circuit()
+    c = dataclasses.replace(shared, class_roots=(9, 14, 9),
+                            log_prior=np.log([0.2, 0.5, 0.3]))
+    X = rng.normal(0.5, 0.4, size=(5, 3))
+    assert_fused_equals_unfused(c, X, rng)
+    comp = engine.compile_circuit(c)
+    _, got = comp.evaluate(X, lambda values, rows: np.tile([0.25, -1.0, 0.75], (5, 1)))
+    _, ref = comp.evaluate(X, lambda values, rows: np.tile([1.0, -1.0, 0.0], (5, 1)))
+    assert np.array_equal(got.input_grads, ref.input_grads)
+
+
+def test_fused_pass_equals_forward_then_backward_over_column_blocks(rng, wide):
+    comp = engine.compile_circuit(wide)
+    assert len(comp._column_blocks(256)) == 4
+    X = rng.uniform(0.0, 1.0, size=(256, 64))
+    assert_fused_equals_unfused(wide, X, rng)
+
+
+def test_fused_pass_on_no_rows(rng):
+    c = random_circuit(rng, num_classes=3)
+    X = np.empty((0, c.num_variables))
+    assert_fused_equals_unfused(c, X, rng)
+    values, out = engine.compile_circuit(c).evaluate(
+        X, lambda values, rows: values, want_params=True)
+    assert values.shape == (0, 3)
+    assert out.input_grads.shape == (0, c.num_variables)
+    assert all(np.all(g == 0.0) for g in out.sum_log_weight_grads)
+    assert np.all(out.gaussian_mean_grads == 0.0)

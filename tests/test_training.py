@@ -7,7 +7,8 @@ from scipy.special import logsumexp
 from cfspn import circuit as cm
 from cfspn import data, engine, inference, training
 from cfspn.structure import StructureConfig, build_circuit
-from conftest import GaussianLeaf, SumNode, from_nodes, nodes_of
+from conftest import (CategoricalLeaf, GaussianLeaf, ProductNode, SumNode, from_nodes,
+                      nodes_of)
 
 
 def single_gaussian_circuit():
@@ -225,6 +226,21 @@ def test_fit_rejects_bad_inputs():
                                               leaf_distributions_per_region=2))
     with pytest.raises(ValueError):
         training.fit(narrow, ds, tc)
+
+
+def test_zero_probability_training_row_is_a_non_finite_loss():
+    # Class 0 gives x0 = 0 probability 0, and the second row is such a case.
+    nodes = [CategoricalLeaf(0, np.array([0.0, 1.0])),
+             CategoricalLeaf(0, np.array([0.4, 0.6])),
+             GaussianLeaf(1, 0.2, 0.3), GaussianLeaf(1, 0.7, 0.2),
+             ProductNode([0, 2]), ProductNode([0, 3]), ProductNode([1, 2]),
+             SumNode([4, 5], np.log([0.5, 0.5]))]
+    c = from_nodes(nodes, class_roots=[7, 6], log_prior=cm.uniform_log_weights(2),
+                   num_variables=2)
+    ds = data.Dataset(np.array([[1.0, 0.3], [0.0, 0.4], [1.0, 0.6]]), [0, 0, 1], 2)
+    tc = training.TrainConfig(epochs=2, validation_fraction=0.0, patience=0)
+    with pytest.raises(ValueError, match=r"^non-finite loss in epoch 0, batch 0$"):
+        training.fit(c, ds, tc)
 
 
 def test_mean_joint_log_likelihood_matches_manual():
