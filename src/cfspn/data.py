@@ -182,7 +182,8 @@ def _parse_float(value, column: str, row: int | None = None) -> float:
             f"unparseable value {value!r} ({where}column {column!r})") from None
 
 
-def _scale(v: float, col: FeatureColumn) -> float:
+def _scale(v, col: FeatureColumn):
+    """v (a float or an array) in the column's scaled units."""
     a, b = col.scaling
     if col.scaling_kind == "minmax":
         return 0.0 if b == a else (v - a) / (b - a)
@@ -333,61 +334,44 @@ def split(dataset: Dataset, train_fraction: float, seed) -> tuple[Dataset, Datas
     return dataset.subset(sorted(train_idx)), dataset.subset(sorted(test_idx))
 
 
-def _scaled_2d(points: np.ndarray, labels: np.ndarray) -> Dataset:
-    columns = []
-    for j, name in enumerate(("x1", "x2")):
-        lo, hi = float(points[:, j].min()), float(points[:, j].max())
-        columns.append(FeatureColumn(name, "continuous",
-                                     scaling_kind="minmax", scaling=(lo, hi)))
+def _two_curves(n: int, noise: float, seed, angles, inner) -> Dataset:
+    """Class 0 on the unit circle at angles(n // 2), class 1 at
+    inner(angles(n - n // 2)), plus Gaussian noise, min-max scaled to the
+    unit square."""
+    if n < 2:
+        raise DataError(f"need n >= 2, got {n}")
+    if noise < 0:
+        raise DataError(f"noise must be >= 0, got {noise}")
+    n_out = n // 2
+    t_out = angles(n_out)
+    points = np.concatenate([np.column_stack([np.cos(t_out), np.sin(t_out)]),
+                             inner(angles(n - n_out))])
+    labels = np.repeat(np.array([0, 1], dtype=np.int64), [n_out, n - n_out])
+    rng = np.random.default_rng(seed)
+    if noise > 0:
+        points = points + rng.normal(0.0, noise, points.shape)
+    columns = [FeatureColumn(name, "continuous", scaling_kind="minmax",
+                             scaling=(float(lo), float(hi)))
+               for name, lo, hi in zip(("x1", "x2"), points.min(axis=0),
+                                       points.max(axis=0))]
     meta = FeatureMeta(columns=columns, label_name="class", classes=["0", "1"])
     scaled = np.empty_like(points)
     for j, col in enumerate(columns):
-        scaled[:, j] = [_scale(v, col) for v in points[:, j]]
+        scaled[:, j] = _scale(points[:, j], col)
     return Dataset(scaled, labels, 2, meta)
 
 
 def make_moons(n: int, noise: float, seed) -> Dataset:
     """Two interleaving half-circles, min-max scaled to the unit square."""
-    if n < 2:
-        raise DataError(f"need n >= 2, got {n}")
-    if noise < 0:
-        raise DataError(f"noise must be >= 0, got {noise}")
-    n_out = n // 2
-    n_in = n - n_out
-    t_out = np.linspace(0.0, np.pi, n_out)
-    t_in = np.linspace(0.0, np.pi, n_in)
-    points = np.concatenate([
-        np.column_stack([np.cos(t_out), np.sin(t_out)]),
-        np.column_stack([1.0 - np.cos(t_in), 0.5 - np.sin(t_in)]),
-    ])
-    labels = np.concatenate([np.zeros(n_out, dtype=np.int64),
-                             np.ones(n_in, dtype=np.int64)])
-    rng = np.random.default_rng(seed)
-    if noise > 0:
-        points = points + rng.normal(0.0, noise, points.shape)
-    return _scaled_2d(points, labels)
+    return _two_curves(n, noise, seed, lambda k: np.linspace(0.0, np.pi, k),
+                       lambda t: np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)]))
 
 
 def make_rings(n: int, noise: float, seed) -> Dataset:
     """Two concentric circles (radii 1 and 0.5), scaled to the unit square."""
-    if n < 2:
-        raise DataError(f"need n >= 2, got {n}")
-    if noise < 0:
-        raise DataError(f"noise must be >= 0, got {noise}")
-    n_out = n // 2
-    n_in = n - n_out
-    t_out = np.linspace(0.0, 2.0 * np.pi, n_out, endpoint=False)
-    t_in = np.linspace(0.0, 2.0 * np.pi, n_in, endpoint=False)
-    points = np.concatenate([
-        np.column_stack([np.cos(t_out), np.sin(t_out)]),
-        0.5 * np.column_stack([np.cos(t_in), np.sin(t_in)]),
-    ])
-    labels = np.concatenate([np.zeros(n_out, dtype=np.int64),
-                             np.ones(n_in, dtype=np.int64)])
-    rng = np.random.default_rng(seed)
-    if noise > 0:
-        points = points + rng.normal(0.0, noise, points.shape)
-    return _scaled_2d(points, labels)
+    return _two_curves(n, noise, seed,
+                       lambda k: np.linspace(0.0, 2.0 * np.pi, k, endpoint=False),
+                       lambda t: 0.5 * np.column_stack([np.cos(t), np.sin(t)]))
 
 
 def make_onehot_tabular(n: int, seed) -> Dataset:

@@ -22,18 +22,22 @@ stacked into a bucket and computed with one batched matmul.  A group whose
 children are not such blocks is one block with J = 1 and no right factor.
 The remaining products are summed per arity.
 
-A batch is evaluated in column blocks of rows, each small enough that no
-temporary array outgrows ``_BLOCK_ELEMENTS``.  ``evaluate`` makes one pass
-per block.  It computes the log values of every materialized node (leaves,
-unabsorbed products, sums) and reads the block's class-root values.  Given
-adjoints, it then derives the block's class-root seeds from those values
-and runs the transposed contraction down to input coordinates and,
-optionally, to leaf and sum parameters; each sum step reuses the child
-products it built on the way up.  The node values never leave the block.
-Without adjoints the pass is forward only: it keeps no child products and
-returns only the class-root values.  ``forward`` and ``backward`` run the
-same block code as two passes over an array of node values that
-``forward`` returns; ``backward`` then builds the child products again.
+A batch of any size is evaluated in column blocks of rows: at most
+``_BLOCK_COLS`` (256) columns, and few enough that no temporary array
+outgrows ``_BLOCK_ELEMENTS``.  Callers pass whole batches; the blocks are
+the only place that splits one, so they alone fix the widths of the matrix
+products, whose results can round differently at another width.
+``evaluate`` makes one pass per block.  It computes the log values of every
+materialized node (leaves, unabsorbed products, sums) and reads the block's
+class-root values.  Given adjoints, it then derives the block's class-root
+seeds from those values and runs the transposed contraction down to input
+coordinates and, optionally, to leaf and sum parameters; each sum step
+reuses the child products it built on the way up.  The node values never
+leave the block.  Without adjoints the pass is forward only: it keeps no
+child products and returns only the class-root values.  ``forward`` and
+``backward`` run the same block code as two passes over an array of node
+values that ``forward`` returns; ``backward`` then builds the child
+products again.
 
 Sum-node log-weights live in one (sums, children) array per bucket
 (``sum_log_weights``), columns in each node's own child order, and their
@@ -83,6 +87,14 @@ _LOW = math.exp(-250.0)
 #: temporaries instead of one 256-column block halved the largest bucket's
 #: B=256 passes.
 _BLOCK_ELEMENTS = 1 << 21
+
+#: Most columns in one block; without it a small circuit would run a large
+#: batch as one block.  Matrix products can round differently at another
+#: width, so the block widths, set by this value and _BLOCK_ELEMENTS alone,
+#: decide the last bits of every result.  Where blocks are 256 columns wide,
+#: every 256-row slice of a batch, counted from row 0, gets the bits it gets
+#: on its own.
+_BLOCK_COLS = 256
 
 
 def _exp_cut(a: np.ndarray) -> np.ndarray:
@@ -405,7 +417,7 @@ class CompiledCircuit:
         # Batch columns per block, so that no temporary outgrows _BLOCK_ELEMENTS.
         widest = max([s.log_weights.shape[1] * s.left.shape[0] for s in self._sums]
                      + [self.n_rows])
-        self._block_cols = max(1, _BLOCK_ELEMENTS // widest)
+        self._block_cols = min(_BLOCK_COLS, max(1, _BLOCK_ELEMENTS // widest))
 
     @property
     def sum_log_weights(self) -> list[np.ndarray]:

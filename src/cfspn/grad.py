@@ -1,13 +1,13 @@
 """Exact reverse-mode input gradients of circuit outputs.
 
-Every gradient is one fused pass of the compiled circuit per chunk of rows
-(``gradient``, through ``CompiledCircuit.evaluate``): per column block, a
-forward sweep gives the class-root log values, the seeds are derived from
-them, and a backward sweep propagates adjoints of log node values top-down
-and converts them to input partials at the leaves.  Working in log space
-until the leaf conversion avoids the underflow that direct density
-differentiation hits in high dimension.  The named functions below only
-choose the class-root seeds.
+Every gradient is one fused pass of the compiled circuit over the whole
+batch (``gradient``, through ``CompiledCircuit.evaluate``): per column
+block, a forward sweep gives the class-root log values, the seeds are
+derived from them, and a backward sweep propagates adjoints of log node
+values top-down and converts them to input partials at the leaves.  Working
+in log space until the leaf conversion avoids the underflow that direct
+density differentiation hits in high dimension.  The named functions below
+only choose the class-root seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from . import engine
 from .circuit import LOG_TINY, Circuit, logsumexp
-from .inference import CHUNK
 
 GRAD_MODES = ("density", "log_density")
 
@@ -63,11 +62,11 @@ def gradient(circuit: Circuit, x, class_weights: dict[int, float],
              density_weight: float = 0.0) -> Gradient:
     """grad_x [sum_y class_weights[y] log S(x|y) + density_weight log S(x)].
 
-    x is one point (d,) or a batch (B, d), evaluated in chunks of
-    ``inference.CHUNK`` rows, one forward and one backward sweep each.  The
-    forward sweep gives every class-root log value; the quantity's partials
-    with respect to them, class_weights[y] + density_weight * P(y|x), seed
-    the backward sweep.
+    x is one point (d,) or a batch (B, d) of any size, evaluated in one
+    call of ``CompiledCircuit.evaluate``: a forward and a backward sweep per
+    column block of rows.  The forward sweep gives every class-root log
+    value; the quantity's partials with respect to them, class_weights[y] +
+    density_weight * P(y|x), seed the backward sweep.
     """
     X, single = _points(circuit, x)
     weights = np.zeros(circuit.num_classes)
@@ -85,13 +84,8 @@ def gradient(circuit: Circuit, x, class_weights: dict[int, float],
             adjoint = adjoint + density_weight * (e / e.sum(axis=1, keepdims=True))
         return adjoint
 
-    compiled = engine.compile_circuit(circuit)
-    G = np.empty_like(X)
-    values = np.empty((X.shape[0], circuit.num_classes))
-    for start in range(0, X.shape[0], CHUNK):
-        rows = slice(start, start + CHUNK)
-        values[rows], back = compiled.evaluate(X[rows], adjoints)
-        G[rows] = back.input_grads
+    values, back = engine.compile_circuit(circuit).evaluate(X, adjoints)
+    G = back.input_grads
     return Gradient(G[0], values[0]) if single else Gradient(G, values)
 
 
@@ -107,7 +101,7 @@ def grad_log_ratio(circuit: Circuit, x, y: int, y_prime: int) -> GradientVector:
 
 
 def grad_log_ratio_batch(circuit: Circuit, X, y: int, y_prime: int) -> np.ndarray:
-    """grad_log_ratio for every row of X in one backward pass; shape (B, d)."""
+    """grad_log_ratio for every row of X in one engine call; shape (B, d)."""
     return grad_log_ratio(circuit, X, y, y_prime)
 
 
@@ -129,7 +123,7 @@ def grad_density(circuit: Circuit, u, mode: str = "density") -> Gradient:
 
 
 def grad_log_density_batch(circuit: Circuit, X) -> np.ndarray:
-    """grad log S(x) for every row of X in one backward pass; shape (B, d)."""
+    """grad log S(x) for every row of X in one engine call; shape (B, d)."""
     return grad_density(circuit, X, "log_density").values
 
 

@@ -12,12 +12,6 @@ import numpy as np
 from . import engine
 from .circuit import Circuit, logsumexp
 
-#: Rows per evaluation chunk.  The engine's column blocks bound memory; the
-#: chunks fix the batch widths the engine sees.  Matrix products can round
-#: differently at another width, so changing this value changes results in
-#: their last bits.
-CHUNK = 256
-
 #: A posterior is a length-C (or (B, C)) vector of normalized log probabilities.
 Posterior = np.ndarray
 
@@ -46,12 +40,8 @@ def _as_batch(circuit: Circuit, evidence) -> tuple[np.ndarray, bool]:
 
 
 def _root_values(circuit: Circuit, X: np.ndarray) -> np.ndarray:
-    """Log values of every class root, shape (B, C); chunked over rows."""
-    compiled = engine.compile_circuit(circuit)
-    out = np.empty((X.shape[0], circuit.num_classes))
-    for start in range(0, X.shape[0], CHUNK):
-        rows = slice(start, start + CHUNK)
-        out[rows] = compiled.evaluate(X[rows])[0]
+    """Log values of every class root, shape (B, C)."""
+    out = engine.compile_circuit(circuit).evaluate(X)[0]
     # A fully marginalized row integrates a normalized density: exactly 1.
     all_missing = np.all(np.isnan(X), axis=1)
     if np.any(all_missing):

@@ -9,13 +9,12 @@ a sigmoid.  The class prior is set to the empirical class frequencies.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import Circuit, logsumexp
-from .engine import CompiledCircuit
+from .engine import CompiledCircuit, compile_circuit
 from .structure import StructureConfig, build_circuit
 
 
@@ -164,22 +163,16 @@ class _Parameters:
 
 
 def _mean_joint_ll_compiled(compiled: CompiledCircuit, log_prior: np.ndarray,
-                            X: np.ndarray, y: np.ndarray, chunk: int = 256) -> float:
-    total = 0.0
-    for start in range(0, X.shape[0], chunk):
-        Xb = X[start:start + chunk]
-        yb = y[start:start + chunk]
-        values = compiled.evaluate(Xb)[0]
-        total += float(np.sum(values[np.arange(Xb.shape[0]), yb] + log_prior[yb]))
-    return total / X.shape[0]
+                            X: np.ndarray, y: np.ndarray) -> float:
+    values = compiled.evaluate(X)[0]
+    return float(np.sum(values[np.arange(X.shape[0]), y] + log_prior[y])) / X.shape[0]
 
 
 def mean_joint_log_likelihood(circuit: Circuit, features, labels) -> float:
     """Mean log S(x|y) + log P(y) over a labeled sample."""
-    from . import engine
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    return _mean_joint_ll_compiled(engine.compile_circuit(circuit),
+    return _mean_joint_ll_compiled(compile_circuit(circuit),
                                    circuit.log_prior, X, y)
 
 
@@ -329,15 +322,16 @@ def cross_validate(dataset, structure_grid, train_grid, folds: int,
 
     perm = np.random.default_rng(seed).permutation(n)
     results: list[GridPoint] = []
-    for sc, tc in itertools.product(structure_grid, train_grid):
-        fold_lls = []
-        for j in range(folds):
-            held = perm[j::folds]
-            rest = np.concatenate([perm[k::folds] for k in range(folds) if k != j])
-            circuit = build_circuit(dataset.dimension, sc)
-            fitted, _ = fit(circuit, dataset.subset(rest), tc)
-            fold_lls.append(mean_joint_log_likelihood(
-                fitted, dataset.features[held], dataset.labels[held]))
-        results.append(GridPoint(sc, tc, float(np.mean(fold_lls)), fold_lls))
+    for sc in structure_grid:
+        circuit = build_circuit(dataset.dimension, sc)
+        for tc in train_grid:
+            fold_lls = []
+            for j in range(folds):
+                held = perm[j::folds]
+                rest = np.concatenate([perm[k::folds] for k in range(folds) if k != j])
+                fitted, _ = fit(circuit, dataset.subset(rest), tc)
+                fold_lls.append(mean_joint_log_likelihood(
+                    fitted, dataset.features[held], dataset.labels[held]))
+            results.append(GridPoint(sc, tc, float(np.mean(fold_lls)), fold_lls))
     best = max(results, key=lambda g: g.mean_validation_ll)
     return CrossValidationResult(best=best, results=results)

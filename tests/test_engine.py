@@ -557,7 +557,7 @@ def test_fused_pass_adds_the_adjoints_of_classes_sharing_a_root(rng):
 
 def test_fused_pass_equals_forward_then_backward_over_column_blocks(rng, wide):
     comp = engine.compile_circuit(wide)
-    assert len(comp._column_blocks(256)) == 4
+    assert [cols.stop - cols.start for cols in comp._column_blocks(256)] == [68, 68, 68, 52]
     X = rng.uniform(0.0, 1.0, size=(256, 64))
     assert_fused_equals_unfused(wide, X, rng)
 
@@ -572,3 +572,31 @@ def test_fused_pass_on_no_rows(rng):
     assert out.input_grads.shape == (0, c.num_variables)
     assert all(np.all(g == 0.0) for g in out.sum_log_weight_grads)
     assert np.all(out.gaussian_mean_grads == 0.0)
+
+
+def test_column_blocks_are_at_most_256_wide(rng):
+    for _ in range(5):
+        comp = engine.compile_circuit(random_circuit(rng))
+        widths = [cols.stop - cols.start for cols in comp._column_blocks(1000)]
+        assert sum(widths) == 1000
+        assert max(widths) == 256
+
+
+def test_large_batch_equals_its_256_row_slices(rng):
+    # 2,282 nodes: sum buckets wide enough that matrix products round
+    # differently at 600 columns than at 256
+    cfg = structure.StructureConfig(repetitions=19, sum_nodes_per_region=10,
+                                    leaf_distributions_per_region=10, num_classes=2,
+                                    seed=1)
+    c = randomize_parameters(structure.build_circuit(2, cfg), rng)
+    comp = engine.compile_circuit(c)
+    X = rng.normal(0.5, 0.4, size=(600, 2))
+    adjoints = posterior_adjoints(c, rng, 600)
+    values, back = comp.evaluate(X, adjoints)
+    for start in range(0, 600, 256):
+        rows = slice(start, start + 256)
+        part_values, part = comp.evaluate(
+            X[rows], lambda v, block: adjoints(v, slice(start + block.start,
+                                                        start + block.stop)))
+        assert np.array_equal(values[rows], part_values)
+        assert np.array_equal(back.input_grads[rows], part.input_grads)

@@ -188,13 +188,13 @@ def test_batch_gradients_match_per_row(rng):
 
 
 @pytest.mark.parametrize("density_weight", [0.0, -1.0])
-def test_batch_gradient_runs_in_chunks_and_equals_single_rows(rng, passes, density_weight):
+def test_batch_gradient_is_one_engine_call_and_equals_single_rows(rng, passes,
+                                                                  density_weight):
     c = random_circuit(rng, num_variables=4, num_classes=3)
     X = rng.normal(0.5, 0.4, size=(600, 4))
     weights = {0: 1.0, 2: -0.5}
     batch = grad.gradient(c, X, weights, density_weight=density_weight)
-    chunks = -(-600 // inference.CHUNK)
-    assert passes == {"forward": chunks, "backward": chunks}
+    assert passes == {"forward": 1, "backward": 1}
     for b in range(600):
         single = grad.gradient(c, X[b], weights, density_weight=density_weight)
         np.testing.assert_allclose(batch.values[b], single.values, rtol=1e-12, atol=0)
