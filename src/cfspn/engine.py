@@ -20,7 +20,27 @@ heaviest children carry next to no weight) that sum is recomputed in log
 space, one term per child product.  Groups of equal shape at one level are
 stacked into a bucket and computed with one batched matmul.  A group whose
 children are not such blocks is one block with J = 1 and no right factor.
-The remaining products are summed per arity.
+
+Gaussian leaves are compiled into *leaf regions*, the exponential-family
+leaf layers of Einsum Networks.  A product whose children are Gaussian
+leaves, each on its own variable and read by nothing else, is absorbed with
+its leaves: it is a distribution over their sorted scope.  Every other
+Gaussian leaf is a distribution over its own variable.  The distributions
+of one scope form a region of I distributions over k variables, and regions
+of equal (I, k) a bucket.  Per scope variable the sufficient statistics are
+T(x) = [(x - c)^2, x - c, 1], all 0 where x is missing, centered at c, the
+mean of the region's leaf means on that variable; a distribution's log
+value is theta . T, so a bucket's values are one batched matmul over
+theta, (R, I, 3k), and T, (R, 3k, B), written to the distributions' rows.
+The leaves themselves are never materialized.  Input gradients are
+2(x - c) G_a + G_b with G = theta^T @ A, and parameter gradients come from
+A @ T^T.  theta and c are derived from the leaf means and variances on
+every call, so that parameters written in place take effect at once.  The
+remaining products are summed per arity.
+
+Small matrices (see ``_contract``) are multiplied one column at a time, so
+that a circuit made only of them gives every row the same bits at any
+batch width.
 
 A batch of any size is evaluated in column blocks of rows: at most
 ``_BLOCK_COLS`` (256) columns, and few enough that no temporary array
@@ -28,7 +48,8 @@ outgrows ``_BLOCK_ELEMENTS``.  Callers pass whole batches; the blocks are
 the only place that splits one, so they alone fix the widths of the matrix
 products, whose results can round differently at another width.
 ``evaluate`` makes one pass per block.  It computes the log values of every
-materialized node (leaves, unabsorbed products, sums) and reads the block's
+materialized node (distributions of leaf regions, Bernoulli and categorical
+leaves, unabsorbed products, sums) and reads the block's
 class-root values.  Given adjoints, it then derives the block's class-root
 seeds from those values and runs the transposed contraction down to input
 coordinates and, optionally, to leaf and sum parameters; each sum step
@@ -52,6 +73,7 @@ import math
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -96,6 +118,13 @@ _BLOCK_ELEMENTS = 1 << 21
 #: on its own.
 _BLOCK_COLS = 256
 
+#: Most entries of a matrix that _contract multiplies column by column.  Up
+#: to this size that costs at most about 0.4 us more per column and group
+#: than one matmul (2-vCPU x86 host), little next to a pass over a circuit
+#: this small; larger matrices, such as all of the two benchmark models',
+#: keep the faster matmul.
+_BY_COLUMN = 256
+
 
 def _exp_cut(a: np.ndarray) -> np.ndarray:
     """exp(a) for a <= 0, with every a below -_CUT (or -inf) giving exactly 0."""
@@ -105,6 +134,22 @@ def _exp_cut(a: np.ndarray) -> np.ndarray:
 
 def _finite_or_zero(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(a), a, 0.0)
+
+
+def _contract(M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M @ X for stacked matrices, (R, m, n) @ (R, n, B).
+
+    Small matrices (at most _BY_COLUMN entries) are multiplied one column
+    at a time, each column its own matrix-vector product, and the result is
+    laid out column by column.  A row's result is then the same at any
+    batch width, down to the last bit, and so are the sums that later run
+    over the result's other axes.  Larger products run as one matrix
+    product, which can round differently at another width.
+    """
+    if M.shape[1] * M.shape[2] > _BY_COLUMN:
+        return M @ X
+    columns = np.ascontiguousarray(X.transpose(0, 2, 1))[..., None]
+    return (M[:, None] @ columns)[..., 0].transpose(0, 2, 1)
 
 
 def _scatter_add(A: np.ndarray, rows: np.ndarray, values: np.ndarray,
@@ -121,7 +166,8 @@ def _is_unique(rows: np.ndarray) -> bool:
 
 
 class _ByVariable:
-    """A leaf family's rows sorted by variable, so per-variable sums are one reduce."""
+    """Rows on variables (a leaf family's, or leaf regions' scope slots) sorted
+    by variable, so per-variable sums are one reduce."""
 
     def __init__(self, variables: np.ndarray):
         self.order = np.argsort(variables, kind="stable")   # row r holds leaf order[r]
@@ -134,6 +180,95 @@ class _ByVariable:
             out[self.variables[self.starts]] += np.add.reduceat(rows, self.starts, axis=0)
 
 
+class _Natural(NamedTuple):
+    """One leaf-region bucket's parameters, derived from the leaf means and variances."""
+
+    theta: np.ndarray     # (R, 3k, I): -1/2v, delta/v, -(delta^2/v + log 2 pi v)/2
+    center: np.ndarray    # (R, k): each scope variable's mean of leaf means
+    delta: np.ndarray     # (R, k, I): leaf means less their variable's center
+    variance: np.ndarray  # (R, k, I)
+
+
+@dataclass(eq=False)
+class _LeafRegions:
+    """R leaf regions of I Gaussian distributions over k variables each.
+
+    Distribution i of region r is the product of the leaves ``leaves[r, :, i]``,
+    one per scope variable ``variables[r]``.  Its log value is the dot
+    product of theta[r, :, i] with the sufficient statistics T[r] of its
+    scope, [(x - c)^2, x - c, 1] per variable, all 0 where x is missing.
+    """
+
+    rows: slice                 # R*I output rows, region-major
+    leaves: np.ndarray          # (R, k, I) Gaussian leaf indices (into gaussian_ids)
+    variables: np.ndarray       # (R, k) sorted scopes
+    by_variable: _ByVariable    # over variables.ravel()
+
+    def natural(self, mean: np.ndarray, variance: np.ndarray) -> _Natural:
+        """theta and the centers from the current leaf parameters.
+
+        Centering keeps the terms of theta . T small where the data sit far
+        from 0, so that the matmul rounds no worse than leaf-by-leaf sums.
+        Each of theta's three parts is a run of k*I values per region, so
+        building it writes no short strided runs.
+        """
+        R, k, I = self.leaves.shape
+        delta, var = mean[self.leaves], variance[self.leaves]
+        center = delta.sum(axis=2)
+        center /= I
+        delta -= center[:, :, None]
+        theta = np.empty((R, 3 * k, I))
+        a, b, c = theta[:, :k], theta[:, k:2 * k], theta[:, 2 * k:]
+        np.divide(-0.5, var, out=a)
+        np.divide(delta, var, out=b)
+        np.multiply(delta, b, out=c)
+        c += np.log(var)
+        c += LOG_2PI
+        c *= -0.5
+        return _Natural(theta, center, delta, var)
+
+    def statistics(self, XT: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """T, (R, 3k, B), from (d, B) inputs."""
+        R, k = self.variables.shape
+        T = np.empty((R, 3 * k, XT.shape[1]))
+        u = T[:, k:2 * k]
+        np.subtract(XT[self.variables], center[:, :, None], out=u)
+        T[:, 2 * k:] = 1.0
+        missing = np.isnan(u)
+        if missing.any():
+            u[missing] = 0.0
+            T[:, 2 * k:][missing] = 0.0
+        np.multiply(u, u, out=T[:, :k])
+        return T
+
+    def forward(self, V: np.ndarray, XT: np.ndarray, p: _Natural) -> np.ndarray:
+        """Write the distributions' log values into V; return T."""
+        T = self.statistics(XT, p.center)
+        R, _, I = self.leaves.shape
+        V[self.rows].reshape(R, I, -1)[...] = _contract(p.theta.transpose(0, 2, 1), T)
+        return T
+
+    def backward(self, A: np.ndarray, T: np.ndarray, p: _Natural,
+                 gx: np.ndarray | None, result: BackwardResult) -> None:
+        """Add input gradients to gx, (d, B), and leaf-parameter gradients to result."""
+        R, k, I = self.leaves.shape
+        adjoint = A[self.rows].reshape(R, I, -1)
+        if gx is not None:
+            G = _contract(p.theta[:, :2 * k], adjoint)
+            dx = G[:, :k] * T[:, k:2 * k]
+            dx *= 2.0
+            dx += G[:, k:]
+            dx *= T[:, 2 * k:]      # 0 where x is missing
+            self.by_variable.add_to(gx, dx.reshape(R * k, -1)[self.by_variable.order])
+        if result.gaussian_mean_grads is not None:
+            G = T @ adjoint.transpose(0, 2, 1)      # (R, 3k, I)
+            ga, gb, gc = G[:, :k], G[:, k:2 * k], G[:, 2 * k:]
+            delta, var = p.delta, p.variance
+            result.gaussian_mean_grads[self.leaves] += (gb - delta * gc) / var
+            result.gaussian_variance_grads[self.leaves] += (
+                (ga - 2.0 * delta * gb + delta * delta * gc - var * gc) / (2.0 * var * var))
+
+
 @dataclass(eq=False)
 class _Products:
     """The materialized products of one arity at one level."""
@@ -142,13 +277,13 @@ class _Products:
     children: np.ndarray     # (n, arity) child rows
     unique: bool             # no row repeats within a column of children
 
-    def forward(self, V: np.ndarray) -> None:
+    def forward(self, V: np.ndarray, W=None) -> None:
         out = V[self.rows]
         out[...] = V[self.children[:, 0]]
         for column in self.children.T[1:]:
             out += V[column]
 
-    def backward(self, V: np.ndarray, A: np.ndarray, grad=None, saved=None) -> None:
+    def backward(self, V: np.ndarray, A: np.ndarray, W=None, grad=None, saved=None) -> None:
         adjoint = A[self.rows]
         for column in self.children.T:
             _scatter_add(A, column, adjoint, self.unique)
@@ -165,7 +300,8 @@ class _Sums:
     log_weights: np.ndarray    # (G*S, K*I*J), columns in child order
     unique: bool               # no row repeats within left, nor within right
 
-    def _weights(self) -> np.ndarray:
+    def weights(self) -> np.ndarray:
+        """exp(log_weights) as (G, S, K*I*J)."""
         return np.exp(self.log_weights).reshape(self.left.shape[0], -1,
                                                 self.log_weights.shape[1])
 
@@ -204,10 +340,11 @@ class _Sums:
         lw = self.log_weights.reshape(low.shape[0], low.shape[1], -1)[g, s]
         return g, s, b, lw + self._log_terms(V, g, b)
 
-    def forward(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write the sums' log values into V; return the terms P and contractions T."""
+    def forward(self, V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write the sums' log values into V, given the :meth:`weights`; return
+        the terms P and contractions T."""
         P, M = self._terms(V)
-        T = self._weights() @ P
+        T = _contract(W, P)
         with np.errstate(divide="ignore"):
             out = np.log(T)
         out += M[:, None, :]
@@ -218,7 +355,7 @@ class _Sums:
         V[self.rows] = out.reshape(len(self.ids), V.shape[1])
         return P, T
 
-    def backward(self, V: np.ndarray, A: np.ndarray,
+    def backward(self, V: np.ndarray, A: np.ndarray, W: np.ndarray,
                  grad: np.ndarray | None = None,
                  saved: tuple[np.ndarray, np.ndarray] | None = None) -> None:
         """Add the children's adjoints to A, and the log-weight gradients to grad.
@@ -226,17 +363,16 @@ class _Sums:
         ``saved`` is the (P, T) that :meth:`forward` returned on the same V;
         without it both are computed again.
         """
-        W = self._weights()
         if saved is None:
             P = self._terms(V)[0]
-            T = W @ P
+            T = _contract(W, P)
         else:
             P, T = saved
         low = T < _LOW
         adjoint = A[self.rows].reshape(T.shape)
         Q = np.zeros_like(T)
         np.divide(adjoint, T, out=Q, where=~low)
-        H = W.transpose(0, 2, 1) @ Q
+        H = _contract(W.transpose(0, 2, 1), Q)
         H *= P
         if self.right is None:
             _scatter_add(A, self.left, H.reshape(*self.left.shape, -1), self.unique)
@@ -329,20 +465,44 @@ class CompiledCircuit:
         owner[ids[np.repeat(kind == PRODUCT, arity)]] = -1
         owner[list(circuit.class_roots)] = -1
 
+        # Gaussian distributions: a product of Gaussian leaves, each on its own
+        # variable and read by nothing else, is one over its children's scope
+        # (the product is in a region and its leaves are absorbed); every other
+        # Gaussian leaf is one over its own variable.
+        readers = np.bincount(ids, minlength=n)
+        readers[list(circuit.class_roots)] += 1
+        gaussian = kind == GAUSSIAN
+        in_region = np.zeros(n, dtype=bool)
+        distributions: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+        all_products = np.flatnonzero(kind == PRODUCT)
+        for k in np.unique(arity[all_products]):
+            members = all_products[arity[all_products] == k]
+            children = ids[ptr[members][:, None] + np.arange(k)]
+            children = np.take_along_axis(
+                children, np.argsort(circuit.variable[children], axis=1, kind="stable"), axis=1)
+            ok = (np.all(gaussian[children] & (readers[children] == 1), axis=1)
+                  & np.all(np.diff(circuit.variable[children], axis=1) > 0, axis=1))
+            in_region[members[ok]] = True
+            gaussian[children[ok]] = False
+            distributions.setdefault(int(k), []).append((members[ok], children[ok]))
+        single = np.flatnonzero(gaussian)
+        distributions.setdefault(1, []).append((single, single[:, None]))
+
         absorbed = np.zeros(n, dtype=bool)
         group_blocks = []
         for g, children in enumerate(group_children):
             blocks = None
             if np.all((kind[children] == PRODUCT) & (arity[children] == 2)
-                      & (owner[children] == g)):
+                      & (owner[children] == g) & ~in_region[children]):
                 blocks = _blocks(ids[ptr[children][:, None] + np.arange(2)])
                 absorbed[children] = blocks is not None
             group_blocks.append(blocks)
 
-        # Levels of the materialized nodes: leaves are level 0, and an absorbed
-        # product passes its children's level to the sums that absorb it.
+        # Levels of the materialized nodes: leaves and leaf-region products are
+        # level 0, and an absorbed product passes its children's level to the
+        # sums that absorb it.
         level = _bottom_up(circuit, np.maximum, np.zeros(n, dtype=np.int64),
-                           ~absorbed[kind >= SUM])
+                           ~(absorbed | in_region)[kind >= SUM])
         buckets: dict[tuple, list[int]] = {}
         for g, (head, blocks) in enumerate(zip(heads, group_blocks)):
             if blocks is None:
@@ -350,7 +510,7 @@ class CompiledCircuit:
             else:
                 shape = (len(blocks), len(blocks[0][0]), len(blocks[0][1]), True)
             buckets.setdefault((level[head], len(group_sums[g]), *shape), []).append(g)
-        products = np.flatnonzero((kind == PRODUCT) & ~absorbed)
+        products = np.flatnonzero((kind == PRODUCT) & ~absorbed & ~in_region)
 
         self.gaussian_ids = np.flatnonzero(kind == GAUSSIAN)
         self.gaussian_vars = circuit.variable[self.gaussian_ids]
@@ -366,10 +526,10 @@ class CompiledCircuit:
         self.categorical_sizes = np.diff(circuit.probs_ptr)
         with np.errstate(divide="ignore"):
             self.categorical_log_probs = np.log(circuit.probs)
-        self._gaussian = _ByVariable(self.gaussian_vars)
         self._bernoulli = _ByVariable(self.bernoulli_vars)
 
-        # Rows: leaves by family, then level by level products and sum buckets.
+        # Rows: Gaussian distributions by bucket, the other leaves by family,
+        # then level by level products and sum buckets.
         row_of = np.full(n, -1, dtype=np.int64)
         top = 0
 
@@ -379,7 +539,26 @@ class CompiledCircuit:
             top += len(ids)
             return slice(top - len(ids), top)
 
-        self._gaussian_rows = take(self.gaussian_ids[self._gaussian.order])
+        # Leaf regions: the distributions of one scope.  Regions of equal
+        # (I, k) form a bucket.
+        leaf_index = np.full(n, -1, dtype=np.int64)
+        leaf_index[self.gaussian_ids] = np.arange(self.gaussian_ids.size)
+        self._regions: list[_LeafRegions] = []
+        for k, parts in sorted(distributions.items()):
+            outputs, leaves = (np.concatenate(a) for a in zip(*parts))
+            scopes, region = np.unique(circuit.variable[leaves], axis=0,
+                                       return_inverse=True)
+            region = region.ravel()
+            by_region = np.argsort(region, kind="stable")
+            sizes = np.bincount(region, minlength=len(scopes))
+            starts = np.cumsum(sizes) - sizes
+            for I in np.unique(sizes):
+                members = by_region[starts[sizes == I][:, None] + np.arange(I)]
+                variables = scopes[sizes == I]
+                self._regions.append(_LeafRegions(
+                    take(outputs[members].ravel()),
+                    leaf_index[leaves[members]].transpose(0, 2, 1).copy(),
+                    variables, _ByVariable(variables.ravel())))
         self._bernoulli_rows = take(self.bernoulli_ids[self._bernoulli.order])
         self._categorical_rows = take(self.categorical_ids)
         self._steps: list[_Products | _Sums] = []
@@ -416,7 +595,7 @@ class CompiledCircuit:
         self._root_rows = row_of[list(circuit.class_roots)]
         # Batch columns per block, so that no temporary outgrows _BLOCK_ELEMENTS.
         widest = max([s.log_weights.shape[1] * s.left.shape[0] for s in self._sums]
-                     + [self.n_rows])
+                     + [3 * r.variables.size for r in self._regions] + [self.n_rows])
         self._block_cols = min(_BLOCK_COLS, max(1, _BLOCK_ELEMENTS // widest))
 
     @property
@@ -473,14 +652,15 @@ class CompiledCircuit:
         result = None
         if adjoints is not None:
             result = self._result(X.shape[0], want_input, want_params)
+        params = self._parameters()
         for cols in self._column_blocks(X.shape[0]):
             XT = np.ascontiguousarray(X[cols].T)
-            V, saved = self._forward_block(XT, keep=result is not None)
+            V, saved = self._forward_block(XT, params, keep=result is not None)
             values[cols] = V[self._root_rows].T
             if result is not None:
                 A = np.zeros_like(V)
                 np.add.at(A, self._root_rows, np.transpose(adjoints(values[cols], cols)))
-                self._backward_block(V, A, XT, result, cols, saved)
+                self._backward_block(V, A, XT, result, cols, params, saved)
         return values, result
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -492,34 +672,37 @@ class CompiledCircuit:
         :meth:`evaluate` apart, so that each can be timed on its own.
         """
         X = self._batch(X)
-        parts = [self._forward_block(np.ascontiguousarray(X[cols].T), keep=False)[0]
+        params = self._parameters()
+        parts = [self._forward_block(np.ascontiguousarray(X[cols].T), params, keep=False)[0]
                  for cols in self._column_blocks(X.shape[0])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def _forward_block(self, XT: np.ndarray, keep: bool) -> tuple[np.ndarray, list | None]:
+    def _parameters(self) -> tuple[list[_Natural], list[np.ndarray | None]]:
+        """What one call evaluates with, derived from the parameter arrays as
+        they are now: each leaf-region bucket's natural parameters, and each
+        step's weights (None for products)."""
+        natural = [r.natural(self.gaussian_mean, self.gaussian_variance) for r in self._regions]
+        weights = [step.weights() if isinstance(step, _Sums) else None for step in self._steps]
+        return natural, weights
+
+    def _forward_block(self, XT: np.ndarray, params: tuple,
+                       keep: bool) -> tuple[np.ndarray, tuple | None]:
         """V of one column block from its (d, b) inputs, and, if ``keep``, the
-        terms each step saves for its backward pass (else None)."""
+        statistics T of each leaf-region bucket and the terms each step saves
+        for the backward pass (else None)."""
+        natural, weights = params
         V = np.empty((self.n_rows, XT.shape[1]))
+        stats = [r.forward(V, XT, p) for r, p in zip(self._regions, natural)]
         self._leaf_values(XT, V)
         if keep:
-            return V, [step.forward(V) for step in self._steps]
-        for step in self._steps:
-            step.forward(V)
+            return V, (stats, [step.forward(V, W) for step, W in zip(self._steps, weights)])
+        for step, W in zip(self._steps, weights):
+            step.forward(V, W)
         return V, None
 
     def _leaf_values(self, XT: np.ndarray, V: np.ndarray) -> None:
-        """Leaf log values from (d, B) inputs; a marginalized leaf is log 1 = 0."""
-        missing = np.isnan(XT).any()
-        if self.gaussian_ids.size:
-            g = self._gaussian
-            out = V[self._gaussian_rows]
-            var = self.gaussian_variance[g.order, None]
-            np.subtract(XT[g.variables], self.gaussian_mean[g.order, None], out=out)
-            out *= out
-            out *= -0.5 / var
-            out -= 0.5 * (np.log(var) + LOG_2PI)
-            if missing:
-                out[np.isnan(out)] = 0.0
+        """Bernoulli and categorical leaf log values from (d, B) inputs; a
+        marginalized leaf is log 1 = 0."""
         if self.bernoulli_ids.size:
             Xb = XT[self._bernoulli.variables]
             p = self.bernoulli_p[self._bernoulli.order, None]
@@ -559,12 +742,14 @@ class CompiledCircuit:
             if node_id not in self.circuit.class_roots:
                 raise ValueError(f"seed at node {node_id}, which is not a class root")
         result = self._result(B, want_input, want_params)
+        params = self._parameters()
         for cols in self._column_blocks(B):
             Vc = np.ascontiguousarray(V[:, cols])
             A = np.zeros_like(Vc)
             for node_id, vec in seeds.items():
                 A[self._row_of[node_id]] += np.broadcast_to(vec, (B,))[cols]
-            self._backward_block(Vc, A, np.ascontiguousarray(X[cols].T), result, cols)
+            self._backward_block(Vc, A, np.ascontiguousarray(X[cols].T), result, cols,
+                                 params)
         return result
 
     def _result(self, B: int, want_input: bool, want_params: bool) -> BackwardResult:
@@ -581,44 +766,33 @@ class CompiledCircuit:
         return result
 
     def _backward_block(self, V: np.ndarray, A: np.ndarray, XT: np.ndarray,
-                        result: BackwardResult, cols: slice, saved=None) -> None:
+                        result: BackwardResult, cols: slice, params: tuple,
+                        saved: tuple | None = None) -> None:
         """Propagate one column block's seeded adjoints A down to result.
 
         ``saved`` is what :meth:`_forward_block` kept for this V; without it
-        every sum step computes its terms again.
+        every leaf-region bucket and sum step computes its terms again.
         """
+        natural, weights = params
+        stats, kept = saved or ([None] * len(self._regions), [None] * len(self._steps))
         grads = dict(zip(self._sums, result.sum_log_weight_grads or []))
-        for step, kept in zip(reversed(self._steps),
-                              reversed(saved or [None] * len(self._steps))):
-            step.backward(V, A, grads.get(step), kept)
+        for step, W, terms in zip(reversed(self._steps), reversed(weights), reversed(kept)):
+            step.backward(V, A, W, grads.get(step), terms)
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite adjoint in the backward pass; "
                              "check the seeds and the circuit's parameters")
-        self._leaf_grads(XT, A, result, cols)
+        gx = None if result.input_grads is None else result.input_grads[cols].T
+        for region, p, T in zip(self._regions, natural, stats):
+            if T is None:
+                T = region.statistics(XT, p.center)
+            region.backward(A, T, p, gx, result)
+        self._leaf_grads(XT, A, result, gx)
 
     def _leaf_grads(self, XT: np.ndarray, A: np.ndarray, result: BackwardResult,
-                    cols: slice) -> None:
-        """Add input and leaf-parameter gradients of (d, B) inputs to result."""
-        gx = None if result.input_grads is None else result.input_grads[cols].T
+                    gx: np.ndarray | None) -> None:
+        """Add Bernoulli input and parameter gradients of (d, B) inputs to
+        result; gx is the block's (d, B) view of the input gradients."""
         params = result.gaussian_mean_grads is not None
-        if self.gaussian_ids.size:
-            g = self._gaussian
-            Ag = A[self._gaussian_rows]
-            var = self.gaussian_variance[g.order, None]
-            Xg = XT[g.variables]
-            dx = self.gaussian_mean[g.order, None] - Xg
-            observed = ~np.isnan(dx)
-            if not observed.all():
-                dx[~observed] = 0.0
-            dx *= Ag
-            dx /= var       # d/d x per leaf and row; d/d mean is its negative
-            if gx is not None:
-                g.add_to(gx, dx)
-            if params:
-                diff = np.where(observed, Xg - self.gaussian_mean[g.order, None], 0.0)
-                result.gaussian_mean_grads[g.order] -= dx.sum(axis=1)
-                result.gaussian_variance_grads[g.order] += np.where(
-                    observed, Ag * (diff ** 2 / var - 1.0) / (2.0 * var), 0.0).sum(axis=1)
         if self.bernoulli_ids.size:
             b = self._bernoulli
             Ab = A[self._bernoulli_rows]

@@ -78,9 +78,16 @@ def gradient(circuit: Circuit, x, class_weights: dict[int, float],
     def adjoints(values: np.ndarray, rows: slice) -> np.ndarray:
         adjoint = np.broadcast_to(weights, values.shape)
         if density_weight:
-            # P(y|x) as a softmax of the joint log values, shifted by their max
+            # P(y|x) as a softmax of the joint log values, shifted by their
+            # max; where every class root is -inf, the prior, as in
+            # inference.posterior_of, and those dead roots pass no adjoint
             joint = values + circuit.log_prior
-            e = np.exp(joint - joint.max(axis=1, keepdims=True))
+            top = joint.max(axis=1, keepdims=True)
+            dead = top[:, 0] == -np.inf
+            if dead.any():
+                joint[dead] = circuit.log_prior
+                top[dead] = circuit.log_prior.max()
+            e = np.exp(joint - top)
             adjoint = adjoint + density_weight * (e / e.sum(axis=1, keepdims=True))
         return adjoint
 

@@ -289,14 +289,17 @@ def test_load_rejects_invalid_circuit_content(tmp_path, rng):
 
 
 # A version-1 model written before the flat-array format, with every node
-# kind, and its class log densities at V1_POINTS as computed then.
+# kind, and its class log densities at V1_POINTS.  These are the engine's
+# own figures, so that a load must reproduce them bit for bit; they moved by
+# at most 1.8e-15 when Gaussian leaves became leaf regions (the values of a
+# leaf are summed in another order), and agree with naive_log_value to 1e-15.
 V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
 V1_POINTS = np.array([[0.0, 0.0, 0.0], [1.1, 1.0, 2.0], [-2.3, 1.0, 1.0],
                       [0.4, np.nan, 1.0]])
 V1_DENSITIES = np.array([[-3.5601170648842855, -3.527645070699074],
-                         [-2.2147875921306035, -2.7204003004701462],
-                         [-6.273762585509788, -5.851768185451344],
-                         [-2.7093611115675476, -3.325258266593867]])
+                         [-2.214787592130603, -2.7204003004701462],
+                         [-6.273762585509787, -5.851768185451342],
+                         [-2.709361111567547, -3.325258266593867]])
 
 
 def test_version_1_model_loads_and_saves_as_version_2(tmp_path):
@@ -304,6 +307,8 @@ def test_version_1_model_loads_and_saves_as_version_2(tmp_path):
     c = cm.load(V1_MODEL)
     assert set(c.kind) == set(range(len(cm.KINDS)))
     assert np.array_equal(inference.class_log_densities(c, V1_POINTS), V1_DENSITIES)
+    naive = [[naive_log_value(c, root, x) for root in c.class_roots] for x in V1_POINTS]
+    np.testing.assert_allclose(V1_DENSITIES, naive, rtol=0, atol=1e-15)
     path = tmp_path / "model.json"
     cm.save(c, path)
     assert json.loads(path.read_text())["format_version"] == 2

@@ -386,24 +386,116 @@ def test_non_finite_seed_raises(bad):
         comp.backward(V, X, {9: np.array([1.0, bad])})
 
 
-@pytest.mark.parametrize("d, depth, weight_shapes, rows", [
-    # moons: one bucket, the two class roots over 19 blocks of 20 x 20
-    (2, 1, [(2, 7600)], 19 * 40 + 2),
-    # wide: 16-variable regions, 32-variable regions and the class roots
-    (64, 3, [(760, 400), (380, 100), (2, 1900)], 19 * 8 * 20 * 9 + 760 + 380 + 2),
+def region_shapes(comp):
+    """(regions, distributions, variables) of each leaf-region bucket."""
+    return [(len(r.variables), r.leaves.shape[2], r.leaves.shape[1]) for r in comp._regions]
+
+
+@pytest.mark.parametrize("d, depth, weight_shapes, rows, regions", [
+    # moons: one bucket, the two class roots over 19 blocks of 20 x 20; the
+    # 380 leaves of each variable are one leaf region
+    (2, 1, [(2, 7600)], 19 * 40 + 2, [(2, 380, 1)]),
+    # wide: 16-variable regions, 32-variable regions and the class roots over
+    # the 152 8-variable leaf regions of 20 distributions each
+    (64, 3, [(760, 400), (380, 100), (2, 1900)], 19 * 8 * 20 + 760 + 380 + 2,
+     [(152, 20, 8)]),
 ])
 def test_region_sums_compile_to_cross_product_buckets(tmp_path, d, depth,
-                                                      weight_shapes, rows):
+                                                      weight_shapes, rows, regions):
     cfg = structure.StructureConfig(depth=depth, repetitions=19, num_classes=2, seed=7)
     built = structure.build_circuit(d, cfg)
     cm.save(built, tmp_path / "model.json")
     for c in (built, cm.load(tmp_path / "model.json")):
         comp = engine.CompiledCircuit(c)
         assert [w.shape for w in comp.sum_log_weights] == weight_shapes
-        # every cross product is absorbed: only leaves, leaf-region products
-        # and sums are materialized
+        assert region_shapes(comp) == regions
+        # every cross product and every leaf-region product is absorbed, and
+        # a leaf-region product's leaves with it: only the distributions of
+        # leaf regions and the sums are materialized
+        assert not any(isinstance(step, engine._Products) for step in comp._steps)
         assert comp.n_rows == rows
         assert cm.structural_equal(comp.to_circuit(c.log_prior), c)
+
+
+@pytest.fixture(scope="module")
+def deep():
+    """Depth 2 over 12 variables: leaf regions of 3 variables, with random
+    parameters."""
+    cfg = structure.StructureConfig(depth=2, repetitions=2, sum_nodes_per_region=2,
+                                    leaf_distributions_per_region=3, num_classes=2, seed=5)
+    return randomize_parameters(structure.build_circuit(12, cfg), np.random.default_rng(6))
+
+
+@pytest.fixture(params=["by column", "matmul"])
+def contraction(request, monkeypatch):
+    """Runs a test twice: with small matrices multiplied column by column, and
+    with every product of matrices one matmul."""
+    if request.param == "matmul":
+        monkeypatch.setattr(engine, "_BY_COLUMN", 0)
+
+
+def test_leaf_regions_match_naive_with_missing_values(rng, deep, contraction):
+    comp = engine.compile_circuit(deep)
+    assert {k for _, _, k in region_shapes(comp)} == {3}
+    X = rng.normal(0.5, 0.5, size=(5, 12))
+    scope = comp._regions[0].variables[0]
+    X[1, scope[:2]] = np.nan     # inside one region
+    X[2, scope] = np.nan         # the whole region
+    X[3] = np.nan                # every variable
+    assert_roots_match_naive(deep, X)
+
+
+def test_leaf_region_gradients_match_finite_differences(rng, deep, contraction):
+    h = 1e-6
+    comp = engine.compile_circuit(deep)
+    x = rng.normal(0.5, 0.4, size=12)
+    roots = deep.class_roots
+    out = comp.backward(comp.forward(x[None]), x[None],
+                        {roots[0]: np.array([0.8]), roots[1]: np.array([-0.3])},
+                        want_params=True)
+
+    def objective(circuit, point):
+        return (0.8 * naive_log_value(circuit, roots[0], point)
+                - 0.3 * naive_log_value(circuit, roots[1], point))
+
+    for j in range(12):
+        step = h * (np.arange(12) == j)
+        fd = (objective(deep, x + step) - objective(deep, x - step)) / (2 * h)
+        assert out.input_grads[0, j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    for attr, grads in (("gaussian_mean", out.gaussian_mean_grads),
+                        ("gaussian_variance", out.gaussian_variance_grads)):
+        for j in range(0, grads.size, 5):
+            fd = central_difference(deep, lambda p: getattr(p, attr), j, h,
+                                    lambda R: 0.8 * R[0, 0] - 0.3 * R[0, 1], x[None])
+            assert grads[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_leaf_regions_at_the_variance_floor_far_from_zero_match_naive(rng, deep,
+                                                                   contraction):
+    # Standardized data at |x| ~ 5 and variance 1e-3: uncentered, the terms
+    # x^2 / v of a leaf's value reach 2.5e4.
+    sign = np.where(deep.variable[deep.kind == cm.GAUSSIAN] % 2 == 0, 1.0, -1.0)
+    c = dataclasses.replace(deep, mean=sign * (5.0 + rng.normal(0.0, 0.05, sign.size)),
+                            variance=np.full(sign.size, 1e-3))
+    X = np.where(np.arange(12) % 2 == 0, 1.0, -1.0) * (5.0 + rng.normal(0.0, 0.05, (4, 12)))
+    assert_roots_match_naive(c, X)
+
+
+def test_parameters_written_in_place_reach_the_next_evaluation(rng, deep):
+    private = engine.CompiledCircuit(deep)
+    X = rng.normal(0.5, 0.4, size=(5, 12))
+    adjoints = posterior_adjoints(deep, rng, 5)
+    before = private.evaluate(X)[0]
+    # as a trainer writes them
+    private.gaussian_mean[:] = rng.normal(0.5, 0.3, private.gaussian_mean.size)
+    private.gaussian_variance[:] = rng.uniform(0.05, 0.4, private.gaussian_variance.size)
+    values, back = private.evaluate(X, adjoints, want_params=True)
+    fresh = engine.CompiledCircuit(private.to_circuit(deep.log_prior))
+    fresh_values, fresh_back = fresh.evaluate(X, adjoints, want_params=True)
+    assert not np.allclose(values, before)
+    assert np.array_equal(values, fresh_values)
+    for field in ("input_grads", "gaussian_mean_grads", "gaussian_variance_grads"):
+        assert np.array_equal(getattr(back, field), getattr(fresh_back, field)), field
 
 
 def test_to_circuit_refuses_invalid_parameters(rng):
@@ -600,3 +692,28 @@ def test_large_batch_equals_its_256_row_slices(rng):
                                                         start + block.stop)))
         assert np.array_equal(values[rows], part_values)
         assert np.array_equal(back.input_grads[rows], part.input_grads)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli", "categorical"])
+def test_rows_of_small_circuits_equal_single_rows_bit_for_bit(rng, family):
+    # Every matrix of these circuits is small enough to be multiplied column
+    # by column, so a row gets the same bits at any batch width.
+    for _ in range(3):
+        c = random_circuit(rng, leaf_family=family)
+        comp = engine.compile_circuit(c)
+        sizes = [s.log_weights.size // s.left.shape[0] for s in comp._sums]
+        sizes += [3 * r.leaves[0].size for r in comp._regions]
+        assert max(sizes) <= engine._BY_COLUMN
+        if family == "gaussian":
+            X = rng.normal(0.5, 0.5, size=(300, c.num_variables))
+            X[::11, 0] = np.nan
+        else:
+            X = rng.integers(0, 4 if family == "categorical" else 2,
+                             size=(300, c.num_variables)).astype(float)
+        adjoints = posterior_adjoints(c, rng, 300)
+        values, back = comp.evaluate(X, adjoints)
+        for b in range(300):
+            row_values, row = comp.evaluate(
+                X[b:b + 1], lambda v, rows, b=b: adjoints(v, slice(b, b + 1)))
+            assert np.array_equal(values[b], row_values[0])
+            assert np.array_equal(back.input_grads[b], row.input_grads[0])

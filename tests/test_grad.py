@@ -1,11 +1,14 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from cfspn import circuit as cm
 from cfspn import grad, inference
-from conftest import random_circuit, two_gaussian_classifier
+from conftest import (CategoricalLeaf, SumNode, from_nodes, random_circuit,
+                      two_gaussian_classifier)
 
 
 H = 1e-5
@@ -112,6 +115,25 @@ def test_grad_density_flags_underflow():
     logd = grad.grad_density(c, np.array([1e6]), mode="log_density")
     assert not logd.underflow
     assert logd.values[0] < 0
+
+
+def test_grad_density_at_a_zero_density_point_is_zero():
+    # At x = 0 every leaf, and so every class root, has probability 0: P(y|x)
+    # falls back to the prior, and the dead roots pass no adjoint.
+    nodes = [CategoricalLeaf(0, [0.0, 1.0]), CategoricalLeaf(0, [0.0, 1.0]),
+             SumNode([0, 1], np.log([0.5, 0.5])), SumNode([0, 1], np.log([0.3, 0.7]))]
+    c = from_nodes(nodes, class_roots=[2, 3], log_prior=cm.uniform_log_weights(2),
+                   num_variables=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dens = grad.grad_density(c, np.array([0.0]), mode="density")
+        logd = grad.grad_density(c, np.array([[0.0], [1.0]]), mode="log_density")
+        posterior = grad.grad_log_posterior(c, np.array([0.0]), 1)
+    assert np.all(dens.class_log_values == -np.inf)
+    assert dens.underflow
+    assert np.array_equal(dens.values, np.zeros(1))
+    assert np.array_equal(logd.values, np.zeros((2, 1)))
+    assert np.array_equal(posterior, np.zeros(1))
 
 
 def test_grad_density_rejects_unknown_mode(rng):
