@@ -11,15 +11,21 @@ reads those products, the products are absorbed: they are never
 materialized, and the group is the log-einsum-exp contraction of Einsum
 Networks (Peharz et al., ICML 2020),
 
-    log(W @ (exp(L - m_L) (x) exp(R - m_R) * sc)) + M,
+    log(sum_k sum_i l_ki (W_k @ r_k)_i) + M,
+    l = exp(L - m_L) * sc,  r = exp(R - m_R),
 
-with one (S, K*I*J) weight matrix, per-block shifts m_L, m_R, and block
-scales sc = exp(m_L + m_R - M) under the largest block shift M.  The shifts
-ignore the weights, so where a contraction comes out tiny (a sum whose
-heaviest children carry next to no weight) that sum is recomputed in log
-space, one term per child product.  Groups of equal shape at one level are
-stacked into a bucket and computed with one batched matmul.  A group whose
-children are not such blocks is one block with J = 1 and no right factor.
+with per-block shifts m_L, m_R and block scales sc = exp(m_L + m_R - M)
+under the largest block shift M.  The right factors are contracted with
+each block's (S*I, J) weights first, U = W_k @ r_k, and the left factors
+then weight U; the right factors' adjoints are one contraction of the
+transposed weights with l Q, where Q is the sums' adjoints over their
+values.  Neither the I x J child products nor their adjoints are ever
+formed.  The shifts ignore the weights, so where a contraction comes
+out tiny (a sum whose heaviest children carry next to no weight) that sum
+is recomputed in log space, one term per child product.  Groups of equal
+shape at one level are stacked into a bucket.  A group whose children are
+not such blocks is one block with J = 1 and no right factor; its U is the
+weights themselves.
 
 Gaussian leaves are compiled into *leaf regions*, the exponential-family
 leaf layers of Einsum Networks.  A product whose children are Gaussian
@@ -27,38 +33,36 @@ leaves, each on its own variable and read by nothing else, is absorbed with
 its leaves: it is a distribution over their sorted scope.  Every other
 Gaussian leaf is a distribution over its own variable.  The distributions
 of one scope form a region of I distributions over k variables, and regions
-of equal (I, k) a bucket.  Per scope variable the sufficient statistics are
-T(x) = [(x - c)^2, x - c, 1], all 0 where x is missing, centered at c, the
-mean of the region's leaf means on that variable; a distribution's log
-value is theta . T, so a bucket's values are one batched matmul over
-theta, (R, I, 3k), and T, (R, 3k, B), written to the distributions' rows.
-The leaves themselves are never materialized.  Input gradients are
-2(x - c) G_a + G_b with G = theta^T @ A, and parameter gradients come from
-A @ T^T.  theta and c are derived from the leaf means and variances on
-every call, so that parameters written in place take effect at once.  The
-remaining products are summed per arity.
+of equal (I, k) a bucket, in node order.  Per scope variable the sufficient
+statistics are T(x) = [(x - c)^2, x - c, 1], all 0 where x is missing,
+centered at c, the mean of the region's leaf means on that variable; a
+distribution's log value is theta . T, so a bucket's values are one batched
+matrix product of theta, (R, I, 3k), and T, (R, 3k, B), written to the
+distributions' rows.  The leaves themselves are never materialized.  Input
+gradients are 2(x - c) G_a + G_b with G = theta^T @ A, and parameter
+gradients come from A @ T^T.  theta and c are derived from the leaf means
+and variances on every call, so that parameters written in place take
+effect at once.  The remaining products are summed per arity.
 
-Small matrices (see ``_contract``) are multiplied one column at a time, so
-that a circuit made only of them gives every row the same bits at any
-batch width.
+Every row gets the same bits in any batch.  The matrix products that run
+per row (``_contract``) multiply blocks of exactly ``_WIDTH`` columns,
+whatever the batch width, and every sum over a node axis adds its terms in
+order (``_sum_in_order``).
 
 A batch of any size is evaluated in column blocks of rows: at most
 ``_BLOCK_COLS`` (256) columns, and few enough that no temporary array
-outgrows ``_BLOCK_ELEMENTS``.  Callers pass whole batches; the blocks are
-the only place that splits one, so they alone fix the widths of the matrix
-products, whose results can round differently at another width.
-``evaluate`` makes one pass per block.  It computes the log values of every
-materialized node (distributions of leaf regions, Bernoulli and categorical
-leaves, unabsorbed products, sums) and reads the block's
-class-root values.  Given adjoints, it then derives the block's class-root
-seeds from those values and runs the transposed contraction down to input
-coordinates and, optionally, to leaf and sum parameters; each sum step
-reuses the child products it built on the way up.  The node values never
-leave the block.  Without adjoints the pass is forward only: it keeps no
-child products and returns only the class-root values.  ``forward`` and
-``backward`` run the same block code as two passes over an array of node
-values that ``forward`` returns; ``backward`` then builds the child
-products again.
+outgrows ``_BLOCK_ELEMENTS``.  ``evaluate`` makes one pass per block.  It
+computes the log values of every materialized node (distributions of leaf
+regions, Bernoulli and categorical leaves, unabsorbed products, sums) and
+reads the block's class-root values.  Given adjoints, it then derives the
+block's class-root seeds from those values and runs the transposed
+contraction down to input coordinates and, optionally, to leaf and sum
+parameters; each sum step reuses the factors and contractions it built on
+the way up.  The node values never leave the block.  Without adjoints the
+pass is forward only: it keeps nothing for a backward pass and returns only
+the class-root values.  ``forward`` and ``backward`` run the same block
+code as two passes over an array of node values that ``forward`` returns;
+``backward`` then builds the factors again.
 
 Sum-node log-weights live in one (sums, children) array per bucket
 (``sum_log_weights``), columns in each node's own child order, and their
@@ -105,25 +109,25 @@ _CUT = 300.0
 _LOW = math.exp(-250.0)
 
 #: Elements in the largest temporary array of one column block.  Wider
-#: batches are split into column blocks: on the d=64 benchmark model, 16 MB
-#: temporaries instead of one 256-column block halved the largest bucket's
-#: B=256 passes.
-_BLOCK_ELEMENTS = 1 << 21
+#: batches are split into column blocks: on the d=64 benchmark model, 68
+#: columns (8 MB temporaries) made B=256 passes about 1.1x faster than 136
+#: columns and 1.2x faster than one 256-column block (2-vCPU x86 host).
+_BLOCK_ELEMENTS = 1 << 20
 
 #: Most columns in one block; without it a small circuit would run a large
-#: batch as one block.  Matrix products can round differently at another
-#: width, so the block widths, set by this value and _BLOCK_ELEMENTS alone,
-#: decide the last bits of every result.  Where blocks are 256 columns wide,
-#: every 256-row slice of a batch, counted from row 0, gets the bits it gets
-#: on its own.
+#: batch as one block.  Rows get the same bits at any block width, so this
+#: and _BLOCK_ELEMENTS only bound memory.
 _BLOCK_COLS = 256
 
-#: Most entries of a matrix that _contract multiplies column by column.  Up
-#: to this size that costs at most about 0.4 us more per column and group
-#: than one matmul (2-vCPU x86 host), little next to a pass over a circuit
-#: this small; larger matrices, such as all of the two benchmark models',
-#: keep the faster matmul.
-_BY_COLUMN = 256
+#: Columns of every matrix product that runs per row.  A BLAS picks its
+#: kernel, and with it the order in which each dot product adds its terms,
+#: by the shape of the product: OpenBLAS takes a matrix-vector kernel at one
+#: column and treats the last columns of a wider product apart.  Products of
+#: one fixed shape give each column the same bits whatever its neighbours.
+#: A single row pays for all of them.  On the d=64 benchmark model, 4
+#: columns instead of 8 made cf_p50_ms 13% lower and infer_rows_per_s 14%
+#: lower (medians of 2 benchmark runs each, 2-vCPU x86 host).
+_WIDTH = 4
 
 
 def _exp_cut(a: np.ndarray) -> np.ndarray:
@@ -137,19 +141,31 @@ def _finite_or_zero(a: np.ndarray) -> np.ndarray:
 
 
 def _contract(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X for stacked matrices, (R, m, n) @ (R, n, B).
+    """M @ X for stacked matrices, (R, m, n) @ (R, n, B), as products of
+    exactly _WIDTH columns; the last is padded with zeros."""
+    R, n, B = X.shape
+    blocks = -(-B // _WIDTH)
+    if B != blocks * _WIDTH:
+        padded = np.zeros((R, n, blocks * _WIDTH))
+        padded[..., :B] = X
+        X = padded
+    m = M.shape[1]
+    out = np.empty((R, m, blocks * _WIDTH))
+    np.matmul(M[:, None], X.reshape(R, n, blocks, _WIDTH).swapaxes(1, 2),
+              out=out.reshape(R, m, blocks, _WIDTH).swapaxes(1, 2))
+    return out[..., :B]
 
-    Small matrices (at most _BY_COLUMN entries) are multiplied one column
-    at a time, each column its own matrix-vector product, and the result is
-    laid out column by column.  A row's result is then the same at any
-    batch width, down to the last bit, and so are the sums that later run
-    over the result's other axes.  Larger products run as one matrix
-    product, which can round differently at another width.
+
+def _sum_in_order(a: np.ndarray, axis: int) -> np.ndarray:
+    """a, C-contiguous, summed along axis, first term to last.
+
+    np.add.reduce adds in order along an axis with more elements after it,
+    but pairwise along one that is innermost, as an axis followed by a batch
+    axis of length 1 is; there the sum is accumulated instead.
     """
-    if M.shape[1] * M.shape[2] > _BY_COLUMN:
-        return M @ X
-    columns = np.ascontiguousarray(X.transpose(0, 2, 1))[..., None]
-    return (M[:, None] @ columns)[..., 0].transpose(0, 2, 1)
+    if math.prod(a.shape[axis + 1:]) > 1:
+        return np.add.reduce(a, axis=axis)
+    return np.add.accumulate(a, axis=axis)[(slice(None),) * axis + (-1,)]
 
 
 def _scatter_add(A: np.ndarray, rows: np.ndarray, values: np.ndarray,
@@ -193,27 +209,35 @@ class _Natural(NamedTuple):
 class _LeafRegions:
     """R leaf regions of I Gaussian distributions over k variables each.
 
-    Distribution i of region r is the product of the leaves ``leaves[r, :, i]``,
+    Distribution i of region r is the product of the leaves ``leaves[r, i]``,
     one per scope variable ``variables[r]``.  Its log value is the dot
     product of theta[r, :, i] with the sufficient statistics T[r] of its
     scope, [(x - c)^2, x - c, 1] per variable, all 0 where x is missing.
     """
 
     rows: slice                 # R*I output rows, region-major
-    leaves: np.ndarray          # (R, k, I) Gaussian leaf indices (into gaussian_ids)
+    leaves: np.ndarray          # (R, I, k) Gaussian leaf indices (into gaussian_ids)
+    run: slice | None           # the leaves as one run of indices, if they are one
     variables: np.ndarray       # (R, k) sorted scopes
     by_variable: _ByVariable    # over variables.ravel()
+
+    def _at_leaves(self, a: np.ndarray) -> np.ndarray:
+        """A new (R, k, I) array of a at the leaves; where they are one run of
+        a, a transposed copy of it rather than a gather."""
+        if self.run is None:
+            return a[self.leaves.transpose(0, 2, 1)]
+        return a[self.run].reshape(self.leaves.shape).transpose(0, 2, 1).copy()
 
     def natural(self, mean: np.ndarray, variance: np.ndarray) -> _Natural:
         """theta and the centers from the current leaf parameters.
 
         Centering keeps the terms of theta . T small where the data sit far
-        from 0, so that the matmul rounds no worse than leaf-by-leaf sums.
-        Each of theta's three parts is a run of k*I values per region, so
-        building it writes no short strided runs.
+        from 0, so that the matrix product rounds no worse than leaf-by-leaf
+        sums.  Each of theta's three parts is a run of k*I values per
+        region, so building it writes no short strided runs.
         """
-        R, k, I = self.leaves.shape
-        delta, var = mean[self.leaves], variance[self.leaves]
+        R, I, k = self.leaves.shape
+        delta, var = self._at_leaves(mean), self._at_leaves(variance)
         center = delta.sum(axis=2)
         center /= I
         delta -= center[:, :, None]
@@ -244,14 +268,14 @@ class _LeafRegions:
     def forward(self, V: np.ndarray, XT: np.ndarray, p: _Natural) -> np.ndarray:
         """Write the distributions' log values into V; return T."""
         T = self.statistics(XT, p.center)
-        R, _, I = self.leaves.shape
+        R, I, _ = self.leaves.shape
         V[self.rows].reshape(R, I, -1)[...] = _contract(p.theta.transpose(0, 2, 1), T)
         return T
 
     def backward(self, A: np.ndarray, T: np.ndarray, p: _Natural,
                  gx: np.ndarray | None, result: BackwardResult) -> None:
         """Add input gradients to gx, (d, B), and leaf-parameter gradients to result."""
-        R, k, I = self.leaves.shape
+        R, I, k = self.leaves.shape
         adjoint = A[self.rows].reshape(R, I, -1)
         if gx is not None:
             G = _contract(p.theta[:, :2 * k], adjoint)
@@ -264,8 +288,9 @@ class _LeafRegions:
             G = T @ adjoint.transpose(0, 2, 1)      # (R, 3k, I)
             ga, gb, gc = G[:, :k], G[:, k:2 * k], G[:, 2 * k:]
             delta, var = p.delta, p.variance
-            result.gaussian_mean_grads[self.leaves] += (gb - delta * gc) / var
-            result.gaussian_variance_grads[self.leaves] += (
+            leaves = self.leaves.transpose(0, 2, 1)
+            result.gaussian_mean_grads[leaves] += (gb - delta * gc) / var
+            result.gaussian_variance_grads[leaves] += (
                 (ga - 2.0 * delta * gb + delta * delta * gc - var * gc) / (2.0 * var * var))
 
 
@@ -277,16 +302,25 @@ class _Products:
     children: np.ndarray     # (n, arity) child rows
     unique: bool             # no row repeats within a column of children
 
-    def forward(self, V: np.ndarray, W=None) -> None:
+    def forward(self, V: np.ndarray) -> None:
         out = V[self.rows]
         out[...] = V[self.children[:, 0]]
         for column in self.children.T[1:]:
             out += V[column]
 
-    def backward(self, V: np.ndarray, A: np.ndarray, W=None, grad=None, saved=None) -> None:
+    def backward(self, V: np.ndarray, A: np.ndarray) -> None:
         adjoint = A[self.rows]
         for column in self.children.T:
             _scatter_add(A, column, adjoint, self.unique)
+
+
+class _Factors(NamedTuple):
+    """What a sum step computes on its way up, for its way down."""
+
+    left: np.ndarray            # l, (G, K, I, B)
+    right: np.ndarray | None    # r, (G, K, J, B); None without a right factor
+    U: np.ndarray               # W_k @ r_k, (G, K, S, I, B); without r, W as (G, K, S, I, 1)
+    T: np.ndarray               # the contractions, (G, S, B)
 
 
 @dataclass(eq=False)
@@ -300,31 +334,44 @@ class _Sums:
     log_weights: np.ndarray    # (G*S, K*I*J), columns in child order
     unique: bool               # no row repeats within left, nor within right
 
+    @property
+    def width(self) -> int:
+        """Elements per batch column of the step's largest temporaries."""
+        return len(self.ids) * self.left.shape[1] * self.left.shape[2]
+
     def weights(self) -> np.ndarray:
-        """exp(log_weights) as (G, S, K*I*J)."""
-        return np.exp(self.log_weights).reshape(self.left.shape[0], -1,
-                                                self.log_weights.shape[1])
+        """exp(log_weights) as (G*K, S*I, J): row s*I + i of block k holds the
+        weights of sum s on the products (i, j)."""
+        G, K, I = self.left.shape
+        S = len(self.ids) // G
+        log_weights = self.log_weights.reshape(G, S, K, I, -1).swapaxes(1, 2)
+        return np.exp(log_weights, out=np.empty(log_weights.shape)).reshape(G * K, S * I, -1)
 
-    def _terms(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Child products exp(L + R - M), (G, K*I*J, B), and M, (G, B).
+    def _factors(self, V: np.ndarray, W: np.ndarray) -> tuple[_Factors, np.ndarray]:
+        """The factors, U and the contractions T on V, and the shift M, (G, B).
 
-        M is the largest block shift m_L + m_R, so every term is at most 1;
-        where every block is -inf, M is 0 and every term is 0.
+        l * r = exp(L + R - M) are the child products: M is the largest
+        block shift m_L + m_R, so every product is at most 1; where every
+        block is -inf, M is 0 and every product is 0.
         """
         G, K, I = self.left.shape
         B = V.shape[1]
+        S = len(self.ids) // G
         L = V[self.left]
         m = L.max(axis=2)
         if self.right is None:
             M = _finite_or_zero(m.max(axis=1))
-            return _exp_cut(L - M[:, None, None, :]).reshape(G, K * I, B), M
-        R = V[self.right]
-        m_right = R.max(axis=2)
-        M = _finite_or_zero((m + m_right).max(axis=1))
-        left = _exp_cut(L + (m_right - M[:, None, :])[:, :, None, :])
-        right = _exp_cut(R - _finite_or_zero(m_right)[:, :, None, :])
-        terms = left[:, :, :, None, :] * right[:, :, None, :, :]
-        return terms.reshape(G, K * I * R.shape[2], B), M
+            left, right = _exp_cut(L - M[:, None, None, :]), None
+            U = W.reshape(G, K, S, I, 1)
+        else:
+            R = V[self.right]
+            m_right = R.max(axis=2)
+            M = _finite_or_zero((m + m_right).max(axis=1))
+            left = _exp_cut(L + (m_right - M[:, None, :])[:, :, None, :])
+            right = _exp_cut(R - _finite_or_zero(m_right)[:, :, None, :])
+            U = _contract(W, right.reshape(G * K, R.shape[2], B)).reshape(G, K, S, I, B)
+        T = _sum_in_order(_sum_in_order(left[:, :, None] * U, axis=3), axis=1)
+        return _Factors(left, right, U, T), M
 
     def _log_terms(self, V: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Log child products, (n, K*I*J), of group g[k] at batch column b[k]."""
@@ -340,11 +387,11 @@ class _Sums:
         lw = self.log_weights.reshape(low.shape[0], low.shape[1], -1)[g, s]
         return g, s, b, lw + self._log_terms(V, g, b)
 
-    def forward(self, V: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write the sums' log values into V, given the :meth:`weights`; return
-        the terms P and contractions T."""
-        P, M = self._terms(V)
-        T = _contract(W, P)
+    def forward(self, V: np.ndarray, W: np.ndarray) -> _Factors:
+        """Write the sums' log values into V, given the :meth:`weights`;
+        return the factors for :meth:`backward`."""
+        factors, M = self._factors(V, W)
+        T = factors.T
         with np.errstate(divide="ignore"):
             out = np.log(T)
         out += M[:, None, :]
@@ -353,36 +400,41 @@ class _Sums:
             g, s, b, terms = self._exact(V, low)
             out[g, s, b] = logsumexp(terms, axis=1)
         V[self.rows] = out.reshape(len(self.ids), V.shape[1])
-        return P, T
+        return factors
 
     def backward(self, V: np.ndarray, A: np.ndarray, W: np.ndarray,
-                 grad: np.ndarray | None = None,
-                 saved: tuple[np.ndarray, np.ndarray] | None = None) -> None:
+                 grad: np.ndarray | None = None, saved: _Factors | None = None) -> None:
         """Add the children's adjoints to A, and the log-weight gradients to grad.
 
-        ``saved`` is the (P, T) that :meth:`forward` returned on the same V;
-        without it both are computed again.
+        ``saved`` is what :meth:`forward` returned on the same V; without it
+        the factors are computed again.
         """
-        if saved is None:
-            P = self._terms(V)[0]
-            T = _contract(W, P)
-        else:
-            P, T = saved
+        left, right, U, T = saved if saved is not None else self._factors(V, W)[0]
+        G, K, I, B = left.shape
+        S = T.shape[1]
         low = T < _LOW
         adjoint = A[self.rows].reshape(T.shape)
         Q = np.zeros_like(T)
         np.divide(adjoint, T, out=Q, where=~low)
-        H = _contract(W.transpose(0, 2, 1), Q)
-        H *= P
-        if self.right is None:
-            _scatter_add(A, self.left, H.reshape(*self.left.shape, -1), self.unique)
-        else:
-            H = H.reshape(*self.left.shape, self.right.shape[2], V.shape[1])
-            _scatter_add(A, self.left, H.sum(axis=3), self.unique)
-            _scatter_add(A, self.right, H.sum(axis=2), self.unique)
+        Q = Q[:, None, :, None]
+        # d T[s] / d l[k, i] = U[k, s, i]; d T[s] / d r[k, j] = sum_i l[k, i] W[k, s, i, j]
+        _scatter_add(A, self.left, left * _sum_in_order(U * Q, axis=2), self.unique)
+        lq = (left[:, :, None] * Q).reshape(G * K, S * I, B)
+        if right is not None:
+            J = right.shape[2]
+            flow = _contract(W.transpose(0, 2, 1), lq).reshape(G, K, J, B)
+            _scatter_add(A, self.right, right * flow, self.unique)
         if grad is not None:
-            grad += ((Q @ P.transpose(0, 2, 1)) * W).reshape(grad.shape)
+            if right is None:
+                gw = lq.sum(axis=2)[:, :, None]
+            else:
+                gw = lq @ right.reshape(G * K, J, B).transpose(0, 2, 1)
+            gw *= W
+            gw = gw.reshape(G, K, S, I, -1).transpose(0, 2, 1, 3, 4)
+            grad.reshape(gw.shape)[...] += gw
         # The sums recomputed in log space; a dead one (-inf) passes nothing.
+        if not low.any():
+            return
         out = V[self.rows].reshape(T.shape)
         live = low & np.isfinite(out) & (adjoint != 0.0)
         if live.any():
@@ -393,7 +445,7 @@ class _Sums:
             if self.right is not None:
                 np.add.at(A, (self.right[g], b[:, None, None]), per_child.sum(axis=2))
             if grad is not None:
-                np.add.at(grad, g * T.shape[1] + s, flow)
+                np.add.at(grad, g * S + s, flow)
 
 
 def _blocks(pairs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
@@ -539,8 +591,8 @@ class CompiledCircuit:
             top += len(ids)
             return slice(top - len(ids), top)
 
-        # Leaf regions: the distributions of one scope.  Regions of equal
-        # (I, k) form a bucket.
+        # Leaf regions: the distributions of one scope, in node order.  Regions
+        # of equal (I, k) form a bucket.
         leaf_index = np.full(n, -1, dtype=np.int64)
         leaf_index[self.gaussian_ids] = np.arange(self.gaussian_ids.size)
         self._regions: list[_LeafRegions] = []
@@ -548,16 +600,22 @@ class CompiledCircuit:
             outputs, leaves = (np.concatenate(a) for a in zip(*parts))
             scopes, region = np.unique(circuit.variable[leaves], axis=0,
                                        return_inverse=True)
-            region = region.ravel()
+            first = np.full(len(scopes), len(outputs))
+            np.minimum.at(first, region.ravel(), np.arange(len(outputs)))
+            by_node = np.argsort(first)
+            scopes, region = scopes[by_node], np.argsort(by_node)[region.ravel()]
             by_region = np.argsort(region, kind="stable")
             sizes = np.bincount(region, minlength=len(scopes))
             starts = np.cumsum(sizes) - sizes
             for I in np.unique(sizes):
                 members = by_region[starts[sizes == I][:, None] + np.arange(I)]
                 variables = scopes[sizes == I]
+                index = leaf_index[leaves[members]]
+                run = slice(index.flat[0], index.flat[0] + index.size)
+                if not np.array_equal(index.ravel(), np.arange(run.start, run.stop)):
+                    run = None
                 self._regions.append(_LeafRegions(
-                    take(outputs[members].ravel()),
-                    leaf_index[leaves[members]].transpose(0, 2, 1).copy(),
+                    take(outputs[members].ravel()), index, run,
                     variables, _ByVariable(variables.ravel())))
         self._bernoulli_rows = take(self.bernoulli_ids[self._bernoulli.order])
         self._categorical_rows = take(self.categorical_ids)
@@ -593,10 +651,14 @@ class CompiledCircuit:
         self.n_rows = top
         self._row_of = row_of
         self._root_rows = row_of[list(circuit.class_roots)]
-        # Batch columns per block, so that no temporary outgrows _BLOCK_ELEMENTS.
-        widest = max([s.log_weights.shape[1] * s.left.shape[0] for s in self._sums]
+        self._roots_unique = _is_unique(self._root_rows)
+        # Batch columns per block, so that no temporary outgrows
+        # _BLOCK_ELEMENTS; a multiple of _WIDTH, so that only a batch's last
+        # block is padded.
+        widest = max([s.width for s in self._sums]
                      + [3 * r.variables.size for r in self._regions] + [self.n_rows])
-        self._block_cols = min(_BLOCK_COLS, max(1, _BLOCK_ELEMENTS // widest))
+        self._block_cols = max(_WIDTH, min(_BLOCK_COLS, _BLOCK_ELEMENTS // widest)
+                               // _WIDTH * _WIDTH)
 
     @property
     def sum_log_weights(self) -> list[np.ndarray]:
@@ -659,7 +721,8 @@ class CompiledCircuit:
             values[cols] = V[self._root_rows].T
             if result is not None:
                 A = np.zeros_like(V)
-                np.add.at(A, self._root_rows, np.transpose(adjoints(values[cols], cols)))
+                _scatter_add(A, self._root_rows, np.transpose(adjoints(values[cols], cols)),
+                             self._roots_unique)
                 self._backward_block(V, A, XT, result, cols, params, saved)
         return values, result
 
@@ -677,28 +740,29 @@ class CompiledCircuit:
                  for cols in self._column_blocks(X.shape[0])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def _parameters(self) -> tuple[list[_Natural], list[np.ndarray | None]]:
+    def _parameters(self) -> tuple[list[_Natural], dict[_Sums, np.ndarray]]:
         """What one call evaluates with, derived from the parameter arrays as
         they are now: each leaf-region bucket's natural parameters, and each
-        step's weights (None for products)."""
+        sum step's weights."""
         natural = [r.natural(self.gaussian_mean, self.gaussian_variance) for r in self._regions]
-        weights = [step.weights() if isinstance(step, _Sums) else None for step in self._steps]
-        return natural, weights
+        return natural, {step: step.weights() for step in self._sums}
 
     def _forward_block(self, XT: np.ndarray, params: tuple,
                        keep: bool) -> tuple[np.ndarray, tuple | None]:
         """V of one column block from its (d, b) inputs, and, if ``keep``, the
-        statistics T of each leaf-region bucket and the terms each step saves
-        for the backward pass (else None)."""
+        statistics T of each leaf-region bucket and the factors each sum step
+        saves for the backward pass (else None)."""
         natural, weights = params
         V = np.empty((self.n_rows, XT.shape[1]))
         stats = [r.forward(V, XT, p) for r, p in zip(self._regions, natural)]
         self._leaf_values(XT, V)
-        if keep:
-            return V, (stats, [step.forward(V, W) for step, W in zip(self._steps, weights)])
-        for step, W in zip(self._steps, weights):
-            step.forward(V, W)
-        return V, None
+        kept = {}
+        for step in self._steps:
+            if step in weights:
+                kept[step] = step.forward(V, weights[step])
+            else:
+                step.forward(V)
+        return V, (stats, kept) if keep else None
 
     def _leaf_values(self, XT: np.ndarray, V: np.ndarray) -> None:
         """Bernoulli and categorical leaf log values from (d, B) inputs; a
@@ -771,13 +835,16 @@ class CompiledCircuit:
         """Propagate one column block's seeded adjoints A down to result.
 
         ``saved`` is what :meth:`_forward_block` kept for this V; without it
-        every leaf-region bucket and sum step computes its terms again.
+        every leaf-region bucket and sum step computes its factors again.
         """
         natural, weights = params
-        stats, kept = saved or ([None] * len(self._regions), [None] * len(self._steps))
+        stats, kept = saved or ([None] * len(self._regions), {})
         grads = dict(zip(self._sums, result.sum_log_weight_grads or []))
-        for step, W, terms in zip(reversed(self._steps), reversed(weights), reversed(kept)):
-            step.backward(V, A, W, grads.get(step), terms)
+        for step in reversed(self._steps):
+            if step in weights:
+                step.backward(V, A, weights[step], grads.get(step), kept.get(step))
+            else:
+                step.backward(V, A)
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite adjoint in the backward pass; "
                              "check the seeds and the circuit's parameters")

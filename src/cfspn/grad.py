@@ -51,9 +51,9 @@ def _points(circuit: Circuit, x) -> tuple[np.ndarray, bool]:
     if X.ndim != 2 or X.shape[1] != circuit.num_variables:
         raise ValueError(f"input shape {np.shape(x)} does not match "
                          f"{circuit.num_variables} variables")
-    if np.any(np.isnan(X)):
-        raise ValueError("input has missing values; gradients need full observations")
-    if np.any(np.isinf(X)):
+    if not np.isfinite(X).all():
+        if np.isnan(X).any():
+            raise ValueError("input has missing values; gradients need full observations")
         raise ValueError("input contains non-finite values")
     return X, single
 

@@ -298,8 +298,8 @@ def test_wide_batch_rows_equal_single_rows(wide):
         Vb = comp.forward(X[b:b + 1])
         Gb = comp.backward(Vb, X[b:b + 1],
                            {r: s[b:b + 1] for r, s in seeds.items()}).input_grads
-        np.testing.assert_allclose(V[:, b], Vb[:, 0], rtol=1e-12, atol=0)
-        np.testing.assert_allclose(G[b], Gb[0], rtol=1e-12, atol=1e-12 * np.abs(Gb).max())
+        assert np.array_equal(V[:, b], Vb[:, 0])
+        assert np.array_equal(G[b], Gb[0])
 
 
 def test_children_spanning_a_thousand_nats_match_naive():
@@ -388,27 +388,31 @@ def test_non_finite_seed_raises(bad):
 
 def region_shapes(comp):
     """(regions, distributions, variables) of each leaf-region bucket."""
-    return [(len(r.variables), r.leaves.shape[2], r.leaves.shape[1]) for r in comp._regions]
+    return [r.leaves.shape for r in comp._regions]
 
 
-@pytest.mark.parametrize("d, depth, weight_shapes, rows, regions", [
-    # moons: one bucket, the two class roots over 19 blocks of 20 x 20; the
-    # 380 leaves of each variable are one leaf region
-    (2, 1, [(2, 7600)], 19 * 40 + 2, [(2, 380, 1)]),
+#: Leaf-region buckets by variable count: the 380 leaves of each moons
+#: variable are one region; wide has 152 8-variable regions of 20
+#: distributions each.
+REGION_BUCKETS = {2: [(2, 380, 1)], 64: [(152, 20, 8)]}
+
+
+@pytest.mark.parametrize("d, depth, weight_shapes, rows", [
+    # moons: one bucket, the two class roots over 19 blocks of 20 x 20
+    (2, 1, [(2, 7600)], 19 * 40 + 2),
     # wide: 16-variable regions, 32-variable regions and the class roots over
-    # the 152 8-variable leaf regions of 20 distributions each
-    (64, 3, [(760, 400), (380, 100), (2, 1900)], 19 * 8 * 20 + 760 + 380 + 2,
-     [(152, 20, 8)]),
+    # the leaf regions
+    (64, 3, [(760, 400), (380, 100), (2, 1900)], 19 * 8 * 20 + 760 + 380 + 2),
 ])
 def test_region_sums_compile_to_cross_product_buckets(tmp_path, d, depth,
-                                                      weight_shapes, rows, regions):
+                                                      weight_shapes, rows):
     cfg = structure.StructureConfig(depth=depth, repetitions=19, num_classes=2, seed=7)
     built = structure.build_circuit(d, cfg)
     cm.save(built, tmp_path / "model.json")
     for c in (built, cm.load(tmp_path / "model.json")):
         comp = engine.CompiledCircuit(c)
         assert [w.shape for w in comp.sum_log_weights] == weight_shapes
-        assert region_shapes(comp) == regions
+        assert region_shapes(comp) == REGION_BUCKETS[d]
         # every cross product and every leaf-region product is absorbed, and
         # a leaf-region product's leaves with it: only the distributions of
         # leaf regions and the sums are materialized
@@ -426,15 +430,7 @@ def deep():
     return randomize_parameters(structure.build_circuit(12, cfg), np.random.default_rng(6))
 
 
-@pytest.fixture(params=["by column", "matmul"])
-def contraction(request, monkeypatch):
-    """Runs a test twice: with small matrices multiplied column by column, and
-    with every product of matrices one matmul."""
-    if request.param == "matmul":
-        monkeypatch.setattr(engine, "_BY_COLUMN", 0)
-
-
-def test_leaf_regions_match_naive_with_missing_values(rng, deep, contraction):
+def test_leaf_regions_match_naive_with_missing_values(rng, deep):
     comp = engine.compile_circuit(deep)
     assert {k for _, _, k in region_shapes(comp)} == {3}
     X = rng.normal(0.5, 0.5, size=(5, 12))
@@ -445,7 +441,7 @@ def test_leaf_regions_match_naive_with_missing_values(rng, deep, contraction):
     assert_roots_match_naive(deep, X)
 
 
-def test_leaf_region_gradients_match_finite_differences(rng, deep, contraction):
+def test_leaf_region_gradients_match_finite_differences(rng, deep):
     h = 1e-6
     comp = engine.compile_circuit(deep)
     x = rng.normal(0.5, 0.4, size=12)
@@ -470,8 +466,7 @@ def test_leaf_region_gradients_match_finite_differences(rng, deep, contraction):
             assert grads[j] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
-def test_leaf_regions_at_the_variance_floor_far_from_zero_match_naive(rng, deep,
-                                                                   contraction):
+def test_leaf_regions_at_the_variance_floor_far_from_zero_match_naive(rng, deep):
     # Standardized data at |x| ~ 5 and variance 1e-3: uncentered, the terms
     # x^2 / v of a leaf's value reach 2.5e4.
     sign = np.where(deep.variable[deep.kind == cm.GAUSSIAN] % 2 == 0, 1.0, -1.0)
@@ -675,8 +670,8 @@ def test_column_blocks_are_at_most_256_wide(rng):
 
 
 def test_large_batch_equals_its_256_row_slices(rng):
-    # 2,282 nodes: sum buckets wide enough that matrix products round
-    # differently at 600 columns than at 256
+    # 2,282 nodes: sum buckets wide enough that one matrix product per call
+    # would round differently at 600 columns than at 256
     cfg = structure.StructureConfig(repetitions=19, sum_nodes_per_region=10,
                                     leaf_distributions_per_region=10, num_classes=2,
                                     seed=1)
@@ -694,17 +689,14 @@ def test_large_batch_equals_its_256_row_slices(rng):
         assert np.array_equal(back.input_grads[rows], part.input_grads)
 
 
-@pytest.mark.parametrize("family", ["gaussian", "bernoulli", "categorical"])
-def test_rows_of_small_circuits_equal_single_rows_bit_for_bit(rng, family):
-    # Every matrix of these circuits is small enough to be multiplied column
-    # by column, so a row gets the same bits at any batch width.
-    for _ in range(3):
-        c = random_circuit(rng, leaf_family=family)
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli", "categorical", "regions"])
+def test_rows_equal_single_rows_bit_for_bit(rng, deep, family):
+    # Every matrix product runs by blocks of one width, and every sum over
+    # nodes adds in order, so a row gets the same bits at any batch width.
+    for c in [deep] if family == "regions" else [random_circuit(rng, leaf_family=family)
+                                                 for _ in range(3)]:
         comp = engine.compile_circuit(c)
-        sizes = [s.log_weights.size // s.left.shape[0] for s in comp._sums]
-        sizes += [3 * r.leaves[0].size for r in comp._regions]
-        assert max(sizes) <= engine._BY_COLUMN
-        if family == "gaussian":
+        if family in ("gaussian", "regions"):
             X = rng.normal(0.5, 0.5, size=(300, c.num_variables))
             X[::11, 0] = np.nan
         else:
