@@ -12,6 +12,10 @@ then one step up the modeled data density,
 
 The baseline instead minimizes -log P(y'|z) + lam * ||z - x||_1 by plain
 gradient descent from z = x, the standard iterative recipe.
+
+Both take one query or a batch, and a batch runs in the engine passes of
+one query; since the engine gives every row the same bits in any batch,
+each row's result is the one it gets alone.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grad, inference
-from .circuit import Circuit
+from .circuit import Circuit, logsumexp
 
 METHODS = ("two_step", "wachter")
 
@@ -79,8 +83,10 @@ class CfResult:
     """One query's full trace: input, intermediate, counterfactual, diagnostics.
 
     ``elapsed`` lists wall-clock seconds per stage (two entries for the
-    two-step method, one for the baseline).  The baseline has no
-    intermediate point, so its ``u`` equals ``x_prime``.
+    two-step method, one for the baseline): the seconds the call that made
+    the result spent in that stage, divided by the queries it ran at once.
+    A single query's are its own; a batch's rows share the batch's.  The
+    baseline has no intermediate point, so its ``u`` equals ``x_prime``.
     """
 
     x: np.ndarray
@@ -157,45 +163,100 @@ def _clip(v: np.ndarray, config: CfConfig) -> np.ndarray:
     return np.clip(v, 0.0, 1.0) if config.clip_to_unit else v
 
 
-def _score(circuit: Circuit, class_log_values: np.ndarray) -> tuple[int, float]:
-    """inference.predict and inference.log_density of a point, from the
-    class-root log values of a forward pass already made there."""
-    return (int(np.argmax(inference.posterior_of(circuit, class_log_values))),
-            float(inference.log_density_of(circuit, class_log_values)))
+def _score(circuit: Circuit, class_log_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """inference.predict and inference.log_density of each point, (B,) each,
+    from the (B, C) class-root log values of a forward pass already made
+    there.  The log density is the normalizer of the posterior, so one
+    log-sum-exp gives both, in inference.posterior_of's arithmetic: where
+    every class root is -inf, the posterior is the prior."""
+    joint = class_log_values + circuit.log_prior
+    log_density = logsumexp(joint, axis=1)
+    dead = ~np.isfinite(log_density)
+    joint[dead] = circuit.log_prior
+    posterior = joint - np.where(dead, 0.0, log_density)[:, None]
+    return np.argmax(posterior, axis=1), log_density
 
 
-def generate(circuit: Circuit, x, y: int, y_prime: int,
-             config: CfConfig | None = None) -> CfResult:
-    """Two-step counterfactual for one query; exactly two gradient evaluations.
+def _queries(x, y, y_prime) -> tuple[list | zip, bool]:
+    """The (x, y, y_prime) queries that one query, or a (B, d) batch with
+    per-row classes (or one for every row), stands for; and whether x is
+    a single query."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2:
+        return [(x, y, y_prime)], True
+    return zip(X, np.broadcast_to(y, len(X)), np.broadcast_to(y_prime, len(X))), False
 
-    The forward pass of each gradient step also scores its point (the
-    prediction and log density at x and at u), and one more forward pass
-    scores x': 3 forward and 2 backward passes.  With retry_epsilon_schedule,
-    each retry of step 2 from a larger eps1 adds one gradient evaluation.
-    Warns (without failing) when y differs from the model's prediction at x.
-    With clip_to_unit, both steps clamp to [0, 1]^d, the range of min-max
-    scaled features.
+
+def _batch(circuit: Circuit, queries,
+           source: bool) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """(x, y, y_prime) queries as their points and (B,) source and target
+    classes, each query checked as it is alone: by ``generate`` with
+    ``source``; else by ``wachter_baseline``, which reads no source class."""
+    points, Y, Y_prime = [], [], []
+    for x, y, y_prime in queries:
+        points.append(_prepare(circuit, x, y_prime))
+        Y_prime.append(y_prime)
+        if source:
+            if not (0 <= y < circuit.num_classes):
+                raise ValueError(f"source class {y} out of range")
+            if y == y_prime:
+                raise ValueError("source and target class must differ")
+            Y.append(y)
+    return points, np.array(Y, dtype=np.int64), np.array(Y_prime, dtype=np.int64)
+
+
+def generate(circuit: Circuit, x, y, y_prime,
+             config: CfConfig | None = None) -> CfResult | list[CfResult]:
+    """Two-step counterfactuals; exactly two gradient evaluations per query.
+
+    x is one query (d,) of class y toward class y_prime, which gives one
+    result, or a batch (B, d) with a class per row (or one for every row),
+    which gives a list of B.  Every row's result is bit for bit the one it
+    gets alone, but for its ``elapsed``.  A batch costs the passes of one
+    query: the forward pass of each gradient step also scores its points
+    (the prediction and log density at x and at u), and one more forward
+    pass scores x', so 3 forward and 2 backward passes in all.  With
+    retry_epsilon_schedule, step 2 is retried from a doubled eps1 for the
+    rows short of their target; each retry adds 2 forward and 1 backward
+    pass, and one gradient evaluation to each row it retries.  Warns
+    (without failing) once for each row whose y differs from the model's
+    prediction at x.  With clip_to_unit, both steps clamp to [0, 1]^d, the
+    range of min-max scaled features.
     """
-    config = config or CfConfig()
-    x = _prepare(circuit, x, y_prime)
-    if not (0 <= y < circuit.num_classes):
-        raise ValueError(f"source class {y} out of range")
-    if y == y_prime:
-        raise ValueError("source and target class must differ")
+    queries, single = _queries(x, y, y_prime)
+    results = _two_step(circuit, *_batch(circuit, queries, source=True),
+                        config or CfConfig())
+    return results[0] if single else results
 
+
+def _two_step(circuit: Circuit, points: list[np.ndarray], Y: np.ndarray,
+              Y_prime: np.ndarray, config: CfConfig) -> list[CfResult]:
+    """``generate`` on checked points and their (B,) classes."""
+    B = len(points)
+    if not B:
+        return []
+    X = np.array(points)
+    rows = np.arange(B)
+    weights = np.zeros((B, circuit.num_classes))
+    weights[rows, Y_prime] = 1.0
+    weights[rows, Y] = -1.0
     t0 = time.perf_counter()
-    step1 = grad.gradient(circuit, x, {y_prime: 1.0, y: -1.0})
+    step1 = grad.gradient(circuit, X, weights)
     g1 = _finite_or_raise(step1.values, "gradient in step 1")
     elapsed = [time.perf_counter() - t0, 0.0]
     pred_x, logdens_x = _score(circuit, step1.class_log_values)
-    if pred_x != y:
-        warnings.warn(f"query is labeled class {y} but the model predicts "
-                      f"{pred_x}", RuntimeWarning, stacklevel=2)
+    for y, pred in zip(Y.tolist(), pred_x.tolist()):
+        if pred != y:
+            warnings.warn(f"query is labeled class {y} but the model predicts "
+                          f"{pred}", RuntimeWarning, stacklevel=3)
 
+    # Each round of step 2 runs on the rows still short of their target (at
+    # first, every row); a row's result is its last round's.
     factors = (1.0, 2.0, 4.0, 8.0) if config.retry_epsilon_schedule else (1.0,)
+    todo, out = slice(None), None
     for grad_evals, factor in enumerate(factors, start=2):
         t1 = time.perf_counter()
-        u = _clip(x + factor * config.epsilon1 * g1, config)
+        u = _clip(X[todo] + factor * config.epsilon1 * g1[todo], config)
         step2 = grad.grad_density(circuit, u, config.grad_mode)
         x_prime = _clip(u + config.epsilon2 * _finite_or_raise(
             step2.values, "gradient in step 2"), config)
@@ -203,73 +264,116 @@ def generate(circuit: Circuit, x, y: int, y_prime: int,
         _finite_or_raise(x_prime, "counterfactual")
         pred_x_prime, logdens_x_prime = _score(
             circuit, inference.class_log_densities(circuit, x_prime))
-        if pred_x_prime == y_prime:
+        found = (u, x_prime, *_score(circuit, step2.class_log_values),
+                 pred_x_prime, logdens_x_prime,
+                 np.full(len(u), step2.underflow), np.full(len(u), grad_evals))
+        if out is None:
+            out = found
+        else:
+            for column, values in zip(out, found):
+                column[todo] = values
+        todo = rows[todo][pred_x_prime != Y_prime[todo]]
+        if not todo.size:
             break
 
-    pred_u, logdens_u = _score(circuit, step2.class_log_values)
-    return CfResult(
-        x=x, u=u, x_prime=x_prime, y=y, y_prime=y_prime,
-        pred_x=pred_x, pred_u=pred_u, pred_x_prime=pred_x_prime,
-        logdens_x=logdens_x, logdens_u=logdens_u,
-        logdens_x_prime=logdens_x_prime,
-        elapsed=elapsed,
-        success=pred_x_prime == y_prime,
-        grad_evals=grad_evals,
-        density_underflow=step2.underflow,
-    )
+    # Each result owns its arrays, so that none keeps the batch's alive.
+    U, X_prime, *scores = out
+    elapsed = [t / B for t in elapsed]
+    return [CfResult(x=x, u=u.copy(), x_prime=x_prime.copy(), y=y, y_prime=y_prime,
+                     pred_x=pred_x, pred_u=pred_u, pred_x_prime=pred_x_prime,
+                     logdens_x=logdens_x, logdens_u=logdens_u,
+                     logdens_x_prime=logdens_x_prime,
+                     elapsed=list(elapsed),
+                     success=pred_x_prime == y_prime,
+                     grad_evals=grad_evals,
+                     density_underflow=underflow)
+            for (x, u, x_prime, y, y_prime, pred_x, logdens_x, pred_u, logdens_u,
+                 pred_x_prime, logdens_x_prime, underflow, grad_evals)
+            in zip(points, U, X_prime, *(a.tolist() for a in (Y, Y_prime, pred_x, logdens_x,
+                                                               *scores)))]
 
 
-def wachter_baseline(circuit: Circuit, x, y_prime: int,
-                     config: BaselineConfig | None = None) -> CfResult:
+def wachter_baseline(circuit: Circuit, x, y_prime,
+                     config: BaselineConfig | None = None) -> CfResult | list[CfResult]:
     """Iterative counterfactual search minimizing -log P(y'|z) + lam*||z-x||_1.
 
     Plain gradient descent from z = x; one gradient evaluation per
-    iteration.  With early_stop, the loop exits as soon as the prediction
-    flips to the target class.  The forward pass of the gradient at each
-    point also scores it, so a run of n iterations makes n + 1 forward and
-    n + 1 backward passes; the last gradient only scores the final z.
+    iteration.  x is one query (d,) or a batch (B, d), with y_prime and the
+    results as in :func:`generate`.  With early_stop, a row stops as soon as
+    its prediction flips to the target class.  The forward pass of the
+    gradient at each point also scores it, so a batch whose longest row runs
+    n iterations makes n + 1 forward and n + 1 backward passes; the last
+    gradient only scores the final z.
     """
-    config = config or BaselineConfig()
-    x = _prepare(circuit, x, y_prime)
-    t0 = time.perf_counter()
-    step = grad.gradient(circuit, x, {y_prime: 1.0}, density_weight=-1.0)
-    pred_x, logdens_x = _score(circuit, step.class_log_values)
-    z = x
-    for iterations in range(1, config.max_iters + 1):
-        g = _finite_or_raise(step.values, "gradient in baseline iteration")
-        z = z + config.learning_rate * (g - config.lam * np.sign(z - x))
-        step = grad.gradient(circuit, z, {y_prime: 1.0}, density_weight=-1.0)
-        if config.early_stop and _score(circuit, step.class_log_values)[0] == y_prime:
-            break
-    elapsed = time.perf_counter() - t0
-    pred_z, logdens_z = _score(circuit, step.class_log_values)
+    queries, single = _queries(x, None, y_prime)
+    points, _, Y_prime = _batch(circuit, queries, source=False)
+    results = _wachter(circuit, points, Y_prime, config or BaselineConfig())
+    return results[0] if single else results
 
-    return CfResult(
-        x=x, u=z.copy(), x_prime=z, y=pred_x, y_prime=y_prime,
-        pred_x=pred_x, pred_u=pred_z, pred_x_prime=pred_z,
-        logdens_x=logdens_x, logdens_u=logdens_z, logdens_x_prime=logdens_z,
-        elapsed=[elapsed],
-        success=pred_z == y_prime,
-        grad_evals=iterations,
-        iterations=iterations,
-    )
+
+def _wachter(circuit: Circuit, points: list[np.ndarray], Y_prime: np.ndarray,
+             config: BaselineConfig) -> list[CfResult]:
+    """``wachter_baseline`` on checked points and their (B,) targets."""
+    B = len(points)
+    if not B:
+        return []
+    X = np.array(points)
+    weights = np.zeros((B, circuit.num_classes))
+    weights[np.arange(B), Y_prime] = 1.0
+    t0 = time.perf_counter()
+    step = grad.gradient(circuit, X, weights, density_weight=-1.0)
+    pred_x, logdens_x = _score(circuit, step.class_log_values)
+    Z, values, g = X.copy(), step.class_log_values, step.values
+    iterations = np.full(B, config.max_iters)
+    live = slice(None)          # the rows still searching: all, until one stops
+    for it in range(1, config.max_iters + 1):
+        g = _finite_or_raise(g, "gradient in baseline iteration")
+        z = Z[live]
+        z = z + config.learning_rate * (g - config.lam * np.sign(z - X[live]))
+        Z[live] = z
+        step = grad.gradient(circuit, z, weights[live], density_weight=-1.0)
+        values[live] = step.class_log_values
+        g = step.values
+        if config.early_stop:
+            stop = _score(circuit, step.class_log_values)[0] == Y_prime[live]
+            if stop.any():
+                rows = np.arange(B)[live]
+                iterations[rows[stop]] = it
+                live, g = rows[~stop], g[~stop]
+                if not live.size:
+                    break
+    elapsed = (time.perf_counter() - t0) / B
+    pred_z, logdens_z = _score(circuit, values)
+
+    return [CfResult(x=x, u=z.copy(), x_prime=z.copy(), y=pred_x, y_prime=y_prime,
+                     pred_x=pred_x, pred_u=pred_z, pred_x_prime=pred_z,
+                     logdens_x=logdens_x, logdens_u=logdens_z,
+                     logdens_x_prime=logdens_z,
+                     elapsed=[elapsed],
+                     success=pred_z == y_prime,
+                     grad_evals=n,
+                     iterations=n)
+            for x, z, y_prime, pred_x, logdens_x, pred_z, logdens_z, n
+            in zip(points, Z, *(a.tolist() for a in (Y_prime, pred_x, logdens_x, pred_z,
+                                                      logdens_z, iterations)))]
 
 
 def run_queries(circuit: Circuit, queries, method: str = "two_step",
                 config: CfConfig | None = None,
                 baseline: BaselineConfig | None = None) -> list[CfResult]:
-    """Run one method over (x, y, y_prime) query triples."""
+    """Run one method over (x, y, y_prime) query triples as one batch.
+
+    Each query is checked as it is alone, and the first bad one raises its
+    ValueError.  Each result is bit for bit the one the query gets alone,
+    but for its ``elapsed``; the whole set costs the passes of one query.
+    The baseline reads no source class y.
+    """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    results = []
-    for x, y, y_prime in queries:
-        if method == "two_step":
-            results.append(generate(circuit, x, y, y_prime,
-                                    config or CfConfig()))
-        else:
-            results.append(wachter_baseline(circuit, x, y_prime,
-                                            baseline or BaselineConfig()))
-    return results
+    points, Y, Y_prime = _batch(circuit, queries, source=method == "two_step")
+    if method == "two_step":
+        return _two_step(circuit, points, Y, Y_prime, config or CfConfig())
+    return _wachter(circuit, points, Y_prime, baseline or BaselineConfig())
 
 
 def summarize(results: list[CfResult]) -> CfMetrics:

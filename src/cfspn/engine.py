@@ -41,7 +41,9 @@ matrix product of theta, (R, I, 3k), and T, (R, 3k, B), written to the
 distributions' rows.  The leaves themselves are never materialized.  Input
 gradients are 2(x - c) G_a + G_b with G = theta^T @ A, and parameter
 gradients come from A @ T^T.  theta and c are derived from the leaf means
-and variances on every call, so that parameters written in place take
+and variances, as are the sums' weights from their log-weights: once, when
+``compile_circuit`` makes the cached form's arrays read-only, and on every
+call of a writable instance, so that parameters written in place take
 effect at once.  The remaining products are summed per arity.
 
 Every row gets the same bits in any batch.  The matrix products that run
@@ -487,7 +489,9 @@ class CompiledCircuit:
     Parameters are copied into numpy arrays owned by this object.  Writing
     into them changes what this instance computes and nothing else; a trainer
     does so on a private instance and reads the result back with
-    :meth:`to_circuit`.
+    :meth:`to_circuit`.  The instance :func:`compile_circuit` caches is
+    frozen: its arrays are read-only, and what every call evaluates with is
+    derived from them once.
     """
 
     def __init__(self, circuit: Circuit):
@@ -659,6 +663,7 @@ class CompiledCircuit:
                      + [3 * r.variables.size for r in self._regions] + [self.n_rows])
         self._block_cols = max(_WIDTH, min(_BLOCK_COLS, _BLOCK_ELEMENTS // widest)
                                // _WIDTH * _WIDTH)
+        self._kept: tuple[list[_Natural], dict[_Sums, np.ndarray]] | None = None
 
     @property
     def sum_log_weights(self) -> list[np.ndarray]:
@@ -740,10 +745,23 @@ class CompiledCircuit:
                  for cols in self._column_blocks(X.shape[0])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
+    def _freeze(self) -> None:
+        """Make the parameter arrays read-only and keep what every call
+        evaluates with, derived from them once; read-only, neither can go stale."""
+        for a in (self.gaussian_mean, self.gaussian_variance, self.bernoulli_p,
+                  self.categorical_log_probs, *self.sum_log_weights):
+            a.flags.writeable = False
+        natural, weights = self._parameters()
+        for a in (*(a for p in natural for a in p), *weights.values()):
+            a.flags.writeable = False
+        self._kept = natural, weights
+
     def _parameters(self) -> tuple[list[_Natural], dict[_Sums, np.ndarray]]:
-        """What one call evaluates with, derived from the parameter arrays as
-        they are now: each leaf-region bucket's natural parameters, and each
-        sum step's weights."""
+        """What one call evaluates with: each leaf-region bucket's natural
+        parameters and each sum step's weights, as kept by :meth:`_freeze`,
+        or else derived from the parameter arrays as they are now."""
+        if self._kept is not None:
+            return self._kept
         natural = [r.natural(self.gaussian_mean, self.gaussian_variance) for r in self._regions]
         return natural, {step: step.weights() for step in self._sums}
 
@@ -890,16 +908,14 @@ _cache: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = weakref.WeakKeyD
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compiled form of a circuit, cached per instance.
 
-    Circuits are immutable and the cached instance's parameter arrays are
-    read-only, so the cached form is exact for the circuit's lifetime.  A
-    trainer builds a private :class:`CompiledCircuit` to write into.
+    Circuits are immutable and the cached instance is frozen, its parameter
+    arrays and what is derived from them read-only, so the cached form is
+    exact for the circuit's lifetime.  A trainer builds a private
+    :class:`CompiledCircuit` to write into.
     """
     compiled = _cache.get(circuit)
     if compiled is None:
         compiled = CompiledCircuit(circuit)
-        for a in (compiled.gaussian_mean, compiled.gaussian_variance,
-                  compiled.bernoulli_p, compiled.categorical_log_probs,
-                  *compiled.sum_log_weights):
-            a.flags.writeable = False
+        compiled._freeze()
         _cache[circuit] = compiled
     return compiled

@@ -58,25 +58,35 @@ def _points(circuit: Circuit, x) -> tuple[np.ndarray, bool]:
     return X, single
 
 
-def gradient(circuit: Circuit, x, class_weights: dict[int, float],
+def gradient(circuit: Circuit, x, class_weights: dict[int, float] | np.ndarray,
              density_weight: float = 0.0) -> Gradient:
     """grad_x [sum_y class_weights[y] log S(x|y) + density_weight log S(x)].
 
     x is one point (d,) or a batch (B, d) of any size, evaluated in one
     call of ``CompiledCircuit.evaluate``: a forward and a backward sweep per
-    column block of rows.  The forward sweep gives every class-root log
-    value; the quantity's partials with respect to them, class_weights[y] +
+    column block of rows.  ``class_weights`` maps classes to weights that
+    every point shares, or is a (B, C) array with a row of weights per
+    point.  The forward sweep gives every class-root log value; the
+    quantity's partials with respect to them, class_weights[y] +
     density_weight * P(y|x), seed the backward sweep.
     """
     X, single = _points(circuit, x)
-    weights = np.zeros(circuit.num_classes)
-    for y, w in class_weights.items():
-        if not (0 <= y < circuit.num_classes):
-            raise ValueError(f"class {y} out of range [0, {circuit.num_classes})")
-        weights[y] = w
+    C = circuit.num_classes
+    if isinstance(class_weights, dict):
+        weights = np.zeros(C)
+        for y, w in class_weights.items():
+            if not (0 <= y < C):
+                raise ValueError(f"class {y} out of range [0, {C})")
+            weights[y] = w
+    else:
+        weights = np.asarray(class_weights, dtype=np.float64)
+        if weights.shape != (len(X), C):
+            raise ValueError(f"class weights of shape {weights.shape} do not match "
+                             f"{len(X)} points and {C} classes")
+    weights = np.broadcast_to(weights, (len(X), C))
 
     def adjoints(values: np.ndarray, rows: slice) -> np.ndarray:
-        adjoint = np.broadcast_to(weights, values.shape)
+        adjoint = weights[rows]
         if density_weight:
             # P(y|x) as a softmax of the joint log values, shifted by their
             # max; where every class root is -inf, the prior, as in

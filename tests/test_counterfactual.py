@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,7 @@ from cfspn import counterfactual as cf
 from cfspn import data, grad, inference, training
 from cfspn.data import FeatureColumn, FeatureMeta
 from cfspn.structure import StructureConfig, build_circuit
-from conftest import two_gaussian_classifier
+from conftest import CategoricalLeaf, SumNode, from_nodes, two_gaussian_classifier
 
 
 @pytest.fixture(scope="module")
@@ -69,21 +72,35 @@ def test_each_retry_adds_one_gradient_evaluation(passes):
     assert seen == [3, 2, 1, 0]
 
 
+def assert_fields_match_inference(circuit, res):
+    for point, pred, logdens in ((res.x, res.pred_x, res.logdens_x),
+                                 (res.u, res.pred_u, res.logdens_u),
+                                 (res.x_prime, res.pred_x_prime, res.logdens_x_prime)):
+        assert np.array_equal(pred, inference.predict(circuit, point))
+        assert np.array_equal(logdens, inference.log_density(circuit, point))
+    assert res.success == (res.pred_x_prime == res.y_prime)
+
+
 def test_result_fields_match_inference_at_x_u_and_x_prime(moons_model):
     circuit, test = moons_model
     for grad_mode in grad.GRAD_MODES:
         cfg = cf.CfConfig(epsilon1=0.1, epsilon2=0.01, grad_mode=grad_mode,
                           retry_epsilon_schedule=True)
         for x, y, y_prime in source_queries(circuit, test, 15):
-            res = cf.generate(circuit, x, y, y_prime, cfg)
-            for point, pred, logdens in ((res.x, res.pred_x, res.logdens_x),
-                                         (res.u, res.pred_u, res.logdens_u),
-                                         (res.x_prime, res.pred_x_prime,
-                                          res.logdens_x_prime)):
-                assert np.array_equal(pred, inference.predict(circuit, point))
-                assert np.array_equal(logdens,
-                                      inference.log_density(circuit, point))
-            assert res.success == (res.pred_x_prime == y_prime)
+            assert_fields_match_inference(circuit, cf.generate(circuit, x, y, y_prime, cfg))
+
+
+def test_where_no_class_reaches_a_point_its_prediction_is_the_prior_one():
+    # At x = 1 both class roots are -inf, so the posterior is the prior.
+    c = from_nodes([CategoricalLeaf(0, np.array([1.0, 0.0])),
+                    CategoricalLeaf(0, np.array([1.0, 0.0])),
+                    SumNode((0,), np.zeros(1)), SumNode((1,), np.zeros(1))],
+                   [2, 3], np.log([0.3, 0.7]), 1)
+    queries = [(np.array([1.0]), 1, 0), (np.array([0.0]), 1, 0)]
+    results = cf.run_queries(c, queries, "two_step", cf.CfConfig(clip_to_unit=False))
+    for res in results:
+        assert_fields_match_inference(c, res)
+    assert results[0].pred_x_prime == 1 and results[0].logdens_x_prime == -np.inf
 
 
 def test_clip_keeps_both_points_in_unit_box():
@@ -216,6 +233,148 @@ def test_wachter_makes_one_forward_pass_per_iteration(passes, early_stop):
     assert passes["forward"] <= res.iterations + 1
     assert passes["backward"] <= res.iterations + 1
     assert (res.iterations < 30) == early_stop
+
+
+@pytest.fixture(scope="module")
+def three_class_model():
+    """A 3-class model of three blobs, and 12 queries toward mixed targets:
+    11 in the unit square and one so far out that its density underflows."""
+    rng = np.random.default_rng(3)
+    centers = np.array([[0.25, 0.3], [0.75, 0.3], [0.5, 0.75]])
+    labels = rng.integers(0, 3, 300)
+    X = np.clip(centers[labels] + rng.normal(0.0, 0.1, (300, 2)), 0.0, 1.0)
+    cfg = StructureConfig(num_classes=3, seed=3, repetitions=3,
+                          sum_nodes_per_region=2, leaf_distributions_per_region=4)
+    fitted, _ = training.fit(build_circuit(2, cfg), data.Dataset(X, labels, 3, None),
+                             training.TrainConfig(epochs=10, seed=3, variance_floor=0.01))
+    Q = np.vstack([rng.uniform(0.0, 1.0, (11, 2)), [[40.0, -40.0]]])
+    Y = inference.predict(fitted, Q)
+    Y_prime = (Y + 1 + rng.integers(0, 2, len(Y))) % 3
+    return fitted, list(zip(Q, Y.tolist(), Y_prime.tolist()))
+
+
+def assert_same_results(batch, singles):
+    """Results equal field by field, arrays bit for bit; ``elapsed`` is a
+    share of the batch's seconds and only keeps its length."""
+    assert len(batch) == len(singles)
+    for a, b in zip(batch, singles):
+        for field in dataclasses.fields(cf.CfResult):
+            got, want = getattr(a, field.name), getattr(b, field.name)
+            if field.name == "elapsed":
+                assert len(got) == len(want)
+            elif isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), field.name
+            else:
+                assert type(got) is type(want) and got == want, field.name
+
+
+@pytest.mark.parametrize("grad_mode", grad.GRAD_MODES)
+@pytest.mark.parametrize("clip_to_unit", [True, False])
+@pytest.mark.parametrize("retry", [True, False])
+def test_run_queries_equals_generate_one_by_one(three_class_model, grad_mode,
+                                                clip_to_unit, retry):
+    circuit, queries = three_class_model
+    cfg = cf.CfConfig(epsilon1=0.03, epsilon2=0.01, grad_mode=grad_mode,
+                      clip_to_unit=clip_to_unit, retry_epsilon_schedule=retry)
+    singles = [cf.generate(circuit, *q, cfg) for q in queries]
+    batch = cf.run_queries(circuit, queries, "two_step", cfg)
+    assert_same_results(batch, singles)
+    X, Y, Y_prime = (np.array(a) for a in zip(*queries))
+    assert_same_results(cf.generate(circuit, X, Y, Y_prime, cfg), singles)
+    # the set covers every source and target class, retries and underflow
+    assert {r.y for r in singles} == {r.y_prime for r in singles} == {0, 1, 2}
+    evals = {r.grad_evals for r in singles}
+    assert evals == ({2, 3, 4, 5} if retry else {2})
+    underflow = grad_mode == "density" and not clip_to_unit
+    assert [r.density_underflow for r in singles] == [False] * 11 + [underflow]
+
+
+def test_batched_wachter_equals_single_runs(moons_model):
+    circuit, test = moons_model
+    queries = source_queries(circuit, test, 15)
+    cfg = cf.BaselineConfig(lam=0.1, learning_rate=3e-4, max_iters=40)
+    singles = [cf.wachter_baseline(circuit, x, y_prime, cfg) for x, _, y_prime in queries]
+    batch = cf.run_queries(circuit, queries, "wachter", baseline=cfg)
+    assert_same_results(batch, singles)
+    X = np.array([x for x, _, _ in queries])
+    assert_same_results(cf.wachter_baseline(circuit, X, 1, cfg), singles)
+    # rows stop at different iterations, and some never do
+    iterations = [r.iterations for r in singles]
+    assert len(set(iterations)) > 2 and max(iterations) == 40
+
+
+def test_a_batch_costs_the_passes_of_one_query(passes):
+    c = two_gaussian_classifier()
+    queries = [(np.array([x]), 0, 1) for x in (-2.0, -1.0, -0.5, -0.2, -0.1)]
+    results = cf.run_queries(c, queries, "two_step",
+                             cf.CfConfig(epsilon1=0.25, epsilon2=0.1, clip_to_unit=False))
+    assert passes == {"forward": 3, "backward": 2}
+    assert [r.grad_evals for r in results] == [2] * 5
+    results = cf.run_queries(c, queries, "wachter",
+                             baseline=cf.BaselineConfig(max_iters=7, early_stop=False))
+    assert passes == {"forward": 3 + 8, "backward": 2 + 8}
+    assert [r.grad_evals for r in results] == [7] * 5
+
+
+@pytest.mark.parametrize("density_weight", [0.0, -1.0, 1.0])
+def test_per_row_class_weights_equal_per_row_calls(three_class_model, density_weight):
+    circuit, _ = three_class_model
+    # 300 rows make two column blocks, each of which reads its own weights
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, (300, 2))
+    W = rng.normal(0.0, 1.0, (len(X), 3))
+    out = grad.gradient(circuit, X, W, density_weight)
+    for x, w, g, values in zip(X, W, out.values, out.class_log_values):
+        row = grad.gradient(circuit, x, dict(enumerate(w)), density_weight)
+        assert np.array_equal(g, row.values)
+        assert np.array_equal(values, row.class_log_values)
+    with pytest.raises(ValueError, match="class weights of shape"):
+        grad.gradient(circuit, X, W[:-1], density_weight)
+
+
+#: Queries to the 2-variable, 3-class model that generate refuses, each for its own reason.
+BAD_QUERIES = {"shape": (np.zeros(3), 0, 1),
+               "non-finite": (np.array([0.5, np.inf]), 0, 1),
+               "missing": (np.array([np.nan, 0.5]), 0, 1),
+               "target": (np.array([0.5, 0.5]), 0, 3),
+               "source": (np.array([0.5, 0.5]), -1, 1),
+               "same": (np.array([0.5, 0.5]), 2, 2)}
+
+
+@pytest.mark.parametrize("what", BAD_QUERIES)
+def test_a_bad_query_in_a_set_raises_its_own_message(three_class_model, what):
+    circuit, queries = three_class_model
+    bad = BAD_QUERIES[what]
+    with pytest.raises(ValueError) as alone:
+        cf.generate(circuit, *bad)
+    with pytest.raises(ValueError) as in_set:
+        cf.run_queries(circuit, [queries[0], bad, queries[1]], "two_step")
+    assert str(in_set.value) == str(alone.value)
+    if what in ("shape", "non-finite", "missing", "target"):
+        # the baseline reads no source class
+        with pytest.raises(ValueError) as alone:
+            cf.wachter_baseline(circuit, bad[0], bad[2])
+        with pytest.raises(ValueError) as in_set:
+            cf.run_queries(circuit, [queries[0], bad], "wachter")
+        assert str(in_set.value) == str(alone.value)
+
+
+def test_each_mislabeled_row_warns_once(three_class_model):
+    circuit, queries = three_class_model
+    x, y, y_prime = queries[0]
+    mislabeled = [(x, z, w) for z, w in ((y_prime, y), (3 - y - y_prime, y))]
+    queries = [queries[1], mislabeled[0], queries[2], mislabeled[1]]
+    with warnings.catch_warnings(record=True) as alone:
+        warnings.simplefilter("always")
+        for q in mislabeled:
+            cf.generate(circuit, *q)
+    with warnings.catch_warnings(record=True) as in_set:
+        warnings.simplefilter("always")
+        cf.run_queries(circuit, queries, "two_step")
+    assert len(alone) == 2
+    assert ([(w.category, str(w.message)) for w in in_set]
+            == [(w.category, str(w.message)) for w in alone])
+    assert all(w.category is RuntimeWarning for w in in_set)
 
 
 def test_run_queries_validates_method():

@@ -493,6 +493,22 @@ def test_parameters_written_in_place_reach_the_next_evaluation(rng, deep):
         assert np.array_equal(getattr(back, field), getattr(fresh_back, field)), field
 
 
+def test_frozen_form_keeps_parameters_derived_once(deep):
+    frozen = engine.compile_circuit(deep)
+    natural, weights = frozen._parameters()
+    fresh_natural, fresh_weights = engine.CompiledCircuit(deep)._parameters()
+    kept = [*(a for p in natural for a in p), *weights.values()]
+    fresh = [*(a for p in fresh_natural for a in p), *fresh_weights.values()]
+    assert len(kept) == len(fresh) == 4 * len(frozen._regions) + len(frozen._sums)
+    for a, b in zip(kept, fresh):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+    # every call reads the kept arrays; none derives them again
+    assert frozen._parameters()[0] is natural
+    assert frozen._parameters()[1] is weights
+
+
 def test_to_circuit_refuses_invalid_parameters(rng):
     c = random_circuit(rng, num_classes=1)
     private = engine.CompiledCircuit(c)
