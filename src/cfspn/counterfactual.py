@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grad, inference
-from .circuit import Circuit, logsumexp
+from .circuit import Circuit
 
 METHODS = ("two_step", "wachter")
 
@@ -166,14 +166,8 @@ def _clip(v: np.ndarray, config: CfConfig) -> np.ndarray:
 def _score(circuit: Circuit, class_log_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """inference.predict and inference.log_density of each point, (B,) each,
     from the (B, C) class-root log values of a forward pass already made
-    there.  The log density is the normalizer of the posterior, so one
-    log-sum-exp gives both, in inference.posterior_of's arithmetic: where
-    every class root is -inf, the posterior is the prior."""
-    joint = class_log_values + circuit.log_prior
-    log_density = logsumexp(joint, axis=1)
-    dead = ~np.isfinite(log_density)
-    joint[dead] = circuit.log_prior
-    posterior = joint - np.where(dead, 0.0, log_density)[:, None]
+    there."""
+    posterior, log_density = inference._posterior_and_density(circuit, class_log_values)
     return np.argmax(posterior, axis=1), log_density
 
 

@@ -41,10 +41,10 @@ matrix product of theta, (R, I, 3k), and T, (R, 3k, B), written to the
 distributions' rows.  The leaves themselves are never materialized.  Input
 gradients are 2(x - c) G_a + G_b with G = theta^T @ A, and parameter
 gradients come from A @ T^T.  theta and c are derived from the leaf means
-and variances, as are the sums' weights from their log-weights: once, when
-``compile_circuit`` makes the cached form's arrays read-only, and on every
-call of a writable instance, so that parameters written in place take
-effect at once.  The remaining products are summed per arity.
+and variances, as are the sums' weights from their log-weights, once per
+instance: its parameters are read-only, and ``with_parameters`` gives a new
+instance, sharing the structure, for new ones.  The remaining products are
+summed per arity.
 
 Every row gets the same bits in any batch.  The matrix products that run
 per row (``_contract``) multiply blocks of exactly ``_WIDTH`` columns,
@@ -75,6 +75,7 @@ circuit's per-edge ``log_weights``.
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from collections.abc import Callable
@@ -310,7 +311,7 @@ class _Products:
         for column in self.children.T[1:]:
             out += V[column]
 
-    def backward(self, V: np.ndarray, A: np.ndarray) -> None:
+    def backward(self, A: np.ndarray) -> None:
         adjoint = A[self.rows]
         for column in self.children.T:
             _scatter_add(A, column, adjoint, self.unique)
@@ -333,7 +334,6 @@ class _Sums:
     ids: np.ndarray            # node id of each output row
     left: np.ndarray           # (G, K, I) rows of the left factors
     right: np.ndarray | None   # (G, K, J) rows; None for a single factor (J = 1)
-    log_weights: np.ndarray    # (G*S, K*I*J), columns in child order
     unique: bool               # no row repeats within left, nor within right
 
     @property
@@ -341,12 +341,12 @@ class _Sums:
         """Elements per batch column of the step's largest temporaries."""
         return len(self.ids) * self.left.shape[1] * self.left.shape[2]
 
-    def weights(self) -> np.ndarray:
+    def weights(self, log_weights: np.ndarray) -> np.ndarray:
         """exp(log_weights) as (G*K, S*I, J): row s*I + i of block k holds the
         weights of sum s on the products (i, j)."""
         G, K, I = self.left.shape
         S = len(self.ids) // G
-        log_weights = self.log_weights.reshape(G, S, K, I, -1).swapaxes(1, 2)
+        log_weights = log_weights.reshape(G, S, K, I, -1).swapaxes(1, 2)
         return np.exp(log_weights, out=np.empty(log_weights.shape)).reshape(G * K, S * I, -1)
 
     def _factors(self, V: np.ndarray, W: np.ndarray) -> tuple[_Factors, np.ndarray]:
@@ -383,15 +383,15 @@ class _Sums:
         R = V[self.right[g], b[:, None, None]]
         return (L[:, :, :, None] + R[:, :, None, :]).reshape(len(g), -1)
 
-    def _exact(self, V: np.ndarray, low: np.ndarray):
+    def _exact(self, V: np.ndarray, log_weights: np.ndarray, low: np.ndarray):
         """The (g, s, b) indices where ``low`` holds, and those sums' log terms."""
         g, s, b = np.nonzero(low)
-        lw = self.log_weights.reshape(low.shape[0], low.shape[1], -1)[g, s]
+        lw = log_weights.reshape(low.shape[0], low.shape[1], -1)[g, s]
         return g, s, b, lw + self._log_terms(V, g, b)
 
-    def forward(self, V: np.ndarray, W: np.ndarray) -> _Factors:
-        """Write the sums' log values into V, given the :meth:`weights`;
-        return the factors for :meth:`backward`."""
+    def forward(self, V: np.ndarray, log_weights: np.ndarray, W: np.ndarray) -> _Factors:
+        """Write the sums' log values into V, given the log-weights and the
+        :meth:`weights`; return the factors for :meth:`backward`."""
         factors, M = self._factors(V, W)
         T = factors.T
         with np.errstate(divide="ignore"):
@@ -399,12 +399,12 @@ class _Sums:
         out += M[:, None, :]
         low = T < _LOW
         if low.any():
-            g, s, b, terms = self._exact(V, low)
+            g, s, b, terms = self._exact(V, log_weights, low)
             out[g, s, b] = logsumexp(terms, axis=1)
         V[self.rows] = out.reshape(len(self.ids), V.shape[1])
         return factors
 
-    def backward(self, V: np.ndarray, A: np.ndarray, W: np.ndarray,
+    def backward(self, V: np.ndarray, A: np.ndarray, log_weights: np.ndarray, W: np.ndarray,
                  grad: np.ndarray | None = None, saved: _Factors | None = None) -> None:
         """Add the children's adjoints to A, and the log-weight gradients to grad.
 
@@ -440,7 +440,7 @@ class _Sums:
         out = V[self.rows].reshape(T.shape)
         live = low & np.isfinite(out) & (adjoint != 0.0)
         if live.any():
-            g, s, b, terms = self._exact(V, live)
+            g, s, b, terms = self._exact(V, log_weights, live)
             flow = np.exp(terms - out[g, s, b][:, None]) * adjoint[g, s, b][:, None]
             per_child = flow.reshape(len(g), *self.left.shape[1:], -1)
             np.add.at(A, (self.left[g], b[:, None, None]), per_child.sum(axis=3))
@@ -486,12 +486,13 @@ class BackwardResult:
 class CompiledCircuit:
     """Bucketed-array form of a circuit, reusable across evaluations.
 
-    Parameters are copied into numpy arrays owned by this object.  Writing
-    into them changes what this instance computes and nothing else; a trainer
-    does so on a private instance and reads the result back with
-    :meth:`to_circuit`.  The instance :func:`compile_circuit` caches is
-    frozen: its arrays are read-only, and what every call evaluates with is
-    derived from them once.
+    An instance holds one read-only parameter set: the circuit's parameter
+    arrays, taken as they are, and what every call evaluates with, each
+    leaf-region bucket's natural parameters and each sum step's weights,
+    derived from them once when it is made.  :meth:`with_parameters` gives
+    an instance with other parameters that shares every structure object,
+    ``circuit`` included; a trainer swaps in one per step and reads the
+    result back with :meth:`to_circuit`.
     """
 
     def __init__(self, circuit: Circuit):
@@ -570,11 +571,8 @@ class CompiledCircuit:
 
         self.gaussian_ids = np.flatnonzero(kind == GAUSSIAN)
         self.gaussian_vars = circuit.variable[self.gaussian_ids]
-        self.gaussian_mean = np.array(circuit.mean)
-        self.gaussian_variance = np.array(circuit.variance)
         self.bernoulli_ids = np.flatnonzero(kind == BERNOULLI)
         self.bernoulli_vars = circuit.variable[self.bernoulli_ids]
-        self.bernoulli_p = np.array(circuit.p)
         self.categorical_ids = np.flatnonzero(kind == CATEGORICAL)
         self.categorical_vars = circuit.variable[self.categorical_ids]
         # every leaf's log probabilities, concatenated; leaf r starts at offset r
@@ -582,6 +580,7 @@ class CompiledCircuit:
         self.categorical_sizes = np.diff(circuit.probs_ptr)
         with np.errstate(divide="ignore"):
             self.categorical_log_probs = np.log(circuit.probs)
+        self.categorical_log_probs.flags.writeable = False
         self._bernoulli = _ByVariable(self.bernoulli_vars)
 
         # Rows: Gaussian distributions by bucket, the other leaves by family,
@@ -625,6 +624,7 @@ class CompiledCircuit:
         self._categorical_rows = take(self.categorical_ids)
         self._steps: list[_Products | _Sums] = []
         self._sums: list[_Sums] = []
+        sum_log_weights = []
         for lev in range(1, int(level.max(initial=0)) + 1):
             at_level = products[level[products] == lev]
             for k in np.unique(arity[at_level]):
@@ -646,9 +646,9 @@ class CompiledCircuit:
                 else:
                     children = np.array([group_children[g] for g in members])
                     left, right = row_of[children][:, None, :], None
-                log_weights = circuit.log_weights[ptr[sum_ids][:, None]
-                                                  + np.arange(arity[sum_ids[0]])]
-                step = _Sums(rows, sum_ids, left, right, log_weights,
+                sum_log_weights.append(circuit.log_weights[ptr[sum_ids][:, None]
+                                                           + np.arange(arity[sum_ids[0]])])
+                step = _Sums(rows, sum_ids, left, right,
                              _is_unique(left) and (right is None or _is_unique(right)))
                 self._steps.append(step)
                 self._sums.append(step)
@@ -663,12 +663,43 @@ class CompiledCircuit:
                      + [3 * r.variables.size for r in self._regions] + [self.n_rows])
         self._block_cols = max(_WIDTH, min(_BLOCK_COLS, _BLOCK_ELEMENTS // widest)
                                // _WIDTH * _WIDTH)
-        self._kept: tuple[list[_Natural], dict[_Sums, np.ndarray]] | None = None
+        self._set_parameters(circuit.mean, circuit.variance, circuit.p, sum_log_weights)
 
-    @property
-    def sum_log_weights(self) -> list[np.ndarray]:
-        """Sum-node log-weights as one (sums, children) array per bucket."""
-        return [step.log_weights for step in self._sums]
+    def _set_parameters(self, gaussian_mean: np.ndarray, gaussian_variance: np.ndarray,
+                        bernoulli_p: np.ndarray, sum_log_weights: list[np.ndarray]) -> None:
+        """Take these arrays as the parameters and derive from them, once, what
+        every call evaluates with; all of it read-only, so none can go stale."""
+        self.gaussian_mean = gaussian_mean
+        self.gaussian_variance = gaussian_variance
+        self.bernoulli_p = bernoulli_p
+        #: Sum-node log-weights as one (sums, children) array per bucket.
+        self.sum_log_weights = tuple(sum_log_weights)
+        self._natural = [r.natural(gaussian_mean, gaussian_variance) for r in self._regions]
+        # each sum step's log-weights and weights
+        self._weights = {step: (w, step.weights(w)) for step, w in zip(self._sums, sum_log_weights)}
+        for a in (gaussian_mean, gaussian_variance, bernoulli_p,
+                  *(a for p in self._natural for a in p),
+                  *(a for pair in self._weights.values() for a in pair)):
+            a.flags.writeable = False
+
+    def with_parameters(self, gaussian_mean, gaussian_variance, bernoulli_p,
+                        sum_log_weights) -> CompiledCircuit:
+        """A new instance with this one's structure and these parameters, in
+        the layout of this one's arrays.
+
+        It holds copies of them, read-only, and derives what every call
+        evaluates with once; it shares every structure object with this
+        instance, which is left as it is.
+        """
+        arrays = [np.array(a, dtype=np.float64) for a in
+                  (gaussian_mean, gaussian_variance, bernoulli_p, *sum_log_weights)]
+        current = (self.gaussian_mean, self.gaussian_variance, self.bernoulli_p,
+                   *self.sum_log_weights)
+        if [a.shape for a in arrays] != [a.shape for a in current]:
+            raise ValueError("parameter shapes differ from the compiled circuit's")
+        new = copy.copy(self)
+        new._set_parameters(*arrays[:3], arrays[3:])
+        return new
 
     def per_sum_node(self, arrays: list[np.ndarray]) -> dict[int, np.ndarray]:
         """Rows of per-bucket sum arrays, keyed by sum node id."""
@@ -677,15 +708,14 @@ class CompiledCircuit:
                 for row, i in enumerate(step.ids)}
 
     def to_circuit(self, log_prior: np.ndarray) -> Circuit:
-        """A new circuit holding this instance's current parameters.
+        """A new circuit holding this instance's parameters.
 
         Its structure arrays and categorical leaves are the source circuit's.
         """
         source = self.circuit
         log_weights = np.array(source.log_weights)
-        for step in self._sums:
-            columns = np.arange(step.log_weights.shape[1])
-            log_weights[source.ptr[step.ids][:, None] + columns] = step.log_weights
+        for step, w in zip(self._sums, self.sum_log_weights):
+            log_weights[source.ptr[step.ids][:, None] + np.arange(w.shape[1])] = w
         return replace(source, log_weights=log_weights, log_prior=log_prior,
                        mean=self.gaussian_mean, variance=self.gaussian_variance,
                        p=self.bernoulli_p)
@@ -719,16 +749,15 @@ class CompiledCircuit:
         result = None
         if adjoints is not None:
             result = self._result(X.shape[0], want_input, want_params)
-        params = self._parameters()
         for cols in self._column_blocks(X.shape[0]):
             XT = np.ascontiguousarray(X[cols].T)
-            V, saved = self._forward_block(XT, params, keep=result is not None)
+            V, saved = self._forward_block(XT, keep=result is not None)
             values[cols] = V[self._root_rows].T
             if result is not None:
                 A = np.zeros_like(V)
                 _scatter_add(A, self._root_rows, np.transpose(adjoints(values[cols], cols)),
                              self._roots_unique)
-                self._backward_block(V, A, XT, result, cols, params, saved)
+                self._backward_block(V, A, XT, result, cols, saved)
         return values, result
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -740,44 +769,21 @@ class CompiledCircuit:
         :meth:`evaluate` apart, so that each can be timed on its own.
         """
         X = self._batch(X)
-        params = self._parameters()
-        parts = [self._forward_block(np.ascontiguousarray(X[cols].T), params, keep=False)[0]
+        parts = [self._forward_block(np.ascontiguousarray(X[cols].T), keep=False)[0]
                  for cols in self._column_blocks(X.shape[0])]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def _freeze(self) -> None:
-        """Make the parameter arrays read-only and keep what every call
-        evaluates with, derived from them once; read-only, neither can go stale."""
-        for a in (self.gaussian_mean, self.gaussian_variance, self.bernoulli_p,
-                  self.categorical_log_probs, *self.sum_log_weights):
-            a.flags.writeable = False
-        natural, weights = self._parameters()
-        for a in (*(a for p in natural for a in p), *weights.values()):
-            a.flags.writeable = False
-        self._kept = natural, weights
-
-    def _parameters(self) -> tuple[list[_Natural], dict[_Sums, np.ndarray]]:
-        """What one call evaluates with: each leaf-region bucket's natural
-        parameters and each sum step's weights, as kept by :meth:`_freeze`,
-        or else derived from the parameter arrays as they are now."""
-        if self._kept is not None:
-            return self._kept
-        natural = [r.natural(self.gaussian_mean, self.gaussian_variance) for r in self._regions]
-        return natural, {step: step.weights() for step in self._sums}
-
-    def _forward_block(self, XT: np.ndarray, params: tuple,
-                       keep: bool) -> tuple[np.ndarray, tuple | None]:
+    def _forward_block(self, XT: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         """V of one column block from its (d, b) inputs, and, if ``keep``, the
         statistics T of each leaf-region bucket and the factors each sum step
         saves for the backward pass (else None)."""
-        natural, weights = params
         V = np.empty((self.n_rows, XT.shape[1]))
-        stats = [r.forward(V, XT, p) for r, p in zip(self._regions, natural)]
+        stats = [r.forward(V, XT, p) for r, p in zip(self._regions, self._natural)]
         self._leaf_values(XT, V)
         kept = {}
         for step in self._steps:
-            if step in weights:
-                kept[step] = step.forward(V, weights[step])
+            if step in self._weights:
+                kept[step] = step.forward(V, *self._weights[step])
             else:
                 step.forward(V)
         return V, (stats, kept) if keep else None
@@ -824,14 +830,12 @@ class CompiledCircuit:
             if node_id not in self.circuit.class_roots:
                 raise ValueError(f"seed at node {node_id}, which is not a class root")
         result = self._result(B, want_input, want_params)
-        params = self._parameters()
         for cols in self._column_blocks(B):
             Vc = np.ascontiguousarray(V[:, cols])
             A = np.zeros_like(Vc)
             for node_id, vec in seeds.items():
                 A[self._row_of[node_id]] += np.broadcast_to(vec, (B,))[cols]
-            self._backward_block(Vc, A, np.ascontiguousarray(X[cols].T), result, cols,
-                                 params)
+            self._backward_block(Vc, A, np.ascontiguousarray(X[cols].T), result, cols)
         return result
 
     def _result(self, B: int, want_input: bool, want_params: bool) -> BackwardResult:
@@ -840,34 +844,32 @@ class CompiledCircuit:
         if want_input:
             result.input_grads = np.zeros((B, self.d))
         if want_params:
-            result.sum_log_weight_grads = [np.zeros_like(s.log_weights)
-                                           for s in self._sums]
+            result.sum_log_weight_grads = [np.zeros_like(w) for w in self.sum_log_weights]
             result.gaussian_mean_grads = np.zeros(self.gaussian_ids.size)
             result.gaussian_variance_grads = np.zeros(self.gaussian_ids.size)
             result.bernoulli_p_grads = np.zeros(self.bernoulli_ids.size)
         return result
 
     def _backward_block(self, V: np.ndarray, A: np.ndarray, XT: np.ndarray,
-                        result: BackwardResult, cols: slice, params: tuple,
+                        result: BackwardResult, cols: slice,
                         saved: tuple | None = None) -> None:
         """Propagate one column block's seeded adjoints A down to result.
 
         ``saved`` is what :meth:`_forward_block` kept for this V; without it
         every leaf-region bucket and sum step computes its factors again.
         """
-        natural, weights = params
         stats, kept = saved or ([None] * len(self._regions), {})
         grads = dict(zip(self._sums, result.sum_log_weight_grads or []))
         for step in reversed(self._steps):
-            if step in weights:
-                step.backward(V, A, weights[step], grads.get(step), kept.get(step))
+            if step in self._weights:
+                step.backward(V, A, *self._weights[step], grads.get(step), kept.get(step))
             else:
-                step.backward(V, A)
+                step.backward(A)
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite adjoint in the backward pass; "
                              "check the seeds and the circuit's parameters")
         gx = None if result.input_grads is None else result.input_grads[cols].T
-        for region, p, T in zip(self._regions, natural, stats):
+        for region, p, T in zip(self._regions, self._natural, stats):
             if T is None:
                 T = region.statistics(XT, p.center)
             region.backward(A, T, p, gx, result)
@@ -908,14 +910,13 @@ _cache: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = weakref.WeakKeyD
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
     """Compiled form of a circuit, cached per instance.
 
-    Circuits are immutable and the cached instance is frozen, its parameter
+    Circuits are immutable and so is every compiled instance, its parameter
     arrays and what is derived from them read-only, so the cached form is
-    exact for the circuit's lifetime.  A trainer builds a private
-    :class:`CompiledCircuit` to write into.
+    exact for the circuit's lifetime.  A trainer gets instances with new
+    parameters from :meth:`CompiledCircuit.with_parameters`.
     """
     compiled = _cache.get(circuit)
     if compiled is None:
         compiled = CompiledCircuit(circuit)
-        compiled._freeze()
         _cache[circuit] = compiled
     return compiled

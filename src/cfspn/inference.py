@@ -87,18 +87,25 @@ def posterior(circuit: Circuit, evidence) -> Posterior:
 
 
 def posterior_of(circuit: Circuit, class_log_values) -> Posterior:
-    """posterior from the class-root log values log S(x|y), (C,) or (B, C).
+    """posterior from the class-root log values log S(x|y), (C,) or (B, C)."""
+    log_probs, _ = _posterior_and_density(circuit, np.atleast_2d(class_log_values))
+    return log_probs.reshape(np.shape(class_log_values))
+
+
+def _posterior_and_density(circuit: Circuit,
+                           class_log_values: np.ndarray) -> tuple[Posterior, np.ndarray]:
+    """The (B, C) posterior and the (B,) log density from (B, C) class-root
+    log values, with one log-sum-exp: the log density is the posterior's
+    normalizer.
 
     When every class-conditional density underflows to -inf the posterior
     falls back to the prior (the limit of the ratio is prior-weighted).
     """
-    joint = np.atleast_2d(class_log_values) + circuit.log_prior
+    joint = class_log_values + circuit.log_prior
     norm = logsumexp(joint, axis=1)
     dead = ~np.isfinite(norm)
-    if np.any(dead):
-        joint[dead] = circuit.log_prior
-        norm[dead] = 0.0
-    return (joint - norm[:, None]).reshape(np.shape(class_log_values))
+    joint[dead] = circuit.log_prior
+    return joint - np.where(dead, 0.0, norm)[:, None], norm
 
 
 def predict(circuit: Circuit, evidence):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, logsumexp
+from .circuit import CATEGORICAL, Circuit, logsumexp
 from .engine import CompiledCircuit, compile_circuit
 from .structure import StructureConfig, build_circuit
 
@@ -109,20 +109,22 @@ def _log_normalize(theta: np.ndarray) -> np.ndarray:
 
 
 class _Parameters:
-    """The trainable values, held unconstrained and pushed into a CompiledCircuit.
+    """The trainable values, held unconstrained, and the compiled circuit
+    that holds them constrained.
 
     Sum weights are logits in the compiled form's own layout, one
     (sums, children) array per bucket, so every update is one array
     operation per array.
     """
 
-    def __init__(self, compiled: CompiledCircuit, floor: float):
+    def __init__(self, compiled: CompiledCircuit, mean: np.ndarray, variance: np.ndarray,
+                 p: np.ndarray, floor: float):
         self.floor = floor
         self.compiled = compiled
         self.theta = [w.copy() for w in compiled.sum_log_weights]
-        self.mean = compiled.gaussian_mean.copy()
-        self.rho = np.log(np.maximum(compiled.gaussian_variance - floor, 1e-12))
-        p = np.clip(compiled.bernoulli_p, 1e-6, 1.0 - 1e-6)
+        self.mean = np.array(mean)
+        self.rho = np.log(np.maximum(variance - floor, 1e-12))
+        p = np.clip(p, 1e-6, 1.0 - 1e-6)
         self.tau = np.log(p) - np.log1p(-p)
         self.adam = _Adam([a.shape for a in self.arrays])
         self.push()
@@ -132,13 +134,10 @@ class _Parameters:
         return [*self.theta, self.mean, self.rho, self.tau]
 
     def push(self) -> None:
-        """Write the constrained parameters into the compiled circuit."""
-        c = self.compiled
-        c.gaussian_mean[:] = self.mean
-        c.gaussian_variance[:] = self.floor + np.exp(self.rho)
-        c.bernoulli_p[:] = _sigmoid(self.tau)
-        for dst, th in zip(c.sum_log_weights, self.theta):
-            dst[:] = _log_normalize(th)
+        """Swap in a compiled circuit holding the constrained parameters."""
+        self.compiled = self.compiled.with_parameters(
+            self.mean, self.floor + np.exp(self.rho), _sigmoid(self.tau),
+            [_log_normalize(th) for th in self.theta])
 
     def ascend(self, result, lr: float) -> None:
         """One Adam ascent step from a backward result, then push."""
@@ -151,14 +150,6 @@ class _Parameters:
                   result.bernoulli_p_grads * p * (1.0 - p)]
         for a, g in zip(self.arrays, self.adam.directions(grads)):
             a += lr * g
-        self.push()
-
-    def snapshot(self) -> list[np.ndarray]:
-        return [a.copy() for a in self.arrays]
-
-    def restore(self, snap: list[np.ndarray]) -> None:
-        for a, saved in zip(self.arrays, snap):
-            a[:] = saved
         self.push()
 
 
@@ -184,8 +175,10 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
 
     A validation_fraction share of the data is held out; when the held-out
     log-likelihood fails to improve for `patience` consecutive epochs,
-    training stops and the best-scoring parameters are restored (patience 0
+    training stops and the best-scoring parameters are returned (patience 0
     disables early stopping).  Deterministic for a fixed config seed.
+    Circuits with categorical leaves are refused, since their probabilities
+    are not trained.
     """
     X = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.int64)
@@ -197,6 +190,9 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
     if X.shape[1] != circuit.num_variables:
         raise ValueError(f"data has {X.shape[1]} features, circuit has "
                          f"{circuit.num_variables}")
+    if np.any(circuit.kind == CATEGORICAL):
+        raise ValueError("fit cannot train categorical leaves: their probabilities "
+                         "would keep their initial values")
 
     counts = np.bincount(y, minlength=C).astype(np.float64)
     with np.errstate(divide="ignore"):
@@ -210,26 +206,23 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
         raise ValueError("validation split leaves no training rows")
     use_early_stop = n_val > 0 and config.patience > 0
 
-    # A private compiled form: the trainer writes its parameters into it.
     compiled = CompiledCircuit(circuit)
+    mean, variance, p = compiled.gaussian_mean, compiled.gaussian_variance, compiled.bernoulli_p
     if config.init_from_data:
         Xtr = X[train_idx]
-        if compiled.gaussian_mean.size:
-            rows = rng.integers(0, Xtr.shape[0], size=compiled.gaussian_mean.size)
-            compiled.gaussian_mean[:] = Xtr[rows, compiled.gaussian_vars]
-            spread = Xtr.var(axis=0)
-            compiled.gaussian_variance[:] = np.maximum(
-                spread[compiled.gaussian_vars], config.variance_floor * 10.0)
-        if compiled.bernoulli_p.size:
-            freq = Xtr.mean(axis=0)
-            compiled.bernoulli_p[:] = np.clip(
-                freq[compiled.bernoulli_vars], 0.05, 0.95)
-    params = _Parameters(compiled, config.variance_floor)
+        if mean.size:
+            rows = rng.integers(0, Xtr.shape[0], size=mean.size)
+            mean = Xtr[rows, compiled.gaussian_vars]
+            variance = np.maximum(Xtr.var(axis=0)[compiled.gaussian_vars],
+                                  config.variance_floor * 10.0)
+        if p.size:
+            p = np.clip(Xtr.mean(axis=0)[compiled.bernoulli_vars], 0.05, 0.95)
+    params = _Parameters(compiled, mean, variance, p, config.variance_floor)
 
     train_ll: list[float] = []
     best_val = -np.inf
     last_val = None
-    best_snap = None
+    best = None     # the compiled circuit of the best validation score
     bad_epochs = 0
     converged = False
     epochs_run = 0
@@ -250,19 +243,19 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
                     raise ValueError(f"non-finite loss in epoch {epoch}, batch {bi}")
                 return seeds[rows]
 
-            values, back = compiled.evaluate(Xb, adjoints, want_input=False,
-                                             want_params=True)
+            values, back = params.compiled.evaluate(Xb, adjoints, want_input=False,
+                                                    want_params=True)
             ll_sum += float((values[np.arange(idx.size), yb] + log_prior[yb]).sum())
             params.ascend(back, config.learning_rate)
         train_ll.append(ll_sum / epoch_order.size)
 
         if n_val > 0:
-            val_ll = _mean_joint_ll_compiled(compiled, log_prior,
+            val_ll = _mean_joint_ll_compiled(params.compiled, log_prior,
                                              X[val_idx], y[val_idx])
             last_val = val_ll
             if val_ll > best_val:
                 best_val = val_ll
-                best_snap = params.snapshot()
+                best = params.compiled
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -270,14 +263,14 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
                     converged = True
                     break
 
-    if use_early_stop and best_snap is not None:
-        params.restore(best_snap)
+    use_best = use_early_stop and best is not None
+    compiled = best if use_best else params.compiled
     if not np.all(compiled.gaussian_variance >= config.variance_floor - 1e-12):
         raise RuntimeError("training left a Gaussian variance below the floor "
                            f"{config.variance_floor}")
     fitted = compiled.to_circuit(log_prior)
     # the reported validation score matches the returned parameters
-    final_val = best_val if use_early_stop and best_snap is not None else last_val
+    final_val = best_val if use_best else last_val
     report = TrainReport(
         train_log_likelihood=train_ll,
         validation_log_likelihood=(float(final_val) if final_val is not None

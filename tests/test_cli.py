@@ -210,6 +210,18 @@ def test_removed_optimizer_option_is_named(tmp_path, capsys):
     assert "optimizer" in capsys.readouterr().err
 
 
+def test_categorical_leaves_are_refused_by_train(tmp_path, capsys):
+    bad = dict(MOONS_CONFIG, structure={
+        "repetitions": 2, "sum_nodes_per_region": 2, "leaf_distributions_per_region": 2,
+        "leaf_family": "categorical", "categorical_cardinalities": [2, 2]})
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert "cannot train categorical leaves" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, value, key", [
     ("dataset", {"kind": "moons", "N": 100}, "N"),
     ("dataset", {"kind": "onehot", "n": 100, "noise": 0.1}, "noise"),

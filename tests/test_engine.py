@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import types
 import warnings
 
 import numpy as np
@@ -30,13 +31,22 @@ def assert_roots_match_naive(circuit, X, atol=1e-10):
 
 
 def central_difference(circuit, array_of, j, h, objective, X):
-    """(f(+h) - f(-h)) / 2h, where f moves array_of(compiled)[j] of a private
-    compiled form, as a trainer does, and takes objective of its root values."""
+    """(f(+h) - f(-h)) / 2h, where f moves array_of(parameters)[j] of a copy
+    of the compiled form's parameters, passes them to with_parameters, as a
+    trainer does, and takes objective of the new instance's root values."""
+    compiled = engine.compile_circuit(circuit)
     values = []
     for delta in (h, -h):
-        private = engine.CompiledCircuit(circuit)
-        array_of(private)[j] += delta
-        values.append(objective(private.root_values(private.forward(X))))
+        p = types.SimpleNamespace(
+            gaussian_mean=compiled.gaussian_mean.copy(),
+            gaussian_variance=compiled.gaussian_variance.copy(),
+            bernoulli_p=compiled.bernoulli_p.copy(),
+            sum_log_weights=[w.copy() for w in compiled.sum_log_weights],
+            per_sum_node=compiled.per_sum_node)
+        array_of(p)[j] += delta
+        moved = compiled.with_parameters(p.gaussian_mean, p.gaussian_variance,
+                                         p.bernoulli_p, p.sum_log_weights)
+        values.append(objective(moved.root_values(moved.forward(X))))
     return (values[0] - values[1]) / (2 * h)
 
 
@@ -476,46 +486,73 @@ def test_leaf_regions_at_the_variance_floor_far_from_zero_match_naive(rng, deep)
     assert_roots_match_naive(c, X)
 
 
-def test_parameters_written_in_place_reach_the_next_evaluation(rng, deep):
-    private = engine.CompiledCircuit(deep)
+def parameter_arrays(comp):
+    """An instance's parameter arrays and every array derived from them."""
+    return [comp.gaussian_mean, comp.gaussian_variance, comp.bernoulli_p,
+            comp.categorical_log_probs, *comp.sum_log_weights,
+            *(a for p in comp._natural for a in p),
+            *(W for _, W in comp._weights.values())]
+
+
+def test_with_parameters_matches_a_fresh_compile_and_leaves_its_source_alone(rng, deep):
+    source = engine.CompiledCircuit(deep)
+    cached = engine.compile_circuit(deep)
     X = rng.normal(0.5, 0.4, size=(5, 12))
     adjoints = posterior_adjoints(deep, rng, 5)
-    before = private.evaluate(X)[0]
-    # as a trainer writes them
-    private.gaussian_mean[:] = rng.normal(0.5, 0.3, private.gaussian_mean.size)
-    private.gaussian_variance[:] = rng.uniform(0.05, 0.4, private.gaussian_variance.size)
-    values, back = private.evaluate(X, adjoints, want_params=True)
-    fresh = engine.CompiledCircuit(private.to_circuit(deep.log_prior))
+    before = source.evaluate(X, adjoints, want_params=True)
+    # as a trainer makes them
+    moved = source.with_parameters(
+        rng.normal(0.5, 0.3, source.gaussian_mean.size),
+        rng.uniform(0.05, 0.4, source.gaussian_variance.size), source.bernoulli_p,
+        [t - cm.logsumexp(t, axis=1, keepdims=True)
+         for t in (w + rng.normal(0.0, 0.1, w.shape) for w in source.sum_log_weights)])
+    assert moved._steps is source._steps and moved._regions is source._regions
+    values, back = moved.evaluate(X, adjoints, want_params=True)
+    fresh = engine.CompiledCircuit(moved.to_circuit(deep.log_prior))
     fresh_values, fresh_back = fresh.evaluate(X, adjoints, want_params=True)
-    assert not np.allclose(values, before)
+    assert not np.allclose(values, before[0])
     assert np.array_equal(values, fresh_values)
-    for field in ("input_grads", "gaussian_mean_grads", "gaussian_variance_grads"):
-        assert np.array_equal(getattr(back, field), getattr(fresh_back, field)), field
+    fields = ("input_grads", "gaussian_mean_grads", "gaussian_variance_grads",
+              "bernoulli_p_grads", "sum_log_weight_grads")
+    for field in fields:
+        assert all(map(np.array_equal, getattr(back, field), getattr(fresh_back, field))), field
 
+    # the source and the cached form still evaluate with the circuit's parameters
+    for comp in (source, cached):
+        again_values, again_back = comp.evaluate(X, adjoints, want_params=True)
+        assert np.array_equal(again_values, before[0])
+        for field in fields:
+            assert all(map(np.array_equal, getattr(again_back, field),
+                           getattr(before[1], field))), field
+        assert np.array_equal(comp.gaussian_mean, deep.mean)
+        assert np.array_equal(comp.gaussian_variance, deep.variance)
 
-def test_frozen_form_keeps_parameters_derived_once(deep):
-    frozen = engine.compile_circuit(deep)
-    natural, weights = frozen._parameters()
-    fresh_natural, fresh_weights = engine.CompiledCircuit(deep)._parameters()
-    kept = [*(a for p in natural for a in p), *weights.values()]
-    fresh = [*(a for p in fresh_natural for a in p), *fresh_weights.values()]
-    assert len(kept) == len(fresh) == 4 * len(frozen._regions) + len(frozen._sums)
-    for a, b in zip(kept, fresh):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        with pytest.raises(ValueError):
-            a.flat[0] = 0.0
-    # every call reads the kept arrays; none derives them again
-    assert frozen._parameters()[0] is natural
-    assert frozen._parameters()[1] is weights
+    for comp in (source, cached, moved, fresh):
+        arrays = parameter_arrays(comp)
+        assert len(arrays) == 4 + 4 * len(comp._natural) + 2 * len(comp._sums)
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a.flat[0] = 0.0
+
+    with pytest.raises(ValueError, match="parameter shapes differ"):
+        source.with_parameters(source.gaussian_mean[1:], source.gaussian_variance,
+                               source.bernoulli_p, source.sum_log_weights)
 
 
 def test_to_circuit_refuses_invalid_parameters(rng):
     c = random_circuit(rng, num_classes=1)
-    private = engine.CompiledCircuit(c)
-    private.gaussian_variance[0] = -1.0
-    private.sum_log_weights[0][0, 0] += 1.0
+    comp = engine.compile_circuit(c)
+    variance = comp.gaussian_variance.copy()
+    variance[0] = -1.0
+    log_weights = [w.copy() for w in comp.sum_log_weights]
+    log_weights[0][0, 0] += 1.0
+    # the leaf regions' theta takes log(-1), which warns; to_circuit names the fault
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        invalid = comp.with_parameters(comp.gaussian_mean, variance, comp.bernoulli_p,
+                                       log_weights)
     with pytest.raises(ValueError, match=r"\[leaf-domain\].*\[weight-normalization\]"):
-        private.to_circuit(c.log_prior)
+        invalid.to_circuit(c.log_prior)
 
 
 def test_dead_class_root_passes_no_adjoint():

@@ -7,8 +7,7 @@ from scipy.special import logsumexp
 from cfspn import circuit as cm
 from cfspn import data, engine, inference, training
 from cfspn.structure import StructureConfig, build_circuit
-from conftest import (CategoricalLeaf, GaussianLeaf, ProductNode, SumNode, from_nodes,
-                      nodes_of)
+from conftest import GaussianLeaf, ProductNode, SumNode, from_nodes, nodes_of
 
 
 def single_gaussian_circuit():
@@ -136,7 +135,7 @@ def test_empirical_prior_matches_label_frequencies():
     assert np.allclose(np.exp(fitted.log_prior), [0.75, 0.25], atol=1e-12)
 
 
-def test_early_stopping_restores_best_snapshot():
+def test_early_stopping_returns_best_parameters():
     ds = data.make_moons(300, 0.1, seed=5)
     cfg = StructureConfig(num_classes=2, seed=5, repetitions=3,
                           sum_nodes_per_region=2,
@@ -145,8 +144,9 @@ def test_early_stopping_restores_best_snapshot():
                               validation_fraction=0.2)
     fitted, report = training.fit(build_circuit(2, cfg), ds, tc)
     assert report.validation_log_likelihood is not None
-    if report.converged:
-        assert report.epochs_run < 100
+    # this config stops early, so the parameters returned are an earlier epoch's
+    assert report.converged
+    assert report.epochs_run < 100
     # fit holds out the first n_val rows of its seeded permutation
     n = len(ds)
     held = np.random.default_rng(tc.seed).permutation(n)[:int(round(0.2 * n))]
@@ -229,18 +229,36 @@ def test_fit_rejects_bad_inputs():
 
 
 def test_zero_probability_training_row_is_a_non_finite_loss():
-    # Class 0 gives x0 = 0 probability 0, and the second row is such a case.
-    nodes = [CategoricalLeaf(0, np.array([0.0, 1.0])),
-             CategoricalLeaf(0, np.array([0.4, 0.6])),
+    # The second row, x0 = 1e200, is so far from every leaf on x0 that class 0
+    # gives it probability 0: (x0 - c)^2 overflows to inf.  Left to the data,
+    # the leaves would move there, hence init_from_data=False; and the BLAS
+    # kernels may flag an invalid value on the way, hence the errstate.
+    # (Categorical leaves with a zero probability cannot be fit at all.)
+    nodes = [GaussianLeaf(0, 0.0, 1.0), GaussianLeaf(0, 1.0, 1.0),
              GaussianLeaf(1, 0.2, 0.3), GaussianLeaf(1, 0.7, 0.2),
              ProductNode([0, 2]), ProductNode([0, 3]), ProductNode([1, 2]),
              SumNode([4, 5], np.log([0.5, 0.5]))]
     c = from_nodes(nodes, class_roots=[7, 6], log_prior=cm.uniform_log_weights(2),
                    num_variables=2)
-    ds = data.Dataset(np.array([[1.0, 0.3], [0.0, 0.4], [1.0, 0.6]]), [0, 0, 1], 2)
-    tc = training.TrainConfig(epochs=2, validation_fraction=0.0, patience=0)
-    with pytest.raises(ValueError, match=r"^non-finite loss in epoch 0, batch 0$"):
+    ds = data.Dataset(np.array([[1.0, 0.3], [1e200, 0.4], [1.0, 0.6]]), [0, 0, 1], 2)
+    tc = training.TrainConfig(epochs=2, validation_fraction=0.0, patience=0,
+                              init_from_data=False)
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(ValueError, match=r"^non-finite loss in epoch 0, batch 0$")):
         training.fit(c, ds, tc)
+
+
+def test_fit_refuses_categorical_leaves():
+    # fit trains no categorical probabilities: it would return them as they
+    # came in, with every other parameter fit around them.
+    cfg = StructureConfig(num_classes=2, seed=0, repetitions=2, sum_nodes_per_region=2,
+                          leaf_distributions_per_region=2, leaf_family="categorical",
+                          categorical_cardinalities=(3, 3))
+    rng = np.random.default_rng(0)
+    ds = data.Dataset(rng.integers(0, 3, size=(40, 2)).astype(float),
+                      np.repeat([0, 1], 20), 2)
+    with pytest.raises(ValueError, match="cannot train categorical leaves"):
+        training.fit(build_circuit(2, cfg), ds, training.TrainConfig(epochs=1))
 
 
 def test_mean_joint_log_likelihood_matches_manual():
