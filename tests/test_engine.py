@@ -539,6 +539,44 @@ def test_with_parameters_matches_a_fresh_compile_and_leaves_its_source_alone(rng
                                source.bernoulli_p, source.sum_log_weights)
 
 
+def test_parameters_written_in_place_reach_the_next_evaluation(rng, deep):
+    comp = engine.CompiledCircuit(deep)
+    X = rng.normal(0.5, 0.4, size=(5, 12))
+    adjoints = posterior_adjoints(deep, rng, 5)
+    before = comp.evaluate(X)[0]
+    mean = rng.normal(0.5, 0.3, comp.gaussian_mean.size)
+    variance = rng.uniform(0.05, 0.4, comp.gaussian_variance.size)
+    # a write in place is refused; new parameters go through with_parameters
+    with pytest.raises(ValueError, match="read-only"):
+        comp.gaussian_mean[:] = mean
+    moved = comp.with_parameters(mean, variance, comp.bernoulli_p, comp.sum_log_weights)
+    values, back = moved.evaluate(X, adjoints, want_params=True)
+    fresh = engine.CompiledCircuit(moved.to_circuit(deep.log_prior))
+    fresh_values, fresh_back = fresh.evaluate(X, adjoints, want_params=True)
+    assert not np.allclose(values, before)
+    assert np.array_equal(values, fresh_values)
+    for field in ("input_grads", "gaussian_mean_grads", "gaussian_variance_grads"):
+        assert np.array_equal(getattr(back, field), getattr(fresh_back, field)), field
+
+
+def test_frozen_form_keeps_parameters_derived_once(rng, deep):
+    frozen = engine.compile_circuit(deep)
+    natural, weights = frozen._natural, frozen._weights
+    fresh = engine.CompiledCircuit(deep)
+    kept = parameter_arrays(frozen)[4:]
+    derived = parameter_arrays(fresh)[4:]
+    assert len(kept) == len(derived) == 4 * len(frozen._regions) + 2 * len(frozen._sums)
+    for a, b in zip(kept, derived):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        with pytest.raises(ValueError):
+            a.flat[0] = 0.0
+    # every call reads the kept arrays; none derives them again
+    X = rng.normal(0.5, 0.4, size=(3, 12))
+    frozen.evaluate(X, posterior_adjoints(deep, rng, 3), want_params=True)
+    assert frozen._natural is natural and frozen._weights is weights
+    assert all(a is b for a, b in zip(parameter_arrays(frozen)[4:], kept))
+
+
 def test_to_circuit_refuses_invalid_parameters(rng):
     c = random_circuit(rng, num_classes=1)
     comp = engine.compile_circuit(c)
