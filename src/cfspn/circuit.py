@@ -91,7 +91,9 @@ class Circuit:
     """Flat-array circuit with per-class roots; the module docstring gives the layout.
 
     Circuits are immutable: every array is read-only, so a compiled form
-    cached per instance can never go stale.  To change a parameter, build a
+    cached per instance can never go stale.  ``engine.compile_circuit``
+    keeps it in the instance dict, so it lives exactly as long as the
+    circuit; copies start without one.  To change a parameter, build a
     new circuit, e.g. ``dataclasses.replace(c, mean=new_means)``; arrays left
     as they are are shared.  Circuits are valid by construction: the
     constructor, and so ``dataclasses.replace``, copies and unpickling,

@@ -74,6 +74,14 @@ def _check_keys(where: str, keys, allowed: set[str]) -> None:
         raise ValueError(f"unknown {where} option(s): {', '.join(unknown)}")
 
 
+def _max_queries(section: dict, name: str) -> int | None:
+    """Pop a section's ``max_queries``: None, or an integer >= 0."""
+    value = section.pop("max_queries", None)
+    if value is not None and (type(value) is not int or value < 0):
+        raise ValueError(f"{name}.max_queries must be an integer >= 0, got {value!r}")
+    return value
+
+
 def _build_config(cls, section: dict, **overrides):
     _check_keys(cls.__name__, section, {f.name for f in dataclasses.fields(cls)})
     merged = {**section, **{k: v for k, v in overrides.items() if v is not None}}
@@ -208,7 +216,7 @@ def _query_setup(args, default_out: str):
                          f"[0, {model.num_classes})")
 
     cf_section = _section(cfg, "counterfactual")
-    limit = cf_section.pop("max_queries", None)
+    limit = _max_queries(cf_section, "counterfactual")
     cf_cfg = _build_config(
         cf.CfConfig, cf_section,
         epsilon1=args.epsilon1, epsilon2=args.epsilon2, grad_mode=args.grad_mode)
@@ -219,9 +227,7 @@ def _query_setup(args, default_out: str):
                          "clamps every column to [0, 1]; set "
                          '"counterfactual": {"clip_to_unit": false}')
     preds = inference.predict(model, test_ds.features)
-    rows = np.flatnonzero(preds != y_prime)
-    if limit is not None:
-        rows = rows[:int(limit)]
+    rows = np.flatnonzero(preds != y_prime)[:limit]
     queries = [(test_ds.features[i], int(preds[i]), y_prime) for i in rows]
     return cfg, model, out, test_ds, cf_cfg, queries
 
@@ -245,7 +251,7 @@ def cmd_benchmark(args) -> int:
     cfg, model, out, test_ds, cf_cfg, queries = _query_setup(args,
                                                              "benchmark.json")
     baseline_section = _section(cfg, "baseline")
-    wachter_limit = baseline_section.pop("max_queries", None)
+    wachter_limit = _max_queries(baseline_section, "baseline")
     baseline_cfg = _build_config(cf.BaselineConfig, baseline_section)
     methods = list(cf.METHODS) if args.method == "both" else [args.method]
     if not queries:
@@ -256,9 +262,7 @@ def cmd_benchmark(args) -> int:
     one_hot = test_ds.meta is not None and bool(test_ds.meta.group_slices())
     records = []
     for method in methods:
-        method_queries = queries
-        if method == "wachter" and wachter_limit is not None:
-            method_queries = queries[:int(wachter_limit)]
+        method_queries = queries[:wachter_limit] if method == "wachter" else queries
         config = cf_cfg if method == "two_step" else baseline_cfg
         results = cf.run_queries(model, method_queries, method,
                                  cf_cfg, baseline_cfg)

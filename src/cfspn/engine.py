@@ -77,9 +77,8 @@ from __future__ import annotations
 
 import copy
 import math
-import weakref
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -220,16 +219,12 @@ class _LeafRegions:
 
     rows: slice                 # R*I output rows, region-major
     leaves: np.ndarray          # (R, I, k) Gaussian leaf indices (into gaussian_ids)
-    run: slice | None           # the leaves as one run of indices, if they are one
     variables: np.ndarray       # (R, k) sorted scopes
     by_variable: _ByVariable    # over variables.ravel()
 
     def _at_leaves(self, a: np.ndarray) -> np.ndarray:
-        """A new (R, k, I) array of a at the leaves; where they are one run of
-        a, a transposed copy of it rather than a gather."""
-        if self.run is None:
-            return a[self.leaves.transpose(0, 2, 1)]
-        return a[self.run].reshape(self.leaves.shape).transpose(0, 2, 1).copy()
+        """A new C-contiguous (R, k, I) array of a at the leaves."""
+        return a[self.leaves].transpose(0, 2, 1).copy()
 
     def natural(self, mean: np.ndarray, variance: np.ndarray) -> _Natural:
         """theta and the centers from the current leaf parameters.
@@ -490,13 +485,16 @@ class CompiledCircuit:
     arrays, taken as they are, and what every call evaluates with, each
     leaf-region bucket's natural parameters and each sum step's weights,
     derived from them once when it is made.  :meth:`with_parameters` gives
-    an instance with other parameters that shares every structure object,
-    ``circuit`` included; a trainer swaps in one per step and reads the
-    result back with :meth:`to_circuit`.
+    an instance with other parameters that shares every structure object;
+    a trainer swaps in one per step and reads the result back with
+    :meth:`to_circuit`.  A circuit holds its compiled form, which holds no
+    reference back, so both are freed as soon as the circuit is dropped.
     """
 
     def __init__(self, circuit: Circuit):
-        self.circuit = circuit
+        # The circuit's fields, not the circuit: it holds this instance, and a
+        # reference back would make a cycle that only the garbage collector frees.
+        self._fields = {f.name: getattr(circuit, f.name) for f in fields(circuit)}
         n = len(circuit.nodes)
         self.d = circuit.num_variables
         kind, ptr, ids = circuit.kind, circuit.ptr, circuit.ids
@@ -613,12 +611,8 @@ class CompiledCircuit:
             for I in np.unique(sizes):
                 members = by_region[starts[sizes == I][:, None] + np.arange(I)]
                 variables = scopes[sizes == I]
-                index = leaf_index[leaves[members]]
-                run = slice(index.flat[0], index.flat[0] + index.size)
-                if not np.array_equal(index.ravel(), np.arange(run.start, run.stop)):
-                    run = None
                 self._regions.append(_LeafRegions(
-                    take(outputs[members].ravel()), index, run,
+                    take(outputs[members].ravel()), leaf_index[leaves[members]],
                     variables, _ByVariable(variables.ravel())))
         self._bernoulli_rows = take(self.bernoulli_ids[self._bernoulli.order])
         self._categorical_rows = take(self.categorical_ids)
@@ -710,15 +704,20 @@ class CompiledCircuit:
     def to_circuit(self, log_prior: np.ndarray) -> Circuit:
         """A new circuit holding this instance's parameters.
 
-        Its structure arrays and categorical leaves are the source circuit's.
+        Its structure arrays and categorical leaves are the source circuit's,
+        and a shallow copy of this instance is its compiled form for life.
         """
-        source = self.circuit
-        log_weights = np.array(source.log_weights)
+        source = self._fields
+        log_weights = np.array(source["log_weights"])
         for step, w in zip(self._sums, self.sum_log_weights):
-            log_weights[source.ptr[step.ids][:, None] + np.arange(w.shape[1])] = w
-        return replace(source, log_weights=log_weights, log_prior=log_prior,
-                       mean=self.gaussian_mean, variance=self.gaussian_variance,
-                       p=self.bernoulli_p)
+            log_weights[source["ptr"][step.ids][:, None] + np.arange(w.shape[1])] = w
+        circuit = Circuit(**{**source, "log_weights": log_weights, "log_prior": log_prior,
+                             "mean": self.gaussian_mean, "variance": self.gaussian_variance,
+                             "p": self.bernoulli_p})
+        compiled = copy.copy(self)
+        compiled._fields = {f.name: getattr(circuit, f.name) for f in fields(circuit)}
+        vars(circuit)["_compiled"] = compiled
+        return circuit
 
     def _column_blocks(self, B: int) -> list[slice]:
         return [slice(b, min(b + self._block_cols, B))
@@ -751,7 +750,11 @@ class CompiledCircuit:
             result = self._result(X.shape[0], want_input, want_params)
         for cols in self._column_blocks(X.shape[0]):
             XT = np.ascontiguousarray(X[cols].T)
-            V, saved = self._forward_block(XT, keep=result is not None)
+            V = np.empty((self.n_rows, XT.shape[1]))
+            # Free the last block's arrays once this block's V is made: below V,
+            # their memory is reused, not handed back to the OS and faulted in again.
+            A = saved = None
+            saved = self._forward_block(V, XT, keep=result is not None)
             values[cols] = V[self._root_rows].T
             if result is not None:
                 A = np.zeros_like(V)
@@ -769,15 +772,16 @@ class CompiledCircuit:
         :meth:`evaluate` apart, so that each can be timed on its own.
         """
         X = self._batch(X)
-        parts = [self._forward_block(np.ascontiguousarray(X[cols].T), keep=False)[0]
-                 for cols in self._column_blocks(X.shape[0])]
+        parts = []
+        for cols in self._column_blocks(X.shape[0]):
+            parts.append(np.empty((self.n_rows, cols.stop - cols.start)))
+            self._forward_block(parts[-1], np.ascontiguousarray(X[cols].T), keep=False)
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def _forward_block(self, XT: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
-        """V of one column block from its (d, b) inputs, and, if ``keep``, the
-        statistics T of each leaf-region bucket and the factors each sum step
-        saves for the backward pass (else None)."""
-        V = np.empty((self.n_rows, XT.shape[1]))
+    def _forward_block(self, V: np.ndarray, XT: np.ndarray, keep: bool) -> tuple | None:
+        """Write V, (materialized nodes, b), of one column block from its (d, b)
+        inputs; if ``keep``, return the statistics T of each leaf-region bucket
+        and the factors each sum step saves for the backward pass (else None)."""
         stats = [r.forward(V, XT, p) for r, p in zip(self._regions, self._natural)]
         self._leaf_values(XT, V)
         kept = {}
@@ -786,7 +790,7 @@ class CompiledCircuit:
                 kept[step] = step.forward(V, *self._weights[step])
             else:
                 step.forward(V)
-        return V, (stats, kept) if keep else None
+        return (stats, kept) if keep else None
 
     def _leaf_values(self, XT: np.ndarray, V: np.ndarray) -> None:
         """Bernoulli and categorical leaf log values from (d, B) inputs; a
@@ -827,7 +831,7 @@ class CompiledCircuit:
         X = self._batch(X)
         B = V.shape[1]
         for node_id in seeds:
-            if node_id not in self.circuit.class_roots:
+            if node_id not in self._fields["class_roots"]:
                 raise ValueError(f"seed at node {node_id}, which is not a class root")
         result = self._result(B, want_input, want_params)
         for cols in self._column_blocks(B):
@@ -904,19 +908,14 @@ class CompiledCircuit:
                         live, Ab * dp, 0.0).sum(axis=1)
 
 
-_cache: "weakref.WeakKeyDictionary[Circuit, CompiledCircuit]" = weakref.WeakKeyDictionary()
-
-
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compiled form of a circuit, cached per instance.
-
-    Circuits are immutable and so is every compiled instance, its parameter
-    arrays and what is derived from them read-only, so the cached form is
-    exact for the circuit's lifetime.  A trainer gets instances with new
-    parameters from :meth:`CompiledCircuit.with_parameters`.
+    """Compiled form of a circuit, kept in the circuit's instance dict as a
+    ``functools.cached_property`` is, so it lives exactly as long as the
+    circuit; copies start without one.  Circuits and compiled instances are
+    read-only, so the form is exact for the circuit's lifetime.  A trainer
+    gets instances with new parameters from
+    :meth:`CompiledCircuit.with_parameters`.
     """
-    compiled = _cache.get(circuit)
-    if compiled is None:
-        compiled = CompiledCircuit(circuit)
-        _cache[circuit] = compiled
-    return compiled
+    if "_compiled" not in vars(circuit):
+        vars(circuit)["_compiled"] = CompiledCircuit(circuit)
+    return vars(circuit)["_compiled"]

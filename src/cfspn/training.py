@@ -170,8 +170,8 @@ def mean_joint_log_likelihood(circuit: Circuit, features, labels) -> float:
 def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainReport]:
     """Fit the circuit's parameters to (features, labels) by gradient ascent.
 
-    Returns a new circuit with the input's structure; the input is immutable
-    and left as it is.
+    Returns a new circuit with the input's structure, compiled by the
+    trainer; the input is immutable and left as it is.
 
     A validation_fraction share of the data is held out; when the held-out
     log-likelihood fails to improve for `patience` consecutive epochs,
@@ -206,7 +206,7 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
         raise ValueError("validation split leaves no training rows")
     use_early_stop = n_val > 0 and config.patience > 0
 
-    compiled = CompiledCircuit(circuit)
+    compiled = compile_circuit(circuit)
     mean, variance, p = compiled.gaussian_mean, compiled.gaussian_variance, compiled.bernoulli_p
     if config.init_from_data:
         Xtr = X[train_idx]

@@ -377,6 +377,24 @@ def test_benchmark_single_method_and_query_caps(trained, tmp_path):
     assert by_method["wachter"]["n"] == 3
 
 
+@pytest.mark.parametrize("section", ["counterfactual", "baseline"])
+@pytest.mark.parametrize("value", [-1, 2.7, "3", True])
+def test_max_queries_must_be_a_non_negative_integer(trained, tmp_path, capsys,
+                                                     section, value):
+    _, _, model = trained
+    bad = dict(MOONS_CONFIG)
+    bad[section] = {**MOONS_CONFIG[section], "max_queries": value}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(bad))
+    out = tmp_path / "bench.json"
+    code = main(["benchmark", "--config", str(cfg),
+                 "--model", str(model), "--target-class", "1",
+                 "--method", "both", "--out", str(out)])
+    assert code == 2
+    assert f"{section}.max_queries" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_grid_exports_csv_fields(trained, tmp_path):
     _, config, model = trained
     out = tmp_path / "grid.csv"

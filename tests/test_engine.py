@@ -1,9 +1,12 @@
 import copy
 import dataclasses
+import gc
 import math
 import pickle
+import tracemalloc
 import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -215,6 +218,32 @@ def test_compile_cache_reuses_per_instance(rng):
     a = engine.compile_circuit(c)
     b = engine.compile_circuit(c)
     assert a is b
+
+
+def test_compiled_form_dies_with_its_circuit(rng):
+    # No reference cycle: a circuit goes the moment it is dropped, and with it
+    # its compiled form and its arrays, without waiting for the garbage
+    # collector.  The form handed to a new circuit refers to that circuit only.
+    c = random_circuit(rng)
+    fitted = engine.compile_circuit(c).to_circuit(c.log_prior)
+    source = [weakref.ref(x) for x in (c, engine.compile_circuit(c), c.log_weights)]
+    handed = [weakref.ref(x) for x in (fitted, engine.compile_circuit(fitted))]
+    gc.disable()
+    try:
+        del c
+        assert all(r() is None for r in source)
+        del fitted
+        assert all(r() is None for r in handed)
+    finally:
+        gc.enable()
+
+
+def test_copies_of_a_circuit_start_without_a_compiled_form(rng):
+    c = random_circuit(rng)
+    compiled = engine.compile_circuit(c)
+    for twin in (dataclasses.replace(c), copy.copy(c), copy.deepcopy(c),
+                 pickle.loads(pickle.dumps(c))):
+        assert engine.compile_circuit(twin) is not compiled
 
 
 def test_circuits_are_immutable_so_the_cache_cannot_go_stale(rng):
@@ -758,6 +787,27 @@ def test_column_blocks_are_at_most_256_wide(rng):
         widths = [cols.stop - cols.start for cols in comp._column_blocks(1000)]
         assert sum(widths) == 1000
         assert max(widths) == 256
+
+
+def test_column_blocks_free_their_arrays_before_the_next_block(rng):
+    # One block's node values, adjoints and saved factors are alive at a
+    # time, so four 256-row blocks peak no higher than one.
+    cfg = structure.StructureConfig(repetitions=19, sum_nodes_per_region=10,
+                                    leaf_distributions_per_region=10, num_classes=2,
+                                    seed=1)
+    comp = engine.compile_circuit(
+        randomize_parameters(structure.build_circuit(2, cfg), rng))
+    X = rng.normal(0.5, 0.4, size=(1024, 2))
+    assert len(comp._column_blocks(1024)) == 4
+    peaks = []
+    for B in (256, 1024):
+        tracemalloc.start()
+        try:
+            comp.evaluate(X[:B], lambda values, rows: np.ones_like(values))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_large_batch_equals_its_256_row_slices(rng):

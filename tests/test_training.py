@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,6 +9,19 @@ from cfspn import circuit as cm
 from cfspn import data, engine, inference, training
 from cfspn.structure import StructureConfig, build_circuit
 from conftest import GaussianLeaf, ProductNode, SumNode, from_nodes, nodes_of
+
+
+def count_compiles(monkeypatch) -> list:
+    """The circuits that CompiledCircuit is built for from now on."""
+    built = []
+    init = engine.CompiledCircuit.__init__
+
+    def counting(self, circuit):
+        built.append(circuit)
+        init(self, circuit)
+
+    monkeypatch.setattr(engine.CompiledCircuit, "__init__", counting)
+    return built
 
 
 def single_gaussian_circuit():
@@ -288,6 +302,45 @@ def test_cross_validate_prefers_reasonable_variance_floor():
                                               for r in out.results)
     for point in out.results:
         assert len(point.fold_lls) == 2
+
+
+def test_cross_validate_lowers_each_structure_once(monkeypatch):
+    ds = data.make_moons(120, 0.1, seed=8)
+    structures = [StructureConfig(num_classes=2, seed=8, repetitions=r,
+                                  sum_nodes_per_region=2,
+                                  leaf_distributions_per_region=3) for r in (1, 2)]
+    trains = [training.TrainConfig(epochs=2, seed=8),
+              training.TrainConfig(epochs=2, seed=8, patience=0)]
+    built = count_compiles(monkeypatch)
+    training.cross_validate(ds, structures, trains, folds=3, seed=8)
+    assert len(built) == len(structures)
+
+
+def test_fitted_circuit_comes_compiled_as_a_fresh_compile_would(monkeypatch):
+    ds = data.make_moons(200, 0.1, seed=3)
+    circuit = build_circuit(2, StructureConfig(num_classes=2, seed=3, repetitions=2,
+                                               sum_nodes_per_region=2,
+                                               leaf_distributions_per_region=3))
+    built = count_compiles(monkeypatch)
+    fitted, _ = training.fit(circuit, ds, training.TrainConfig(epochs=3, seed=3))
+    inference.accuracy(fitted, ds.features, ds.labels)
+    assert built == [circuit]
+    handed = engine.compile_circuit(fitted)
+    assert built == [circuit]
+    assert cm.structural_equal(handed.to_circuit(fitted.log_prior), fitted)
+    fresh = engine.CompiledCircuit(fitted)
+    X = np.vstack([ds.features[:40], [[np.nan, 0.5]]])
+    seeds = np.random.default_rng(3).normal(size=(X.shape[0], 2))
+    (values, back), (fresh_values, fresh_back) = (
+        c.evaluate(X, lambda v, rows: seeds[rows], want_params=True)
+        for c in (handed, fresh))
+    assert np.array_equal(values, fresh_values)
+    for f in dataclasses.fields(back):
+        got, want = getattr(back, f.name), getattr(fresh_back, f.name)
+        if isinstance(got, list):
+            assert all(map(np.array_equal, got, want)) and len(got) == len(want)
+        else:
+            assert np.array_equal(got, want)
 
 
 def test_cross_validate_rejects_bad_arguments():
