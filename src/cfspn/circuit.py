@@ -61,6 +61,49 @@ def logsumexp(a, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
+def _points(x, num_variables: int, missing: bool = True,
+            what: str = "input") -> tuple[np.ndarray, bool]:
+    """x, one point (d,) or a batch (B, d), as a (B, d) float64 batch, and
+    whether it was one point.  NaN marks a marginalized variable, refused
+    unless ``missing``; +-inf is always refused."""
+    X = np.asarray(x, dtype=np.float64)
+    single = X.ndim == 1
+    if single:
+        X = X[None, :]
+    if X.ndim != 2 or X.shape[1] != num_variables:
+        raise ValueError(f"{what} shape {np.shape(x)} does not match "
+                         f"{num_variables} variables")
+    if not np.isfinite(X).all():
+        if np.isinf(X).any():
+            raise ValueError(f"{what} contains infinite values")
+        if not missing:
+            raise ValueError(f"{what} has missing (NaN) values; it must be fully observed")
+    return X, single
+
+
+def _classes(y, num_classes: int, what: str = "class", rows: int | None = None) -> np.ndarray:
+    """y, one class index or a vector of them, as int64 in [0, num_classes);
+    given ``rows``, as (rows,), one index standing for every row.  A bool or
+    a float, even an integral one, is refused, as :func:`load` casts nothing."""
+    Y = np.asarray(y)
+    # NumPy casts the bools of a list that also holds integers to integers.
+    dtype = (np.dtype(bool) if isinstance(y, (list, tuple)) and bool in map(type, y)
+             else Y.dtype)
+    if Y.size and dtype.kind not in "iu":
+        raise ValueError(f"{what} {Y.item()!r} is not an integer" if Y.ndim == 0
+                         else f"{what} values must be integers, not {dtype}")
+    if Y.ndim > 1 or (rows is not None and Y.ndim and len(Y) != rows):
+        raise ValueError(f"{what} values of shape {Y.shape} " + (
+            "are not a vector" if Y.ndim > 1 else f"do not match {rows} rows"))
+    # .item(): a reduction of a 0-d array takes microseconds
+    low, high = (Y.item(),) * 2 if Y.ndim == 0 else (Y.min(initial=0), Y.max(initial=0))
+    if not (0 <= low and high < num_classes):
+        bad = Y[(Y < 0) | (Y >= num_classes)].flat[0]
+        raise ValueError(f"{what} {bad} out of range [0, {num_classes})")
+    Y = Y.astype(np.int64, copy=False)
+    return Y if rows is None or Y.ndim else np.full(rows, Y)
+
+
 class CircuitFormatError(ValueError):
     """A model document could not be parsed into a valid circuit."""
 

@@ -24,6 +24,7 @@ from . import circuit as circuit_mod
 from . import counterfactual as cf
 from . import data as data_mod
 from . import grad, inference
+from .circuit import _classes
 from .structure import StructureConfig, build_circuit
 from .training import TrainConfig, fit
 
@@ -210,10 +211,7 @@ def _query_setup(args, default_out: str):
                          f"has {model.num_variables}")
     if args.target_class is None:
         raise ValueError("--target-class is required")
-    y_prime = int(args.target_class)
-    if not (0 <= y_prime < model.num_classes):
-        raise ValueError(f"target class {y_prime} out of range "
-                         f"[0, {model.num_classes})")
+    y_prime = int(_classes(args.target_class, model.num_classes, "target class"))
 
     cf_section = _section(cfg, "counterfactual")
     limit = _max_queries(cf_section, "counterfactual")
@@ -318,9 +316,8 @@ def cmd_grid(args) -> int:
     x1_lo, x1_hi = _interval(section, "x1")
     x2_lo, x2_hi = _interval(section, "x2")
 
-    y_prime = int(args.target_class) if args.target_class is not None else 1
-    if not (0 <= y_prime < model.num_classes):
-        raise ValueError(f"target class {y_prime} out of range")
+    y_prime = int(_classes(1 if args.target_class is None else args.target_class,
+                           model.num_classes, "target class"))
     y = 0 if y_prime != 0 else 1
     if y >= model.num_classes:
         raise ValueError("grid log-ratio needs at least two classes")

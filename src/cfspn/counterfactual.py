@@ -20,6 +20,7 @@ each row's result is the one it gets alone.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grad, inference
-from .circuit import Circuit
+from .circuit import Circuit, _classes, _points
 
 METHODS = ("two_step", "wachter")
 
@@ -141,18 +142,6 @@ class CfMetrics:
     mean_grad_evals: float | None = None
 
 
-def _prepare(circuit: Circuit, x, y_prime: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (circuit.num_variables,):
-        raise ValueError(f"query shape {x.shape} does not match "
-                         f"{circuit.num_variables} variables")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("query must be fully observed and finite")
-    if not (0 <= y_prime < circuit.num_classes):
-        raise ValueError(f"target class {y_prime} out of range")
-    return x
-
-
 def _finite_or_raise(v: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"non-finite {what}")
@@ -171,32 +160,30 @@ def _score(circuit: Circuit, class_log_values: np.ndarray) -> tuple[np.ndarray, 
     return np.argmax(posterior, axis=1), log_density
 
 
-def _queries(x, y, y_prime) -> tuple[list | zip, bool]:
-    """The (x, y, y_prime) queries that one query, or a (B, d) batch with
-    per-row classes (or one for every row), stands for; and whether x is
-    a single query."""
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2:
-        return [(x, y, y_prime)], True
-    return zip(X, np.broadcast_to(y, len(X)), np.broadcast_to(y_prime, len(X))), False
-
-
-def _batch(circuit: Circuit, queries,
-           source: bool) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-    """(x, y, y_prime) queries as their points and (B,) source and target
-    classes, each query checked as it is alone: by ``generate`` with
-    ``source``; else by ``wachter_baseline``, which reads no source class."""
-    points, Y, Y_prime = [], [], []
-    for x, y, y_prime in queries:
-        points.append(_prepare(circuit, x, y_prime))
-        Y_prime.append(y_prime)
-        if source:
-            if not (0 <= y < circuit.num_classes):
-                raise ValueError(f"source class {y} out of range")
-            if y == y_prime:
-                raise ValueError("source and target class must differ")
-            Y.append(y)
-    return points, np.array(Y, dtype=np.int64), np.array(Y_prime, dtype=np.int64)
+def _check(circuit: Circuit, x, y, y_prime, queries=None):
+    """One query (d,) or a batch (B, d), with a source class y (None for the
+    baseline, which reads none) and a target class y_prime, each one for
+    every row or one per row, checked at once: the (B, d) batch, the (B,)
+    classes, and whether x is one query.  Only if that raises is each of
+    ``queries`` (by default each row of x with its classes) checked alone,
+    so that the first bad query raises its own message."""
+    try:
+        X, single = _points(x, circuit.num_variables, missing=False, what="query")
+        Y_prime = _classes(y_prime, circuit.num_classes, "target class", len(X))
+        if y is None:
+            return X, None, Y_prime, single
+        Y = _classes(y, circuit.num_classes, "source class", len(X))
+        if (Y == Y_prime).any():
+            raise ValueError("source and target class must differ")
+        return X, Y, Y_prime, single
+    except ValueError:
+        if queries is None:
+            X = np.asarray(x, dtype=np.float64)
+            each = (v if np.ndim(v) else itertools.repeat(v) for v in (y, y_prime))
+            queries = zip(X, *each) if X.ndim == 2 else ()
+        for query in queries:
+            _check(circuit, *query, queries=())
+        raise
 
 
 def generate(circuit: Circuit, x, y, y_prime,
@@ -205,11 +192,13 @@ def generate(circuit: Circuit, x, y, y_prime,
 
     x is one query (d,) of class y toward class y_prime, which gives one
     result, or a batch (B, d) with a class per row (or one for every row),
-    which gives a list of B.  Every row's result is bit for bit the one it
-    gets alone, but for its ``elapsed``.  A batch costs the passes of one
-    query: the forward pass of each gradient step also scores its points
-    (the prediction and log density at x and at u), and one more forward
-    pass scores x', so 3 forward and 2 backward passes in all.  With
+    which gives a list of B.  Points must be finite and classes integers in
+    range (1.9 or True raises ValueError); a batch is checked as one array,
+    and row by row only if that raises.  Every row's result is bit for bit
+    the one it gets alone, but for its ``elapsed``.  A batch costs the
+    passes of one query: the forward pass of each gradient step also scores
+    its points (the prediction and log density at x and at u), and one more
+    forward pass scores x', so 3 forward and 2 backward passes in all.  With
     retry_epsilon_schedule, step 2 is retried from a doubled eps1 for the
     rows short of their target; each retry adds 2 forward and 1 backward
     pass, and one gradient evaluation to each row it retries.  Warns
@@ -217,19 +206,18 @@ def generate(circuit: Circuit, x, y, y_prime,
     prediction at x.  With clip_to_unit, both steps clamp to [0, 1]^d, the
     range of min-max scaled features.
     """
-    queries, single = _queries(x, y, y_prime)
-    results = _two_step(circuit, *_batch(circuit, queries, source=True),
-                        config or CfConfig())
+    X, Y, Y_prime, single = _check(circuit, x, y, y_prime)
+    results = _two_step(circuit, [np.asarray(x, dtype=np.float64)] if single else X,
+                        X, Y, Y_prime, config or CfConfig())
     return results[0] if single else results
 
 
-def _two_step(circuit: Circuit, points: list[np.ndarray], Y: np.ndarray,
+def _two_step(circuit: Circuit, points, X: np.ndarray, Y: np.ndarray,
               Y_prime: np.ndarray, config: CfConfig) -> list[CfResult]:
-    """``generate`` on checked points and their (B,) classes."""
-    B = len(points)
+    """``generate`` on a checked batch; each result's x is from ``points``."""
+    B = len(X)
     if not B:
         return []
-    X = np.array(points)
     rows = np.arange(B)
     weights = np.zeros((B, circuit.num_classes))
     weights[rows, Y_prime] = 1.0
@@ -292,26 +280,25 @@ def wachter_baseline(circuit: Circuit, x, y_prime,
     """Iterative counterfactual search minimizing -log P(y'|z) + lam*||z-x||_1.
 
     Plain gradient descent from z = x; one gradient evaluation per
-    iteration.  x is one query (d,) or a batch (B, d), with y_prime and the
-    results as in :func:`generate`.  With early_stop, a row stops as soon as
-    its prediction flips to the target class.  The forward pass of the
-    gradient at each point also scores it, so a batch whose longest row runs
-    n iterations makes n + 1 forward and n + 1 backward passes; the last
-    gradient only scores the final z.
+    iteration.  x is one query (d,) or a batch (B, d), with y_prime, their
+    checks and the results as in :func:`generate`.  With early_stop, a row
+    stops as soon as its prediction flips to the target class.  The forward
+    pass of the gradient at each point also scores it, so a batch whose
+    longest row runs n iterations makes n + 1 forward and n + 1 backward
+    passes; the last gradient only scores the final z.
     """
-    queries, single = _queries(x, None, y_prime)
-    points, _, Y_prime = _batch(circuit, queries, source=False)
-    results = _wachter(circuit, points, Y_prime, config or BaselineConfig())
+    X, _, Y_prime, single = _check(circuit, x, None, y_prime)
+    results = _wachter(circuit, [np.asarray(x, dtype=np.float64)] if single else X,
+                       X, Y_prime, config or BaselineConfig())
     return results[0] if single else results
 
 
-def _wachter(circuit: Circuit, points: list[np.ndarray], Y_prime: np.ndarray,
+def _wachter(circuit: Circuit, points, X: np.ndarray, Y_prime: np.ndarray,
              config: BaselineConfig) -> list[CfResult]:
-    """``wachter_baseline`` on checked points and their (B,) targets."""
-    B = len(points)
+    """``wachter_baseline`` on a checked batch; each result's x is from ``points``."""
+    B = len(X)
     if not B:
         return []
-    X = np.array(points)
     weights = np.zeros((B, circuit.num_classes))
     weights[np.arange(B), Y_prime] = 1.0
     t0 = time.perf_counter()
@@ -357,17 +344,30 @@ def run_queries(circuit: Circuit, queries, method: str = "two_step",
                 baseline: BaselineConfig | None = None) -> list[CfResult]:
     """Run one method over (x, y, y_prime) query triples as one batch.
 
-    Each query is checked as it is alone, and the first bad one raises its
-    ValueError.  Each result is bit for bit the one the query gets alone,
-    but for its ``elapsed``; the whole set costs the passes of one query.
-    The baseline reads no source class y.
+    The set is checked as one array, with the rules of :func:`generate`;
+    only if that raises is each query checked alone, and the first bad one
+    raises the ValueError it raises alone.  Each result's ``x`` is the
+    query's own point (the very object, for a float64 array), never a row
+    of the stacked batch.  Each result is bit for bit the one the query
+    gets alone, but for its ``elapsed``; the whole set costs the passes of
+    one query.  The baseline reads no source class y.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    points, Y, Y_prime = _batch(circuit, queries, source=method == "two_step")
+    queries = list(queries)
+    if not queries:
+        return []
+    x, y, y_prime = zip(*queries)
+    y = y if method == "two_step" else None
+    X, Y, Y_prime, single = _check(circuit, x, y, y_prime,
+                                   zip(x, itertools.repeat(None) if y is None else y, y_prime))
+    if single:
+        # the points were scalars, read as one point; alone, each is refused
+        _check(circuit, x[0], None, y_prime[0], queries=())
+    points = [np.asarray(q, dtype=np.float64) for q in x]
     if method == "two_step":
-        return _two_step(circuit, points, Y, Y_prime, config or CfConfig())
-    return _wachter(circuit, points, Y_prime, baseline or BaselineConfig())
+        return _two_step(circuit, points, X, Y, Y_prime, config or CfConfig())
+    return _wachter(circuit, points, X, Y_prime, baseline or BaselineConfig())
 
 
 def summarize(results: list[CfResult]) -> CfMetrics:

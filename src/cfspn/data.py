@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .circuit import _classes, _points
+
 
 class DataError(ValueError):
     """Unusable input data: bad file, bad cell, unknown category."""
@@ -206,16 +208,13 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.features.shape[0] != self.labels.shape[0]:
-            raise DataError(
-                f"features {self.features.shape} do not match labels "
-                f"{self.labels.shape}")
-        if not np.all(np.isfinite(self.features)):
-            raise DataError("features contain non-finite entries")
-        if self.labels.size and (self.labels.min() < 0
-                                 or self.labels.max() >= self.num_classes):
-            raise DataError(f"labels outside [0, {self.num_classes})")
+        if self.features.ndim != 2:
+            raise DataError(f"features of shape {self.features.shape} are not a table")
+        try:
+            _points(self.features, self.dimension, missing=False, what="features")
+            self.labels = _classes(self.labels, self.num_classes, "label", len(self))
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
 
     def __len__(self) -> int:
         return self.features.shape[0]

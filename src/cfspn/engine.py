@@ -92,6 +92,7 @@ from .circuit import (
     SUM,
     Circuit,
     _bottom_up,
+    _points,
     logsumexp,
 )
 
@@ -723,19 +724,14 @@ class CompiledCircuit:
         return [slice(b, min(b + self._block_cols, B))
                 for b in range(0, max(B, 1), self._block_cols)]
 
-    def _batch(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.d:
-            raise ValueError(f"expected shape (batch, {self.d}), got {X.shape}")
-        return X
-
     def evaluate(self, X: np.ndarray,
                  adjoints: Callable[[np.ndarray, slice], np.ndarray] | None = None,
                  want_input: bool = True,
                  want_params: bool = False) -> tuple[np.ndarray, BackwardResult | None]:
         """Class-root log values of a batch and, given ``adjoints``, gradients.
 
-        X has shape (B, d); NaN entries mark marginalized variables.  Each
+        X has shape (B, d), or (d,) for a batch of one; NaN entries mark
+        marginalized variables, and +-inf raises ValueError.  Each
         column block runs forward and, with ``adjoints``, backward at once:
         ``adjoints(values, rows)`` maps the block's class-root log values,
         (b, C), and its row slice of X to the adjoints of the differentiated
@@ -743,7 +739,7 @@ class CompiledCircuit:
         root node add their adjoints.  Returns the (B, C) values and the
         gradients as :meth:`backward` gives them, or None without adjoints.
         """
-        X = self._batch(X)
+        X = _points(X, self.d)[0]
         values = np.empty((X.shape[0], len(self._root_rows)))
         result = None
         if adjoints is not None:
@@ -766,12 +762,11 @@ class CompiledCircuit:
     def forward(self, X: np.ndarray) -> np.ndarray:
         """Log values of the materialized nodes on a batch.
 
-        X has shape (B, d); NaN entries mark marginalized variables.  Returns
-        V of shape (materialized nodes, B); read it with :meth:`root_values`
+        X is checked as :meth:`evaluate` checks it.  Returns V of shape (materialized nodes, B); read it with :meth:`root_values`
         and pass it to :meth:`backward`.  These two run the sweeps of
         :meth:`evaluate` apart, so that each can be timed on its own.
         """
-        X = self._batch(X)
+        X = _points(X, self.d)[0]
         parts = []
         for cols in self._column_blocks(X.shape[0]):
             parts.append(np.empty((self.n_rows, cols.stop - cols.start)))
@@ -826,9 +821,10 @@ class CompiledCircuit:
         respect to that root's log value.  Subtrees whose log value is -inf
         propagate a zero adjoint (the dead-branch convention).  Input
         gradients of marginalized coordinates and of categorical leaves are
-        zero.  A non-finite adjoint raises ValueError.
+        zero.  X is checked as :meth:`evaluate` checks it; a non-finite
+        adjoint raises ValueError.
         """
-        X = self._batch(X)
+        X = _points(X, self.d)[0]
         B = V.shape[1]
         for node_id in seeds:
             if node_id not in self._fields["class_roots"]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .circuit import LOG_TINY, Circuit, logsumexp
+from .circuit import LOG_TINY, Circuit, _classes, _points, logsumexp
 
 GRAD_MODES = ("density", "log_density")
 
@@ -42,22 +42,6 @@ class Gradient:
     underflow: bool | list[bool] = False
 
 
-def _points(circuit: Circuit, x) -> tuple[np.ndarray, bool]:
-    """x as a (B, d) batch, and whether it was a single (d,) point."""
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.ndim != 2 or X.shape[1] != circuit.num_variables:
-        raise ValueError(f"input shape {np.shape(x)} does not match "
-                         f"{circuit.num_variables} variables")
-    if not np.isfinite(X).all():
-        if np.isnan(X).any():
-            raise ValueError("input has missing values; gradients need full observations")
-        raise ValueError("input contains non-finite values")
-    return X, single
-
-
 def gradient(circuit: Circuit, x, class_weights: dict[int, float] | np.ndarray,
              density_weight: float = 0.0) -> Gradient:
     """grad_x [sum_y class_weights[y] log S(x|y) + density_weight log S(x)].
@@ -70,14 +54,11 @@ def gradient(circuit: Circuit, x, class_weights: dict[int, float] | np.ndarray,
     quantity's partials with respect to them, class_weights[y] +
     density_weight * P(y|x), seed the backward sweep.
     """
-    X, single = _points(circuit, x)
+    X, single = _points(x, circuit.num_variables, missing=False)
     C = circuit.num_classes
     if isinstance(class_weights, dict):
         weights = np.zeros(C)
-        for y, w in class_weights.items():
-            if not (0 <= y < C):
-                raise ValueError(f"class {y} out of range [0, {C})")
-            weights[y] = w
+        weights[_classes(list(class_weights), C)] = list(class_weights.values())
     else:
         weights = np.asarray(class_weights, dtype=np.float64)
         if weights.shape != (len(X), C):

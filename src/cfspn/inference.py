@@ -1,8 +1,9 @@
 """Density evaluation, marginalization and Bayes-rule classification.
 
-Evidence is a length-d float vector; NaN marks a marginalized variable.
-Every operation accepts a single row or a (B, d) batch and returns a scalar
-or vector accordingly.  All quantities are log-space nats.
+Evidence is a length-d float vector; NaN marks a marginalized variable,
+and an infinite value raises ValueError.  Every operation accepts a single
+row or a (B, d) batch and returns a scalar or vector accordingly.  All
+quantities are log-space nats.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import engine
-from .circuit import Circuit, logsumexp
+from .circuit import Circuit, _classes, _points, logsumexp
 
 #: A posterior is a length-C (or (B, C)) vector of normalized log probabilities.
 Posterior = np.ndarray
@@ -20,23 +21,9 @@ def as_evidence(values, num_variables: int | None = None) -> np.ndarray:
     """Build an evidence vector from a sequence with None for missing entries."""
     x = np.array([np.nan if v is None else float(v) for v in values],
                  dtype=np.float64)
-    if num_variables is not None and x.shape != (num_variables,):
-        raise ValueError(f"expected {num_variables} values, got {x.shape}")
+    if num_variables is not None:
+        _points(x, num_variables, what="evidence")
     return x
-
-
-def _as_batch(circuit: Circuit, evidence) -> tuple[np.ndarray, bool]:
-    x = np.asarray(evidence, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != circuit.num_variables:
-        raise ValueError(
-            f"evidence shape {np.shape(evidence)} does not match "
-            f"{circuit.num_variables} variables")
-    if np.any(np.isinf(x)):
-        raise ValueError("evidence contains non-finite present values")
-    return x, single
 
 
 def _root_values(circuit: Circuit, X: np.ndarray) -> np.ndarray:
@@ -51,22 +38,21 @@ def _root_values(circuit: Circuit, X: np.ndarray) -> np.ndarray:
 
 def class_log_densities(circuit: Circuit, evidence) -> np.ndarray:
     """log S(x|y) for every class y; shape (C,) or (B, C)."""
-    X, single = _as_batch(circuit, evidence)
+    X, single = _points(evidence, circuit.num_variables, what="evidence")
     values = _root_values(circuit, X)
     return values[0] if single else values
 
 
 def class_log_density(circuit: Circuit, y: int, evidence):
     """log S(x|y), the log value at class root y."""
-    if not (0 <= y < circuit.num_classes):
-        raise ValueError(f"class {y} out of range [0, {circuit.num_classes})")
+    y = _classes(y, circuit.num_classes)
     values = class_log_densities(circuit, evidence)
     return float(values[y]) if values.ndim == 1 else values[:, y]
 
 
 def log_density(circuit: Circuit, evidence):
     """log S(x) = log sum_y exp(log S(x|y) + log P(y))."""
-    X, single = _as_batch(circuit, evidence)
+    X, single = _points(evidence, circuit.num_variables, what="evidence")
     values = log_density_of(circuit, _root_values(circuit, X))
     all_missing = np.all(np.isnan(X), axis=1)
     if np.any(all_missing):
@@ -81,7 +67,7 @@ def log_density_of(circuit: Circuit, class_log_values) -> np.ndarray:
 
 def posterior(circuit: Circuit, evidence) -> Posterior:
     """Normalized log P(y|x) by Bayes' rule; shape (C,) or (B, C)."""
-    X, single = _as_batch(circuit, evidence)
+    X, single = _points(evidence, circuit.num_variables, what="evidence")
     log_probs = posterior_of(circuit, _root_values(circuit, X))
     return log_probs[0] if single else log_probs
 
@@ -118,7 +104,8 @@ def predict(circuit: Circuit, evidence):
 
 def accuracy(circuit: Circuit, features, labels) -> float:
     """Share of rows whose predicted class matches the label."""
-    labels = np.asarray(labels, dtype=np.int64)
+    predictions = np.atleast_1d(predict(circuit, features))
+    labels = _classes(labels, circuit.num_classes, "label", len(predictions))
     if labels.size == 0:
         raise ValueError("no rows to score")
-    return float(np.mean(predict(circuit, features) == labels))
+    return float(np.mean(predictions == labels))

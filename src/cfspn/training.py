@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CATEGORICAL, Circuit, logsumexp
+from .circuit import CATEGORICAL, Circuit, _classes, _points, logsumexp
 from .engine import CompiledCircuit, compile_circuit
 from .structure import StructureConfig, build_circuit
 
@@ -161,8 +161,8 @@ def _mean_joint_ll_compiled(compiled: CompiledCircuit, log_prior: np.ndarray,
 
 def mean_joint_log_likelihood(circuit: Circuit, features, labels) -> float:
     """Mean log S(x|y) + log P(y) over a labeled sample."""
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
+    X, _ = _points(features, circuit.num_variables, what="features")
+    y = _classes(labels, circuit.num_classes, "label", len(X))
     return _mean_joint_ll_compiled(compile_circuit(circuit),
                                    circuit.log_prior, X, y)
 
@@ -180,16 +180,12 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
     Circuits with categorical leaves are refused, since their probabilities
     are not trained.
     """
-    X = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.int64)
+    C = circuit.num_classes
+    X, _ = _points(dataset.features, circuit.num_variables, missing=False,
+                   what="features")
+    y = _classes(dataset.labels, C, "label")
     if X.shape[0] == 0:
         raise ValueError("empty dataset")
-    C = circuit.num_classes
-    if y.min() < 0 or y.max() >= C:
-        raise ValueError(f"labels outside [0, {C})")
-    if X.shape[1] != circuit.num_variables:
-        raise ValueError(f"data has {X.shape[1]} features, circuit has "
-                         f"{circuit.num_variables}")
     if np.any(circuit.kind == CATEGORICAL):
         raise ValueError("fit cannot train categorical leaves: their probabilities "
                          "would keep their initial values")

@@ -359,6 +359,68 @@ def test_a_bad_query_in_a_set_raises_its_own_message(three_class_model, what):
         assert str(in_set.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("first, second", [("target", "missing"), ("shape", "same"),
+                                           ("source", "non-finite")])
+def test_a_set_with_two_bad_queries_raises_the_first_ones_message(three_class_model,
+                                                                  first, second):
+    circuit, queries = three_class_model
+    with pytest.raises(ValueError) as alone:
+        cf.generate(circuit, *BAD_QUERIES[first])
+    with pytest.raises(ValueError) as in_set:
+        cf.run_queries(circuit, [queries[0], BAD_QUERIES[first], queries[1],
+                                 BAD_QUERIES[second]], "two_step")
+    assert str(in_set.value) == str(alone.value)
+
+
+def test_a_batch_with_per_row_targets_raises_its_first_bad_rows_message(three_class_model):
+    circuit, _ = three_class_model
+    X = np.full((4, 2), 0.5)
+    X[3, 0] = np.nan
+    # row 1 has the source class as its target, row 2 a target out of range,
+    # row 3 a missing value; the set as a whole fails on the last first
+    for targets, bad in (([1, 0, 3, 2], 1), ([1, 2, 3, 2], 2)):
+        with pytest.raises(ValueError) as alone:
+            cf.generate(circuit, X[bad], 0, targets[bad])
+        with pytest.raises(ValueError) as in_set:
+            cf.generate(circuit, X, 0, np.array(targets))
+        assert str(in_set.value) == str(alone.value)
+    with pytest.raises(ValueError) as alone:
+        cf.wachter_baseline(circuit, X[2], 3)
+    with pytest.raises(ValueError) as in_set:
+        cf.wachter_baseline(circuit, X, [1, 0, 3, 2])
+    assert str(in_set.value) == str(alone.value)
+
+
+def test_classes_that_are_not_integers_are_refused(three_class_model):
+    # a target of 1.9 is not class 1, nor True class 1
+    circuit, queries = three_class_model
+    x, y, _ = queries[0]
+    target = (y + 1) % 3
+    for bad in (target + 0.9, float(target), True):
+        with pytest.raises(ValueError, match="is not an integer"):
+            cf.generate(circuit, x, y, bad)
+        with pytest.raises(ValueError, match="is not an integer"):
+            cf.run_queries(circuit, [queries[1], (x, y, bad)])
+        with pytest.raises(ValueError, match="is not an integer"):
+            cf.wachter_baseline(circuit, x, bad)
+    with pytest.raises(ValueError, match=f"source class {float(y)} is not an integer"):
+        cf.generate(circuit, x, float(y), target)
+    with pytest.raises(ValueError, match="target class 1.2 is not an integer"):
+        cf.generate(circuit, np.stack([x, x]), 0, [1.2, 1.0])
+
+
+def test_run_queries_results_keep_the_callers_points(three_class_model):
+    circuit, queries = three_class_model
+    for method in cf.METHODS:
+        results = cf.run_queries(circuit, queries, method,
+                                 baseline=cf.BaselineConfig(max_iters=3))
+        assert all(r.x is x for r, (x, _, _) in zip(results, queries))
+    # a point given as a list becomes an array of its own, not a row of the batch
+    results = cf.run_queries(circuit, [(x.tolist(), y, y_prime)
+                                       for x, y, y_prime in queries[:3]])
+    assert all(r.x.base is None for r in results)
+
+
 def test_each_mislabeled_row_warns_once(three_class_model):
     circuit, queries = three_class_model
     x, y, y_prime = queries[0]
@@ -375,6 +437,16 @@ def test_each_mislabeled_row_warns_once(three_class_model):
     assert ([(w.category, str(w.message)) for w in in_set]
             == [(w.category, str(w.message)) for w in alone])
     assert all(w.category is RuntimeWarning for w in in_set)
+
+
+def test_a_set_of_scalar_points_is_refused_as_each_one_is_alone():
+    c = two_gaussian_classifier()
+    with pytest.raises(ValueError) as alone:
+        cf.generate(c, 0.5, 0, 1)
+    for method in cf.METHODS:
+        with pytest.raises(ValueError) as in_set:
+            cf.run_queries(c, [(0.5, 0, 1)], method)
+        assert str(in_set.value) == str(alone.value)
 
 
 def test_run_queries_validates_method():

@@ -279,3 +279,19 @@ def test_transform_inverse_round_trip_property(row):
     assert back[0] == row[0] and back[1] == row[1]
     assert back[2] == pytest.approx(row[2], abs=1e-12)
     assert back[3] == pytest.approx(row[3], abs=1e-9)
+
+
+@pytest.mark.parametrize("labels", [[0.5, 1.7, 1.0], [0.0, 1.0, 1.0], [True, False, True],
+                                    [0, True, 1]])
+def test_dataset_refuses_labels_that_are_not_integers(labels):
+    # a float label is refused, not truncated; a bool is not a class index
+    with pytest.raises(data.DataError, match="label values must be integers"):
+        data.Dataset(np.zeros((3, 2)), labels, 2)
+
+
+def test_dataset_keeps_integer_labels_of_any_integer_type():
+    for labels in ([0, 1, 1], np.array([0, 1, 1], dtype=np.uint8)):
+        ds = data.Dataset(np.zeros((3, 2)), labels, 2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
+    with pytest.raises(data.DataError, match=r"label 2 out of range \[0, 2\)"):
+        data.Dataset(np.zeros((3, 2)), [0, 2, 1], 2)

@@ -425,6 +425,39 @@ def test_non_finite_seed_raises(bad):
         comp.backward(V, X, {9: np.array([1.0, bad])})
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_infinite_inputs_raise_in_every_pass(bad):
+    comp = engine.compile_circuit(shared_child_circuit())
+    X = np.full((2, 3), 0.5)
+    V = comp.forward(X)
+    X[1, 2] = bad
+    with pytest.raises(ValueError, match="infinite"):
+        comp.evaluate(X)
+    with pytest.raises(ValueError, match="infinite"):
+        comp.evaluate(X, lambda values, rows: np.ones_like(values))
+    with pytest.raises(ValueError, match="infinite"):
+        comp.forward(X)
+    with pytest.raises(ValueError, match="infinite"):
+        comp.backward(V, X, {9: np.ones(2)})
+
+
+def test_a_single_point_is_a_batch_of_one(rng):
+    c = random_circuit(rng, num_variables=3, num_classes=2)
+    comp = engine.compile_circuit(c)
+    x = rng.normal(0.5, 0.4, size=3)
+    x[1] = np.nan
+
+    def adjoints(values, rows):
+        return np.ones_like(values)
+
+    values, back = comp.evaluate(x, adjoints)
+    batch_values, batch_back = comp.evaluate(x[None, :], adjoints)
+    assert values.shape == (1, 2)
+    assert np.array_equal(values, batch_values)
+    assert np.array_equal(back.input_grads, batch_back.input_grads)
+    assert np.array_equal(comp.forward(x), comp.forward(x[None, :]))
+
+
 def region_shapes(comp):
     """(regions, distributions, variables) of each leaf-region bucket."""
     return [r.leaves.shape for r in comp._regions]

@@ -186,6 +186,10 @@ def test_gradient_returns_the_class_log_values_of_its_forward_pass(rng):
                           inference.class_log_densities(c, X[2]))
     with pytest.raises(ValueError):
         grad.gradient(c, X, {3: 1.0})
+    # True is not class 1, nor a mask over every class
+    for weights in ({True: 1.0}, {True: 1.0, 0: -1.0}, {1.0: 1.0}):
+        with pytest.raises(ValueError, match="integer"):
+            grad.gradient(c, X[0], weights)
 
 
 def test_batch_gradients_match_per_row(rng):

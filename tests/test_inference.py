@@ -33,6 +33,10 @@ def test_class_log_density_rejects_bad_class(rng):
         inference.class_log_density(c, 2, x)
     with pytest.raises(ValueError):
         inference.class_log_density(c, -1, x)
+    # a bool or a float is not a class index, even where it equals one
+    for y in (True, 1.0):
+        with pytest.raises(ValueError, match="is not an integer"):
+            inference.class_log_density(c, y, x)
 
 
 def test_log_density_is_prior_mixture(rng):
@@ -96,6 +100,12 @@ def test_accuracy_counts_matches():
     X = np.array([[-1.5], [-0.5], [0.5], [1.5]])
     labels = np.array([0, 0, 0, 1])
     assert inference.accuracy(c, X, labels) == pytest.approx(0.75)
+    # one label is not a label for every row, and -1 is not the last class
+    for bad in ([1], [0, 0, 0, -1]):
+        with pytest.raises(ValueError, match="label"):
+            inference.accuracy(c, X, bad)
+    with pytest.raises(ValueError, match="no rows to score"):
+        inference.accuracy(c, X[:0], [])
 
 
 def test_bernoulli_marginal_is_exact_sum(rng):

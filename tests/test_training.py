@@ -286,6 +286,13 @@ def test_mean_joint_log_likelihood_matches_manual():
         inference.class_log_density(c, int(y), x) + c.log_prior[int(y)]
         for x, y in zip(ds.features, ds.labels)])
     assert got == pytest.approx(manual, abs=1e-10)
+    # label -1 is not the last class, and every row needs its own label
+    labels = ds.labels.copy()
+    labels[3] = -1
+    with pytest.raises(ValueError, match=r"label -1 out of range \[0, 2\)"):
+        training.mean_joint_log_likelihood(c, ds.features, labels)
+    with pytest.raises(ValueError, match=r"label values of shape \(49,\) do not match 50 rows"):
+        training.mean_joint_log_likelihood(c, ds.features, ds.labels[1:])
 
 
 def test_cross_validate_prefers_reasonable_variance_floor():
