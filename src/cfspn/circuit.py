@@ -104,6 +104,15 @@ def _classes(y, num_classes: int, what: str = "class", rows: int | None = None) 
     return Y if rows is None or Y.ndim else np.full(rows, Y)
 
 
+def _integer(value, what: str, minimum: int) -> int:
+    """value, a Python or NumPy integer of at least ``minimum``, as an int.
+    A bool, a float (even an integral one) and a string are refused."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 class CircuitFormatError(ValueError):
     """A model document could not be parsed into a valid circuit."""
 

@@ -24,7 +24,7 @@ from . import circuit as circuit_mod
 from . import counterfactual as cf
 from . import data as data_mod
 from . import grad, inference
-from .circuit import _classes
+from .circuit import _classes, _integer
 from .structure import StructureConfig, build_circuit
 from .training import TrainConfig, fit
 
@@ -78,24 +78,19 @@ def _check_keys(where: str, keys, allowed: set[str]) -> None:
 def _max_queries(section: dict, name: str) -> int | None:
     """Pop a section's ``max_queries``: None, or an integer >= 0."""
     value = section.pop("max_queries", None)
-    if value is not None and (type(value) is not int or value < 0):
-        raise ValueError(f"{name}.max_queries must be an integer >= 0, got {value!r}")
-    return value
+    return None if value is None else _integer(value, f"{name}.max_queries", 0)
 
 
 def _build_config(cls, section: dict, **overrides):
     _check_keys(cls.__name__, section, {f.name for f in dataclasses.fields(cls)})
     merged = {**section, **{k: v for k, v in overrides.items() if v is not None}}
-    if "categorical_cardinalities" in merged and merged["categorical_cardinalities"]:
-        merged["categorical_cardinalities"] = tuple(
-            merged["categorical_cardinalities"])
     return cls(**merged)
 
 
 def _global_seed(cfg: dict, args) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    return int(cfg.get("seed", 0))
+        return _integer(args.seed, "--seed", 0)
+    return _integer(cfg.get("seed", 0), "seed", 0)
 
 
 def _load_pair(cfg: dict, args, seed: int):
@@ -114,7 +109,7 @@ def _load_pair(cfg: dict, args, seed: int):
     split_cfg = _section(cfg, "split")
     _check_keys("split", split_cfg, _SPLIT_KEYS)
     fraction = float(split_cfg.get("train_fraction", 0.7))
-    split_seed = int(split_cfg.get("seed", seed))
+    split_seed = _integer(split_cfg.get("seed", seed), "split.seed", 0)
 
     if kind == "mnist":
         if "dir" not in section:
@@ -132,12 +127,13 @@ def _load_pair(cfg: dict, args, seed: int):
         dataset = data_mod.load_csv(section["path"], schema)
     elif kind in ("moons", "rings"):
         maker = data_mod.make_moons if kind == "moons" else data_mod.make_rings
-        dataset = maker(int(section.get("n", 2000)),
+        dataset = maker(_integer(section.get("n", 2000), "dataset.n", 2),
                         float(section.get("noise", 0.1)),
-                        int(section.get("seed", seed)))
+                        _integer(section.get("seed", seed), "dataset.seed", 0))
     elif kind == "onehot":
-        dataset = data_mod.make_onehot_tabular(int(section.get("n", 1200)),
-                                               int(section.get("seed", seed)))
+        dataset = data_mod.make_onehot_tabular(
+            _integer(section.get("n", 1200), "dataset.n", 2),
+            _integer(section.get("seed", seed), "dataset.seed", 0))
     return data_mod.split(dataset, fraction, split_seed)
 
 
@@ -310,9 +306,10 @@ def cmd_grid(args) -> int:
 
     section = _section(cfg, "grid")
     _check_keys("grid", section, _GRID_KEYS)
-    resolution = int(args.resolution or section.get("resolution", 50))
-    if resolution < 2:
-        raise ValueError(f"resolution must be >= 2, got {resolution}")
+    if args.resolution is None:
+        resolution = _integer(section.get("resolution", 50), "grid.resolution", 2)
+    else:
+        resolution = _integer(args.resolution, "--resolution", 2)
     x1_lo, x1_hi = _interval(section, "x1")
     x2_lo, x2_hi = _interval(section, "x2")
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grad, inference
-from .circuit import Circuit, _classes, _points
+from .circuit import Circuit, _classes, _integer, _points
 
 METHODS = ("two_step", "wachter")
 
@@ -75,8 +75,7 @@ class BaselineConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, "
                              f"got {self.learning_rate}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        self.max_iters = _integer(self.max_iters, "max_iters", 1)
 
 
 @dataclass

@@ -224,7 +224,11 @@ class Dataset:
         return self.features.shape[1]
 
     def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices, dtype=np.int64)
+        """The rows at ``indices``, integers in [0, len(self)), in that order."""
+        try:
+            indices = _classes(indices, len(self), "row index")
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
         return Dataset(self.features[indices], self.labels[indices],
                        self.num_classes, self.meta)
 

@@ -62,9 +62,9 @@ contraction down to input coordinates and, optionally, to leaf and sum
 parameters; each sum step reuses the factors and contractions it built on
 the way up.  The node values never leave the block.  Without adjoints the
 pass is forward only: it keeps nothing for a backward pass and returns only
-the class-root values.  ``forward`` and ``backward`` run the same block
-code as two passes over an array of node values that ``forward`` returns;
-``backward`` then builds the factors again.
+the class-root values.  ``forward`` runs the forward sweep alone and
+returns the node values; ``backward`` seeds class-root nodes and runs
+``evaluate``'s pass, forward sweep and all.  The two are kept for timing.
 
 Sum-node log-weights live in one (sums, children) array per bucket
 (``sum_log_weights``), columns in each node's own child order, and their
@@ -250,24 +250,19 @@ class _LeafRegions:
         c *= -0.5
         return _Natural(theta, center, delta, var)
 
-    def statistics(self, XT: np.ndarray, center: np.ndarray) -> np.ndarray:
-        """T, (R, 3k, B), from (d, B) inputs."""
-        R, k = self.variables.shape
+    def forward(self, V: np.ndarray, XT: np.ndarray, p: _Natural) -> np.ndarray:
+        """Write the distributions' log values on (d, B) inputs into V; return
+        the statistics T, (R, 3k, B)."""
+        R, I, k = self.leaves.shape
         T = np.empty((R, 3 * k, XT.shape[1]))
         u = T[:, k:2 * k]
-        np.subtract(XT[self.variables], center[:, :, None], out=u)
+        np.subtract(XT[self.variables], p.center[:, :, None], out=u)
         T[:, 2 * k:] = 1.0
         missing = np.isnan(u)
         if missing.any():
             u[missing] = 0.0
             T[:, 2 * k:][missing] = 0.0
         np.multiply(u, u, out=T[:, :k])
-        return T
-
-    def forward(self, V: np.ndarray, XT: np.ndarray, p: _Natural) -> np.ndarray:
-        """Write the distributions' log values into V; return T."""
-        T = self.statistics(XT, p.center)
-        R, I, _ = self.leaves.shape
         V[self.rows].reshape(R, I, -1)[...] = _contract(p.theta.transpose(0, 2, 1), T)
         return T
 
@@ -301,13 +296,14 @@ class _Products:
     children: np.ndarray     # (n, arity) child rows
     unique: bool             # no row repeats within a column of children
 
-    def forward(self, V: np.ndarray) -> None:
+    def forward(self, V: np.ndarray, params: None) -> None:
         out = V[self.rows]
         out[...] = V[self.children[:, 0]]
         for column in self.children.T[1:]:
             out += V[column]
 
-    def backward(self, A: np.ndarray) -> None:
+    def backward(self, V: np.ndarray, A: np.ndarray, params: None,
+                 grad: None, saved: None) -> None:
         adjoint = A[self.rows]
         for column in self.children.T:
             _scatter_add(A, column, adjoint, self.unique)
@@ -385,9 +381,10 @@ class _Sums:
         lw = log_weights.reshape(low.shape[0], low.shape[1], -1)[g, s]
         return g, s, b, lw + self._log_terms(V, g, b)
 
-    def forward(self, V: np.ndarray, log_weights: np.ndarray, W: np.ndarray) -> _Factors:
-        """Write the sums' log values into V, given the log-weights and the
-        :meth:`weights`; return the factors for :meth:`backward`."""
+    def forward(self, V: np.ndarray, params: tuple[np.ndarray, np.ndarray]) -> _Factors:
+        """Write the sums' log values into V, given ``params``, the log-weights
+        and their :meth:`weights`; return the factors for :meth:`backward`."""
+        log_weights, W = params
         factors, M = self._factors(V, W)
         T = factors.T
         with np.errstate(divide="ignore"):
@@ -400,14 +397,12 @@ class _Sums:
         V[self.rows] = out.reshape(len(self.ids), V.shape[1])
         return factors
 
-    def backward(self, V: np.ndarray, A: np.ndarray, log_weights: np.ndarray, W: np.ndarray,
-                 grad: np.ndarray | None = None, saved: _Factors | None = None) -> None:
-        """Add the children's adjoints to A, and the log-weight gradients to grad.
-
-        ``saved`` is what :meth:`forward` returned on the same V; without it
-        the factors are computed again.
-        """
-        left, right, U, T = saved if saved is not None else self._factors(V, W)[0]
+    def backward(self, V: np.ndarray, A: np.ndarray, params: tuple[np.ndarray, np.ndarray],
+                 grad: np.ndarray | None, saved: _Factors) -> None:
+        """Add the children's adjoints to A, and the log-weight gradients to grad;
+        ``saved`` is what :meth:`forward` returned on the same V."""
+        log_weights, W = params
+        left, right, U, T = saved
         G, K, I, B = left.shape
         S = T.shape[1]
         low = T < _LOW
@@ -648,7 +643,6 @@ class CompiledCircuit:
                 self._steps.append(step)
                 self._sums.append(step)
         self.n_rows = top
-        self._row_of = row_of
         self._root_rows = row_of[list(circuit.class_roots)]
         self._roots_unique = _is_unique(self._root_rows)
         # Batch columns per block, so that no temporary outgrows
@@ -670,11 +664,17 @@ class CompiledCircuit:
         #: Sum-node log-weights as one (sums, children) array per bucket.
         self.sum_log_weights = tuple(sum_log_weights)
         self._natural = [r.natural(gaussian_mean, gaussian_variance) for r in self._regions]
-        # each sum step's log-weights and weights
-        self._weights = {step: (w, step.weights(w)) for step, w in zip(self._sums, sum_log_weights)}
-        for a in (gaussian_mean, gaussian_variance, bernoulli_p,
+        # per step: a sum bucket's log-weights and weights, None for products
+        log_weights = dict(zip(self._sums, sum_log_weights))
+        self._weights = [(log_weights[s], s.weights(log_weights[s])) if s in log_weights
+                         else None for s in self._steps]
+        # the Bernoulli leaves' p, log p and log(1 - p), (leaves, 1) in row order
+        p = bernoulli_p[self._bernoulli.order, None]
+        with np.errstate(divide="ignore"):
+            self._bernoulli_params = (p, np.log(p), np.log1p(-p))
+        for a in (gaussian_mean, gaussian_variance, bernoulli_p, *self._bernoulli_params,
                   *(a for p in self._natural for a in p),
-                  *(a for pair in self._weights.values() for a in pair)):
+                  *(a for pair in self._weights if pair for a in pair)):
             a.flags.writeable = False
 
     def with_parameters(self, gaussian_mean, gaussian_variance, bernoulli_p,
@@ -737,13 +737,14 @@ class CompiledCircuit:
         (b, C), and its row slice of X to the adjoints of the differentiated
         quantity with respect to those values, (b, C).  Classes that share a
         root node add their adjoints.  Returns the (B, C) values and the
-        gradients as :meth:`backward` gives them, or None without adjoints.
+        requested gradients, or None without adjoints.  Subtrees whose log
+        value is -inf propagate a zero adjoint (the dead-branch convention).
+        Input gradients of marginalized coordinates and of categorical leaves
+        are zero.  A non-finite adjoint raises ValueError.
         """
         X = _points(X, self.d)[0]
         values = np.empty((X.shape[0], len(self._root_rows)))
-        result = None
-        if adjoints is not None:
-            result = self._result(X.shape[0], want_input, want_params)
+        result = None if adjoints is None else self._result(X.shape[0], want_input, want_params)
         for cols in self._column_blocks(X.shape[0]):
             XT = np.ascontiguousarray(X[cols].T)
             V = np.empty((self.n_rows, XT.shape[1]))
@@ -760,11 +761,11 @@ class CompiledCircuit:
         return values, result
 
     def forward(self, X: np.ndarray) -> np.ndarray:
-        """Log values of the materialized nodes on a batch.
+        """Log values of the materialized nodes on a batch: :meth:`evaluate`'s
+        forward sweep alone, so that it can be timed on its own.
 
-        X is checked as :meth:`evaluate` checks it.  Returns V of shape (materialized nodes, B); read it with :meth:`root_values`
-        and pass it to :meth:`backward`.  These two run the sweeps of
-        :meth:`evaluate` apart, so that each can be timed on its own.
+        X is checked as :meth:`evaluate` checks it.  Returns V of shape
+        (materialized nodes, B); read it with :meth:`root_values`.
         """
         X = _points(X, self.d)[0]
         parts = []
@@ -776,15 +777,10 @@ class CompiledCircuit:
     def _forward_block(self, V: np.ndarray, XT: np.ndarray, keep: bool) -> tuple | None:
         """Write V, (materialized nodes, b), of one column block from its (d, b)
         inputs; if ``keep``, return the statistics T of each leaf-region bucket
-        and the factors each sum step saves for the backward pass (else None)."""
+        and what each step saves for the backward pass (else None)."""
         stats = [r.forward(V, XT, p) for r, p in zip(self._regions, self._natural)]
         self._leaf_values(XT, V)
-        kept = {}
-        for step in self._steps:
-            if step in self._weights:
-                kept[step] = step.forward(V, *self._weights[step])
-            else:
-                step.forward(V)
+        kept = [step.forward(V, params) for step, params in zip(self._steps, self._weights)]
         return (stats, kept) if keep else None
 
     def _leaf_values(self, XT: np.ndarray, V: np.ndarray) -> None:
@@ -792,9 +788,7 @@ class CompiledCircuit:
         marginalized leaf is log 1 = 0."""
         if self.bernoulli_ids.size:
             Xb = XT[self._bernoulli.variables]
-            p = self.bernoulli_p[self._bernoulli.order, None]
-            with np.errstate(divide="ignore"):
-                lp, l1p = np.log(p), np.log1p(-p)
+            _, lp, l1p = self._bernoulli_params
             with np.errstate(invalid="ignore"):
                 t1 = np.where(Xb == 0.0, 0.0, Xb * lp)
                 t2 = np.where(Xb == 1.0, 0.0, (1.0 - Xb) * l1p)
@@ -815,34 +809,27 @@ class CompiledCircuit:
                  seeds: dict[int, np.ndarray],
                  want_input: bool = True,
                  want_params: bool = False) -> BackwardResult:
-        """Reverse pass from seeded class-root adjoints.
+        """:meth:`evaluate`'s gradients on X, seeded at class-root nodes.
 
         ``seeds`` maps a class-root node id to a (B,)-vector of adjoints with
-        respect to that root's log value.  Subtrees whose log value is -inf
-        propagate a zero adjoint (the dead-branch convention).  Input
-        gradients of marginalized coordinates and of categorical leaves are
-        zero.  X is checked as :meth:`evaluate` checks it; a non-finite
-        adjoint raises ValueError.
+        respect to that root's log value; a root that serves several classes
+        takes its seed once.  V, :meth:`forward`'s result on X, must have one
+        column per row of X; :meth:`evaluate` computes the node values again.
         """
         X = _points(X, self.d)[0]
-        B = V.shape[1]
-        for node_id in seeds:
-            if node_id not in self._fields["class_roots"]:
+        if V.shape[1] != len(X):
+            raise ValueError(f"V has {V.shape[1]} columns, X has {len(X)} rows")
+        roots = list(self._fields["class_roots"])
+        seed = np.zeros((len(X), len(roots)))
+        for node_id, vec in seeds.items():
+            if node_id not in roots:
                 raise ValueError(f"seed at node {node_id}, which is not a class root")
-        result = self._result(B, want_input, want_params)
-        for cols in self._column_blocks(B):
-            Vc = np.ascontiguousarray(V[:, cols])
-            A = np.zeros_like(Vc)
-            for node_id, vec in seeds.items():
-                A[self._row_of[node_id]] += np.broadcast_to(vec, (B,))[cols]
-            self._backward_block(Vc, A, np.ascontiguousarray(X[cols].T), result, cols)
-        return result
+            seed[:, roots.index(node_id)] = vec
+        return self.evaluate(X, lambda values, rows: seed[rows], want_input, want_params)[1]
 
     def _result(self, B: int, want_input: bool, want_params: bool) -> BackwardResult:
         """Zero gradients of B rows, for the requested fields."""
-        result = BackwardResult()
-        if want_input:
-            result.input_grads = np.zeros((B, self.d))
+        result = BackwardResult(input_grads=np.zeros((B, self.d)) if want_input else None)
         if want_params:
             result.sum_log_weight_grads = [np.zeros_like(w) for w in self.sum_log_weights]
             result.gaussian_mean_grads = np.zeros(self.gaussian_ids.size)
@@ -851,27 +838,19 @@ class CompiledCircuit:
         return result
 
     def _backward_block(self, V: np.ndarray, A: np.ndarray, XT: np.ndarray,
-                        result: BackwardResult, cols: slice,
-                        saved: tuple | None = None) -> None:
-        """Propagate one column block's seeded adjoints A down to result.
-
-        ``saved`` is what :meth:`_forward_block` kept for this V; without it
-        every leaf-region bucket and sum step computes its factors again.
-        """
-        stats, kept = saved or ([None] * len(self._regions), {})
+                        result: BackwardResult, cols: slice, saved: tuple) -> None:
+        """Propagate one column block's seeded adjoints A down to result;
+        ``saved`` is what :meth:`_forward_block` kept for this V."""
+        stats, kept = saved
         grads = dict(zip(self._sums, result.sum_log_weight_grads or []))
-        for step in reversed(self._steps):
-            if step in self._weights:
-                step.backward(V, A, *self._weights[step], grads.get(step), kept.get(step))
-            else:
-                step.backward(A)
+        for step, params, factors in zip(reversed(self._steps), reversed(self._weights),
+                                         reversed(kept)):
+            step.backward(V, A, params, grads.get(step), factors)
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite adjoint in the backward pass; "
                              "check the seeds and the circuit's parameters")
         gx = None if result.input_grads is None else result.input_grads[cols].T
         for region, p, T in zip(self._regions, self._natural, stats):
-            if T is None:
-                T = region.statistics(XT, p.center)
             region.backward(A, T, p, gx, result)
         self._leaf_grads(XT, A, result, gx)
 
@@ -887,10 +866,10 @@ class CompiledCircuit:
             # A dead leaf (zero adjoint) adds exactly 0, also where p is 0 or 1
             # and its derivatives are infinite.
             live = (Ab != 0.0) & ~np.isnan(Xb)
-            p = self.bernoulli_p[b.order, None]
+            p, lp, l1p = self._bernoulli_params
             with np.errstate(divide="ignore", invalid="ignore"):
                 if gx is not None:
-                    dx = np.where(live, Ab * (np.log(p) - np.log1p(-p)), 0.0)
+                    dx = np.where(live, Ab * (lp - l1p), 0.0)
                     if not np.all(np.isfinite(dx)):
                         raise ValueError("non-finite input gradient: a live Bernoulli "
                                          "leaf has p = 0 or 1, so its logit is infinite")

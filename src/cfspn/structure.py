@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import KINDS, PRODUCT, SUM, Circuit, uniform_log_weights
+from .circuit import KINDS, PRODUCT, SUM, Circuit, _integer, uniform_log_weights
 
 LEAF_FAMILIES = ("gaussian", "bernoulli", "categorical")
 
@@ -48,9 +48,11 @@ class StructureConfig:
 
     def __post_init__(self):
         for name in ("depth", "repetitions", "sum_nodes_per_region",
-                     "leaf_distributions_per_region", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                     "leaf_distributions_per_region", "num_classes", "seed"):
+            setattr(self, name, _integer(getattr(self, name), name, 0 if name == "seed" else 1))
+        if self.categorical_cardinalities is not None:
+            self.categorical_cardinalities = tuple(_integer(k, "categorical_cardinalities", 1)
+                                                   for k in self.categorical_cardinalities)
         if self.leaf_family not in LEAF_FAMILIES:
             raise ValueError(f"unknown leaf_family {self.leaf_family!r}")
 

@@ -422,6 +422,59 @@ def test_grid_rejects_bad_resolution(trained, tmp_path, capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, grid, message", [
+    (["--resolution", "0"], {}, "--resolution must be an integer >= 2, got 0"),
+    ([], {"resolution": 3.7}, "grid.resolution must be an integer >= 2, got 3.7"),
+], ids=["flag-zero", "config-fraction"])
+def test_grid_resolution_is_an_integer_of_at_least_two(trained, tmp_path, capsys,
+                                                        flag, grid, message):
+    # 0 does not fall back to the default, and 3.7 is not truncated to 3
+    _, _, model = trained
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"grid": grid}))
+    out = tmp_path / "g.csv"
+    code = main(["grid", "--config", str(config), "--model", str(model), *flag,
+                 "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, name", [
+    (None, "seed", 7.5, "seed"),
+    ("dataset", "n", 100.7, "dataset.n"),
+    ("dataset", "seed", 2.9, "dataset.seed"),
+    ("split", "seed", 1.5, "split.seed"),
+    ("structure", "repetitions", "2", "repetitions"),
+    ("structure", "seed", -1, "seed"),
+    ("train", "epochs", 1.5, "epochs"),
+    ("train", "batch_size", 2.5, "batch_size"),
+    ("train", "patience", True, "patience"),
+])
+def test_train_refuses_config_integers_that_are_not_integers(tmp_path, capsys,
+                                                            section, key, value, name):
+    # a float is refused, not truncated, and a string or bool is bad input (exit 2)
+    cfg = json.loads(json.dumps(MOONS_CONFIG))
+    (cfg if section is None else cfg.setdefault(section, {}))[key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    out = tmp_path / "m.json"
+    assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {name} must be an integer >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_benchmark_refuses_a_fractional_iteration_cap(trained, tmp_path, capsys):
+    _, _, model = trained
+    bad = {**MOONS_CONFIG, "baseline": {"max_iters": 2.5}}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(bad))
+    code = main(["benchmark", "--config", str(config), "--model", str(model),
+                 "--target-class", "1", "--out", str(tmp_path / "bench.json")])
+    assert code == 2
+    assert "max_iters must be an integer >= 1, got 2.5" in capsys.readouterr().err
+
+
 def test_output_must_not_overwrite_inputs(trained, capsys):
     _, config, model = trained
     code = main(["train", "--config", str(config), "--out", str(config)])

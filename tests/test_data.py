@@ -295,3 +295,18 @@ def test_dataset_keeps_integer_labels_of_any_integer_type():
         assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
     with pytest.raises(data.DataError, match=r"label 2 out of range \[0, 2\)"):
         data.Dataset(np.zeros((3, 2)), [0, 2, 1], 2)
+
+
+@pytest.mark.parametrize("indices, message", [
+    ([0.7, 1.9, True], "row index values must be integers"),
+    ([0.0, 1.0], "row index values must be integers"),
+    ([0, 10], r"row index 10 out of range \[0, 10\)"),
+    ([3, -1], r"row index -1 out of range \[0, 10\)"),
+], ids=["fractions-and-bool", "integral-floats", "past-the-end", "negative"])
+def test_subset_refuses_indices_that_are_not_rows(indices, message):
+    # a float index is refused, not truncated; a negative one does not wrap
+    ds = data.make_moons(10, 0.1, 0)
+    with pytest.raises(data.DataError, match=message):
+        ds.subset(indices)
+    kept = ds.subset(np.array([3, 0, 3], dtype=np.uint8))
+    assert np.array_equal(kept.features, ds.features[[3, 0, 3]])

@@ -425,6 +425,24 @@ def test_non_finite_seed_raises(bad):
         comp.backward(V, X, {9: np.array([1.0, bad])})
 
 
+def test_backward_refuses_a_seed_off_the_class_roots():
+    comp = engine.compile_circuit(shared_child_circuit())
+    X = np.full((2, 3), 0.5)
+    V = comp.forward(X)
+    with pytest.raises(ValueError, match="seed at node 8, which is not a class root"):
+        comp.backward(V, X, {9: np.ones(2), 8: np.ones(2)})
+
+
+def test_backward_refuses_node_values_of_another_batch_width():
+    comp = engine.compile_circuit(shared_child_circuit())
+    X = np.full((3, 3), 0.5)
+    V = comp.forward(X[:2])
+    with pytest.raises(ValueError, match="V has 2 columns, X has 3 rows"):
+        comp.backward(V, X, {9: np.ones(3)})
+    with pytest.raises(ValueError, match="V has 3 columns, X has 2 rows"):
+        comp.backward(comp.forward(X), X[:2], {9: np.ones(2)})
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
 def test_infinite_inputs_raise_in_every_pass(bad):
     comp = engine.compile_circuit(shared_child_circuit())
@@ -551,9 +569,9 @@ def test_leaf_regions_at_the_variance_floor_far_from_zero_match_naive(rng, deep)
 def parameter_arrays(comp):
     """An instance's parameter arrays and every array derived from them."""
     return [comp.gaussian_mean, comp.gaussian_variance, comp.bernoulli_p,
-            comp.categorical_log_probs, *comp.sum_log_weights,
+            comp.categorical_log_probs, *comp.sum_log_weights, *comp._bernoulli_params,
             *(a for p in comp._natural for a in p),
-            *(W for _, W in comp._weights.values())]
+            *(pair[1] for pair in comp._weights if pair)]
 
 
 def test_with_parameters_matches_a_fresh_compile_and_leaves_its_source_alone(rng, deep):
@@ -591,7 +609,7 @@ def test_with_parameters_matches_a_fresh_compile_and_leaves_its_source_alone(rng
 
     for comp in (source, cached, moved, fresh):
         arrays = parameter_arrays(comp)
-        assert len(arrays) == 4 + 4 * len(comp._natural) + 2 * len(comp._sums)
+        assert len(arrays) == 7 + 4 * len(comp._natural) + 2 * len(comp._sums)
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a.flat[0] = 0.0
@@ -622,21 +640,26 @@ def test_parameters_written_in_place_reach_the_next_evaluation(rng, deep):
 
 
 def test_frozen_form_keeps_parameters_derived_once(rng, deep):
-    frozen = engine.compile_circuit(deep)
-    natural, weights = frozen._natural, frozen._weights
-    fresh = engine.CompiledCircuit(deep)
-    kept = parameter_arrays(frozen)[4:]
-    derived = parameter_arrays(fresh)[4:]
-    assert len(kept) == len(derived) == 4 * len(frozen._regions) + 2 * len(frozen._sums)
-    for a, b in zip(kept, derived):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-        with pytest.raises(ValueError):
-            a.flat[0] = 0.0
-    # every call reads the kept arrays; none derives them again
-    X = rng.normal(0.5, 0.4, size=(3, 12))
-    frozen.evaluate(X, posterior_adjoints(deep, rng, 3), want_params=True)
-    assert frozen._natural is natural and frozen._weights is weights
-    assert all(a is b for a, b in zip(parameter_arrays(frozen)[4:], kept))
+    bernoulli = random_circuit(rng, num_variables=4, leaf_family="bernoulli")
+    for c in (deep, bernoulli):
+        frozen = engine.compile_circuit(c)
+        natural, weights, leaves = frozen._natural, frozen._weights, frozen._bernoulli_params
+        fresh = engine.CompiledCircuit(c)
+        kept = parameter_arrays(frozen)[4:]
+        derived = parameter_arrays(fresh)[4:]
+        assert len(kept) == len(derived) == 3 + 4 * len(frozen._regions) + 2 * len(frozen._sums)
+        for a, b in zip(kept, derived):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            with pytest.raises(ValueError):
+                a.flat[0] = 0.0
+        # every call reads the kept arrays; none derives them again
+        X = rng.normal(0.5, 0.4, size=(3, c.num_variables))
+        if c is bernoulli:
+            X = (X > 0.5).astype(float)
+        frozen.evaluate(X, posterior_adjoints(c, rng, 3), want_params=True)
+        assert (frozen._natural is natural and frozen._weights is weights
+                and frozen._bernoulli_params is leaves)
+        assert all(a is b for a, b in zip(parameter_arrays(frozen)[4:], kept))
 
 
 def test_to_circuit_refuses_invalid_parameters(rng):

@@ -42,6 +42,22 @@ def test_train_config_rejects_bad_values():
         training.TrainConfig(optimizer="sgd")
 
 
+def test_config_integers_accept_numpy_integers_and_refuse_the_rest():
+    tc = training.TrainConfig(epochs=np.int64(3), batch_size=np.uint8(8))
+    assert type(tc.epochs) is int and type(tc.batch_size) is int
+    sc = StructureConfig(repetitions=np.int32(2), categorical_cardinalities=[2, np.int64(3)])
+    assert type(sc.repetitions) is int and sc.categorical_cardinalities == (2, 3)
+    for bad in (1.5, 2.0, "2", True, np.float64(2.0), np.bool_(True), None):
+        with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+            training.TrainConfig(epochs=bad)
+        with pytest.raises(ValueError, match="depth must be an integer >= 1"):
+            StructureConfig(depth=bad)
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+        training.TrainConfig(seed=-1)
+    with pytest.raises(ValueError, match="categorical_cardinalities must be an integer"):
+        StructureConfig(categorical_cardinalities=(2, 2.5))
+
+
 def test_single_gaussian_reaches_closed_form_mle():
     # MLE for data {0, 2}: mean 1, population variance 1.
     features = np.array([[0.0], [2.0]] * 64)
