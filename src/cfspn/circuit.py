@@ -18,6 +18,7 @@ at API boundaries.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -28,9 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-#: Version written by :func:`save`; :func:`load` also reads version 1, which
-#: listed one JSON object per node.
-FORMAT_VERSION = 2
+#: Version written by :func:`save`, which stores each array as the base64 of
+#: its little-endian int64 or float64 bytes.  :func:`load` also reads
+#: version 2, which listed the same arrays as JSON numbers, and version 1,
+#: which listed one JSON object per node.
+FORMAT_VERSION = 3
 
 KINDS = ("gaussian", "bernoulli", "categorical", "sum", "product")
 GAUSSIAN, BERNOULLI, CATEGORICAL, SUM, PRODUCT = range(len(KINDS))
@@ -111,6 +114,24 @@ def _integer(value, what: str, minimum: int) -> int:
             or value < minimum):
         raise ValueError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _number(value, what: str, minimum: float, *, strict: bool = False,
+            below: float = math.inf) -> float:
+    """value, a Python or NumPy real number, finite, at least ``minimum``
+    (above it, if ``strict``) and under ``below``, as a float.  A bool, a
+    string, a NaN and an infinity are refused."""
+    try:
+        number = (float(value) if isinstance(value, (int, float, np.integer, np.floating))
+                  and not isinstance(value, bool) else math.nan)
+    except OverflowError:               # an int past the float range
+        number = math.nan
+    # NaN fails both comparisons, and an infinity one of them.
+    if not ((number > minimum if strict else number >= minimum) and number < below):
+        bounds = f"{'>' if strict else '>='} {minimum:g}" + (
+            f" and < {below:g}" if below < math.inf else "")
+        raise ValueError(f"{what} must be a finite number {bounds}, got {value!r}")
+    return number
 
 
 class CircuitFormatError(ValueError):
@@ -391,15 +412,26 @@ def _violations(c: Circuit) -> list:
     return out
 
 
-def save(circuit: Circuit, destination: str | Path) -> None:
-    """Write a circuit as a versioned JSON document of flat arrays.
+def _dtype(name: str) -> str:
+    """The little-endian dtype of a field's bytes in a version-3 document."""
+    return "<i8" if name in _INTEGER_FIELDS else "<f8"
 
-    Floats are emitted as shortest decimal strings that round-trip to the
-    identical float64, so ``load(save(c))`` is bit-equal parameter-wise.
+
+def save(circuit: Circuit, destination: str | Path) -> None:
+    """Write a circuit as a versioned JSON document, format version 3.
+
+    ``num_variables`` and ``class_roots`` are JSON integers; every other
+    field is one base64 string (standard alphabet, padded) of its array's
+    little-endian int64 (``kind``, ``variable``, ``ptr``, ``ids``,
+    ``probs_ptr``) or float64 bytes.  No value passes through decimal text,
+    so ``load(save(c))`` is bit-equal array by array, -0.0 and -inf
+    included, and the same circuit always gives the same bytes.
     """
-    doc = {"format_version": FORMAT_VERSION, "num_variables": int(circuit.num_variables)}
-    doc.update((f.name, np.asarray(getattr(circuit, f.name)).tolist())
-               for f in fields(circuit) if f.name != "num_variables")
+    doc = {"format_version": FORMAT_VERSION, "num_variables": int(circuit.num_variables),
+           "class_roots": list(circuit.class_roots)}
+    doc.update((f.name, base64.b64encode(getattr(circuit, f.name).astype(
+                    _dtype(f.name), copy=False).tobytes()).decode("ascii"))
+               for f in fields(circuit) if f.name not in doc)
     with open(destination, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc))
         fh.write("\n")
@@ -416,11 +448,27 @@ def _typed(doc: dict, name: str) -> list:
     return values
 
 
+def _decoded(doc: dict, name: str) -> np.ndarray:
+    """doc[name], a base64 string of little-endian 8-byte values, as an array."""
+    text = doc[name]
+    if not isinstance(text, str):
+        raise CircuitFormatError(f"{name} must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:           # binascii.Error, or a non-ASCII character
+        raise CircuitFormatError(f"{name} is not valid base64: {exc}") from exc
+    if len(raw) % 8:
+        raise CircuitFormatError(f"{name} holds {len(raw)} bytes, "
+                                 "not a whole number of 8-byte values")
+    return np.frombuffer(raw, dtype=_dtype(name))
+
+
 def load(source: str | Path) -> Circuit:
-    """Load a circuit saved by :func:`save`, in format version 1 or 2.
+    """Load a circuit saved by :func:`save`, in format version 1, 2 or 3.
 
     Raises :class:`CircuitFormatError` on unknown versions, malformed
-    documents (nothing is cast: a string or a fractional id is an error) or
+    documents (nothing is cast: a string or a fractional id is an error, and
+    so is a version-3 field that is not base64 of whole 8-byte values) or
     circuits that fail validation after parsing.
     """
     try:
@@ -428,22 +476,25 @@ def load(source: str | Path) -> Circuit:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CircuitFormatError(f"not a JSON document: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CircuitFormatError(f"not a UTF-8 JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise CircuitFormatError("top level is not an object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in (1, FORMAT_VERSION):
+    if type(version) is not int or version not in (1, 2, FORMAT_VERSION):
         raise CircuitFormatError(
-            f"format_version {version!r} not supported (expected 1 or {FORMAT_VERSION})")
+            f"format_version {version!r} not supported (expected 1, 2 or {FORMAT_VERSION})")
     try:
-        arrays = doc if version == FORMAT_VERSION else {
+        arrays = doc if version > 1 else {
             **_node_arrays(doc["nodes"]), "class_roots": doc["class_roots"],
             "log_prior": doc["log_prior"]}
         d = doc["num_variables"]
         if type(d) is not int:
             raise CircuitFormatError("num_variables must be an integer")
-        return Circuit(**{f.name: _typed(arrays, f.name)
-                          for f in fields(Circuit) if f.name != "num_variables"},
-                       num_variables=d)
+        read = _decoded if version == FORMAT_VERSION else _typed
+        return Circuit(**{f.name: read(arrays, f.name) for f in fields(Circuit)
+                          if f.name not in ("class_roots", "num_variables")},
+                       class_roots=_typed(arrays, "class_roots"), num_variables=d)
     except CircuitFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import grad, inference
-from .circuit import Circuit, _classes, _integer, _points
+from .circuit import Circuit, _classes, _integer, _number, _points
 
 METHODS = ("two_step", "wachter")
 
@@ -55,9 +54,7 @@ class CfConfig:
 
     def __post_init__(self):
         for name in ("epsilon1", "epsilon2"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
+            setattr(self, name, _number(getattr(self, name), name, 0, strict=True))
         if self.grad_mode not in grad.GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {grad.GRAD_MODES}")
 
@@ -70,11 +67,8 @@ class BaselineConfig:
     early_stop: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, "
-                             f"got {self.learning_rate}")
+        self.lam = _number(self.lam, "lam", 0)
+        self.learning_rate = _number(self.learning_rate, "learning_rate", 0, strict=True)
         self.max_iters = _integer(self.max_iters, "max_iters", 1)
 
 

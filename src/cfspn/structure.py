@@ -51,6 +51,9 @@ class StructureConfig:
                      "leaf_distributions_per_region", "num_classes", "seed"):
             setattr(self, name, _integer(getattr(self, name), name, 0 if name == "seed" else 1))
         if self.categorical_cardinalities is not None:
+            if not isinstance(self.categorical_cardinalities, (list, tuple, np.ndarray)):
+                raise ValueError("categorical_cardinalities must be a list of integers, "
+                                 f"got {self.categorical_cardinalities!r}")
             self.categorical_cardinalities = tuple(_integer(k, "categorical_cardinalities", 1)
                                                    for k in self.categorical_cardinalities)
         if self.leaf_family not in LEAF_FAMILIES:

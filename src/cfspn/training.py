@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import CATEGORICAL, Circuit, _classes, _integer, _points, logsumexp
+from .circuit import CATEGORICAL, Circuit, _classes, _integer, _number, _points, logsumexp
 from .engine import CompiledCircuit, compile_circuit
 from .structure import StructureConfig, build_circuit
 
@@ -37,13 +37,10 @@ class TrainConfig:
     def __post_init__(self):
         for name, minimum in (("epochs", 1), ("batch_size", 1), ("seed", 0), ("patience", 0)):
             setattr(self, name, _integer(getattr(self, name), name, minimum))
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.variance_floor <= 0:
-            raise ValueError(f"variance_floor must be > 0, got {self.variance_floor}")
-        if not (0.0 <= self.validation_fraction < 1.0):
-            raise ValueError("validation_fraction must be in [0, 1), got "
-                             f"{self.validation_fraction}")
+        for name in ("learning_rate", "variance_floor"):
+            setattr(self, name, _number(getattr(self, name), name, 0, strict=True))
+        self.validation_fraction = _number(self.validation_fraction,
+                                           "validation_fraction", 0, below=1)
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared test helpers: node records for hand-built circuits, a naive reference
 evaluator and parameter randomizers."""
 
+import base64
 import math
 from typing import NamedTuple
 
@@ -112,6 +113,17 @@ def _naive_log_value(nodes, node_id, evidence):
 
 def naive_class_log_density(circuit, y, evidence):
     return naive_log_value(circuit, circuit.class_roots[y], evidence)
+
+
+def blob(doc, name):
+    """Array ``name`` of a version-3 model document, decoded and writable."""
+    return np.frombuffer(base64.b64decode(doc[name]), dtype=cm._dtype(name)).copy()
+
+
+def set_blob(doc, name, values):
+    """Store ``values`` as array ``name`` of a version-3 model document."""
+    doc[name] = base64.b64encode(
+        np.asarray(values, dtype=cm._dtype(name)).tobytes()).decode("ascii")
 
 
 def randomize_parameters(circuit, rng):

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import math
@@ -9,8 +10,8 @@ import pytest
 from cfspn import circuit as cm
 from cfspn import inference
 from conftest import (BernoulliLeaf, CategoricalLeaf, GaussianLeaf, ProductNode,
-                      SumNode, from_nodes, naive_log_value, nodes_of, random_circuit,
-                      two_gaussian_classifier)
+                      SumNode, blob, from_nodes, naive_log_value, nodes_of, random_circuit,
+                      set_blob, two_gaussian_classifier)
 
 
 def with_node(circuit, index, **changes):
@@ -252,6 +253,39 @@ def test_save_load_round_trip(tmp_path, rng):
                               inference.class_log_densities(c, x))
 
 
+def assert_bit_equal(a, b):
+    """Every array of two circuits holds the same bytes."""
+    for f in dataclasses.fields(cm.Circuit):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), f.name
+        else:
+            assert x == y, f.name
+
+
+def test_save_load_round_trip_is_bit_exact(tmp_path, rng):
+    # -0.0 means and probabilities, a dead edge's -inf log-weight, and p at
+    # both ends of its domain.
+    edge = from_nodes([GaussianLeaf(0, -0.0, 1.0), GaussianLeaf(0, 0.5, 2.0),
+                       SumNode([0, 1], np.array([0.0, -np.inf])),
+                       BernoulliLeaf(1, 0.0), BernoulliLeaf(1, 1.0),
+                       SumNode([3, 4], np.log([0.25, 0.75])),
+                       CategoricalLeaf(2, np.array([-0.0, 0.3, 0.7])),
+                       ProductNode([2, 5, 6]), ProductNode([1, 3, 6])],
+                      class_roots=[7, 8], log_prior=np.log([0.4, 0.6]), num_variables=3)
+    assert np.signbit(edge.mean[0]) and np.signbit(edge.probs[0])
+    assert -np.inf in edge.log_weights and set(edge.p) == {0.0, 1.0}
+    path, again = tmp_path / "model.json", tmp_path / "again.json"
+    for c in [edge] + [random_circuit(rng, leaf_family=family)
+                       for family in ("gaussian", "bernoulli", "categorical")]:
+        cm.save(c, path)
+        assert "Infinity" not in path.read_text()
+        back = cm.load(path)
+        assert_bit_equal(back, c)
+        cm.save(back, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
 def test_save_refuses_invalid_circuit(tmp_path):
     # No invalid circuit exists to be saved: building one raises first.
     path = tmp_path / "bad.json"
@@ -277,23 +311,33 @@ def test_load_rejects_malformed_document(tmp_path):
         cm.load(path)
 
 
+def test_load_rejects_a_document_that_is_not_utf_8(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(cm.CircuitFormatError, match="not a UTF-8 JSON document"):
+        cm.load(path)
+
+
 def test_load_rejects_invalid_circuit_content(tmp_path, rng):
     path = tmp_path / "model.json"
     c = random_circuit(rng, leaf_family="gaussian")
     cm.save(c, path)
     doc = json.loads(path.read_text())
-    doc["variance"][0] = -3.0
+    variance = blob(doc, "variance")
+    variance[0] = -3.0
+    set_blob(doc, "variance", variance)
     path.write_text(json.dumps(doc))
     with pytest.raises(cm.CircuitFormatError, match=r"\[leaf-domain\] node \d+: variance -3.0"):
         cm.load(path)
 
 
 # A version-1 model written before the flat-array format, with every node
-# kind, and its class log densities at V1_POINTS.  These are the engine's
-# own figures, so that a load must reproduce them bit for bit; they moved by
-# at most 1.8e-15 when Gaussian leaves became leaf regions (the values of a
+# kind, the same model as the version-2 writer saved it, and its class log
+# densities at V1_POINTS.  These are the engine's own figures, so that a
+# load must reproduce them bit for bit; they moved by at most 1.8e-15 when Gaussian leaves became leaf regions (the values of a
 # leaf are summed in another order), and agree with naive_log_value to 1e-15.
 V1_MODEL = Path(__file__).parent / "data" / "model_v1.json"
+V2_MODEL = Path(__file__).parent / "data" / "model_v2.json"
 V1_POINTS = np.array([[0.0, 0.0, 0.0], [1.1, 1.0, 2.0], [-2.3, 1.0, 1.0],
                       [0.4, np.nan, 1.0]])
 V1_DENSITIES = np.array([[-3.5601170648842855, -3.527645070699074],
@@ -302,7 +346,7 @@ V1_DENSITIES = np.array([[-3.5601170648842855, -3.527645070699074],
                          [-2.709361111567547, -3.325258266593867]])
 
 
-def test_version_1_model_loads_and_saves_as_version_2(tmp_path):
+def test_version_1_model_loads_and_saves_as_version_3(tmp_path):
     assert json.loads(V1_MODEL.read_text())["format_version"] == 1
     c = cm.load(V1_MODEL)
     assert set(c.kind) == set(range(len(cm.KINDS)))
@@ -311,10 +355,17 @@ def test_version_1_model_loads_and_saves_as_version_2(tmp_path):
     np.testing.assert_allclose(V1_DENSITIES, naive, rtol=0, atol=1e-15)
     path = tmp_path / "model.json"
     cm.save(c, path)
-    assert json.loads(path.read_text())["format_version"] == 2
+    assert json.loads(path.read_text())["format_version"] == 3
     back = cm.load(path)
-    assert cm.structural_equal(back, c)
+    assert_bit_equal(back, c)
     assert np.array_equal(inference.class_log_densities(back, V1_POINTS), V1_DENSITIES)
+
+
+def test_version_2_model_loads_bit_for_bit():
+    assert json.loads(V2_MODEL.read_text())["format_version"] == 2
+    c = cm.load(V2_MODEL)
+    assert_bit_equal(c, cm.load(V1_MODEL))
+    assert np.array_equal(inference.class_log_densities(c, V1_POINTS), V1_DENSITIES)
 
 
 def _set(name, index, value):
@@ -339,6 +390,38 @@ def _set(name, index, value):
      r"\[scope\] node 9: class root 0 does not cover all variables"),
 ])
 def test_load_rejects_malformed_version_2_document(tmp_path, edit, message):
+    path = tmp_path / "model.json"
+    doc = json.loads(V2_MODEL.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(cm.CircuitFormatError, match=message):
+        cm.load(path)
+
+
+def _edit_blob(name, change):
+    def edit(doc):
+        set_blob(doc, name, change(blob(doc, name)))
+    return edit
+
+
+def _append_bytes(name, extra):
+    def edit(doc):
+        doc[name] = base64.b64encode(base64.b64decode(doc[name]) + extra).decode("ascii")
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(ids=blob(doc, "ids").tolist()), "ids must be a base64 string"),
+    (lambda doc: doc.update(mean="*" + doc["mean"][1:]), "mean is not valid base64"),
+    (lambda doc: doc.update(mean="\u00e9" + doc["mean"][1:]), "mean is not valid base64"),
+    (_append_bytes("log_weights", bytes(7)),
+     "log_weights holds 119 bytes, not a whole number of 8-byte values"),
+    (_edit_blob("log_weights", lambda w: w[:-1]), "log_weights has 13 entries, expected 14"),
+    (_edit_blob("ptr", lambda ptr: ptr[:-1]), "ptr has 11 entries, expected 12"),
+    (_set("class_roots", 0, 9.0), "class_roots must be a list of integers"),
+    (_edit_blob("variance", lambda v: -v), r"\[leaf-domain\] node 0: variance -0.7"),
+])
+def test_load_rejects_malformed_version_3_document(tmp_path, edit, message):
     path = tmp_path / "model.json"
     cm.save(cm.load(V1_MODEL), path)
     doc = json.loads(path.read_text())

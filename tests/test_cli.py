@@ -8,6 +8,7 @@ from cfspn import circuit as cm
 from cfspn import counterfactual as cf
 from cfspn import data
 from cfspn.cli import main
+from conftest import blob, set_blob
 
 MOONS_CONFIG = {
     "seed": 7,
@@ -274,7 +275,9 @@ def test_bad_grid_bounds_are_named(trained, tmp_path, capsys, bounds):
 def test_invalid_model_document_exits_two(trained, tmp_path, capsys):
     doc = json.loads(trained[2].read_text())
     root = doc["class_roots"][0]
-    doc["log_weights"][doc["ptr"][root]] += 1.0     # the root's first edge
+    log_weights = blob(doc, "log_weights")
+    log_weights[blob(doc, "ptr")[root]] += 1.0      # the root's first edge
+    set_blob(doc, "log_weights", log_weights)
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(doc))
     code = main(["grid", "--model", str(model), "--out", str(tmp_path / "g.csv")])
@@ -462,6 +465,29 @@ def test_train_refuses_config_integers_that_are_not_integers(tmp_path, capsys,
     assert main(["train", "--config", str(config), "--out", str(out)]) == 2
     assert f"error: {name} must be an integer >= " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    ("train", "learning_rate", "0.1", "learning_rate must be a finite number > 0, got '0.1'"),
+    ("train", "variance_floor", True, "variance_floor must be a finite number > 0, got True"),
+    ("counterfactual", "epsilon1", "0.1", "epsilon1 must be a finite number > 0, got '0.1'"),
+    ("baseline", "lam", "1", "lam must be a finite number >= 0, got '1'"),
+    ("structure", "categorical_cardinalities", 3,
+     "categorical_cardinalities must be a list of integers, got 3"),
+])
+def test_config_numbers_of_the_wrong_type_exit_two(trained, tmp_path, capsys,
+                                                   section, key, value, message):
+    _, _, model = trained
+    cfg = json.loads(json.dumps(MOONS_CONFIG))
+    cfg[section][key] = value
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(cfg))
+    command = (["train", "--out", str(tmp_path / "m.json")]
+               if section in ("train", "structure") else
+               ["benchmark", "--model", str(model), "--target-class", "1",
+                "--out", str(tmp_path / "bench.json")])
+    assert main([command[0], "--config", str(config), *command[1:]]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_benchmark_refuses_a_fractional_iteration_cap(trained, tmp_path, capsys):

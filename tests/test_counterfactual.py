@@ -569,3 +569,16 @@ def test_cf_config_validation():
 def test_configs_reject_non_finite_step_sizes(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cf.CfConfig, "epsilon1"), (cf.CfConfig, "epsilon2"),
+    (cf.BaselineConfig, "lam"), (cf.BaselineConfig, "learning_rate")])
+def test_config_step_sizes_are_real_numbers_kept_as_floats(cls, field):
+    kept = cls(**{field: np.float32(0.5)}), cls(**{field: 2})
+    assert [getattr(c, field) for c in kept] == [0.5, 2.0]
+    assert all(type(getattr(c, field)) is float for c in kept)
+    for bad in (True, np.bool_(True), "0.1", None):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number >=? 0, "
+                                             f"got {bad!r}"):
+            cls(**{field: bad})

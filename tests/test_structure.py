@@ -35,6 +35,15 @@ def test_region_graph_varies_with_seed():
     assert a.regions != b.regions
 
 
+def test_categorical_cardinalities_must_be_a_sequence():
+    for bad in (3, 2.0, "22", {"a": 2}):
+        with pytest.raises(ValueError, match="categorical_cardinalities must be a list "
+                                             "of integers, got "):
+            StructureConfig(categorical_cardinalities=bad)
+    assert StructureConfig(categorical_cardinalities=np.array([2, 3])
+                           ).categorical_cardinalities == (2, 3)
+
+
 def test_region_graph_rejects_bad_arguments():
     with pytest.raises(ValueError):
         build_region_graph(num_variables=1, depth=1, repetitions=1, seed=0)

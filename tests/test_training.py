@@ -58,6 +58,21 @@ def test_config_integers_accept_numpy_integers_and_refuse_the_rest():
         StructureConfig(categorical_cardinalities=(2, 2.5))
 
 
+def test_train_config_floats_are_finite_numbers():
+    tc = training.TrainConfig(learning_rate=np.float32(0.5), variance_floor=1,
+                              validation_fraction=np.int64(0))
+    assert (tc.learning_rate, tc.variance_floor, tc.validation_fraction) == (0.5, 1.0, 0.0)
+    assert all(type(v) is float for v in (tc.learning_rate, tc.variance_floor,
+                                          tc.validation_fraction))
+    for bad in (True, np.bool_(True), "0.1", None, float("nan"), float("inf"), 10 ** 400):
+        for name in ("learning_rate", "variance_floor", "validation_fraction"):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                training.TrainConfig(**{name: bad})
+    with pytest.raises(ValueError, match="validation_fraction must be a finite number "
+                                         ">= 0 and < 1, got 1.0"):
+        training.TrainConfig(validation_fraction=1.0)
+
+
 def test_single_gaussian_reaches_closed_form_mle():
     # MLE for data {0, 2}: mean 1, population variance 1.
     features = np.array([[0.0], [2.0]] * 64)
