@@ -23,7 +23,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -141,6 +141,10 @@ class CircuitFormatError(ValueError):
 #: Fields of :class:`Circuit` that hold integers; the other arrays hold float64.
 _INTEGER_FIELDS = ("kind", "variable", "ptr", "ids", "class_roots", "probs_ptr")
 
+#: Fields of :class:`Structure`, which a :class:`Circuit` shares with its structure.
+_STRUCTURE_FIELDS = ("kind", "variable", "ptr", "ids", "class_roots", "probs_ptr",
+                     "num_variables")
+
 
 def uniform_log_weights(n: int) -> np.ndarray:
     return np.full(n, -math.log(n), dtype=np.float64)
@@ -159,18 +163,77 @@ def _frozen(name: str, values) -> np.ndarray:
     return values
 
 
+def _freeze(obj, names) -> None:
+    """Make the named array fields of a frozen dataclass read-only vectors."""
+    for name in names:
+        object.__setattr__(obj, name, _frozen(name, getattr(obj, name)))
+
+
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """The nodes, edges, leaf variables and class roots of a circuit: every
+    field but its parameters, laid out as the module docstring gives.
+
+    A structure is checked once, when it is made: the constructor (and so
+    copies and unpickling) raises ``ValueError`` listing every violation
+    :func:`validate` finds in the layout, references and order, leaf
+    variables, scopes, smoothness, decomposability and class-root
+    coverage.  Its arrays are read-only, so a structure that exists is
+    valid for life, and what is derived from it alone is kept on it:
+    :attr:`scopes` and the engine's lowering.  Circuits made on one
+    structure share all of it.
+    """
+
+    kind: np.ndarray
+    variable: np.ndarray
+    ptr: np.ndarray
+    ids: np.ndarray
+    class_roots: tuple[int, ...]
+    probs_ptr: np.ndarray
+    num_variables: int
+
+    def __post_init__(self):
+        _freeze(self, ("kind", "variable", "ptr", "ids", "probs_ptr"))
+        # Python ints: the engine looks seed ids up in it on every backward pass.
+        object.__setattr__(self, "class_roots",
+                           tuple(map(operator.index, self.class_roots)))
+        validate(self)
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    @cached_property
+    def scopes(self) -> np.ndarray:
+        """Variable scope of every node as a bitset, (nodes, ceil(d / 64)) uint64:
+        variable v is in the scope of node i when bit v % 64 of word v // 64 is set."""
+        return _scopes(self)
+
+    def circuit(self, **parameters) -> Circuit:
+        """A circuit of this structure with these parameters, which alone are checked."""
+        return Circuit(**{name: getattr(self, name) for name in _STRUCTURE_FIELDS},
+                       **parameters, structure=self)
+
+
 @dataclass(frozen=True, eq=False)
 class Circuit:
     """Flat-array circuit with per-class roots; the module docstring gives the layout.
 
+    A circuit is a :class:`Structure`, its ``structure``, plus one set of
+    parameters: ``log_weights``, ``log_prior`` and the leaf parameters.
     Circuits are immutable: every array is read-only, so a compiled form
     cached per instance can never go stale.  ``engine.compile_circuit``
     keeps it in the instance dict, so it lives exactly as long as the
     circuit; copies start without one.  To change a parameter, build a
     new circuit, e.g. ``dataclasses.replace(c, mean=new_means)``; arrays left
-    as they are are shared.  Circuits are valid by construction: the
-    constructor, and so ``dataclasses.replace``, copies and unpickling,
-    raises ``ValueError`` listing every violation :func:`validate` finds.
+    as they are are shared, and so is the structure.
+
+    Circuits are valid by construction, and each check runs once per
+    object it covers.  Made from keywords, and so by :func:`load`, copies
+    and unpickling, a circuit makes a new structure, checked as a whole;
+    made on an existing structure (``Structure.circuit``, ``replace`` of
+    parameters alone), it checks only its parameters: leaf domains and the
+    normalization of weights and prior.  Either way the constructor raises
+    ``ValueError`` listing every violation it finds.
     """
 
     kind: np.ndarray
@@ -186,14 +249,27 @@ class Circuit:
     p: np.ndarray = ()
     probs_ptr: np.ndarray = (0,)
     probs: np.ndarray = ()
+    # Not a field.  ``dataclasses.replace`` reads an init-only variable from
+    # the instance, so a replaced circuit is offered its source's structure,
+    # and takes it if every structure field passed is that structure's own.
+    structure: InitVar[Structure | None] = None
 
-    def __post_init__(self):
-        for f in fields(self):
-            if f.name not in ("class_roots", "num_variables"):
-                object.__setattr__(self, f.name, _frozen(f.name, getattr(self, f.name)))
-        # Python ints: the engine looks seed ids up in it on every backward pass.
-        object.__setattr__(self, "class_roots",
-                           tuple(map(operator.index, self.class_roots)))
+    def __post_init__(self, structure: Structure | None):
+        _freeze(self, ("log_weights", "log_prior", "mean", "variance", "p", "probs"))
+        if structure is None or any(getattr(self, name) is not getattr(structure, name)
+                                    for name in _STRUCTURE_FIELDS):
+            _freeze(self, ("kind", "variable", "ptr", "ids", "probs_ptr"))
+            try:
+                structure = Structure(**{name: getattr(self, name)
+                                         for name in _STRUCTURE_FIELDS})
+            except ValueError:
+                # One message lists the parameters' violations too, in check order.
+                object.__setattr__(self, "class_roots",
+                                   tuple(map(operator.index, self.class_roots)))
+                _raise(_violations(self))
+                raise
+            object.__setattr__(self, "class_roots", structure.class_roots)
+        object.__setattr__(self, "structure", structure)
         validate(self)
 
     def __reduce__(self):
@@ -209,28 +285,44 @@ class Circuit:
     def num_classes(self) -> int:
         return len(self.class_roots)
 
-    @cached_property
+    @property
     def scopes(self) -> np.ndarray:
-        """Variable scope of every node as a bitset, (nodes, ceil(d / 64)) uint64:
-        variable v is in the scope of node i when bit v % 64 of word v // 64 is set."""
-        words = -(-self.num_variables // 64)
-        S = np.zeros((self.kind.size, words), dtype=np.uint64)
-        leaves = np.flatnonzero(self.kind < SUM)
-        v = self.variable[leaves]
-        S[leaves, v // 64] = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
-        return _bottom_up(self, np.bitwise_or, S)
+        """The structure's :attr:`Structure.scopes`."""
+        return self.structure.scopes
 
 
-def _bottom_up(circuit: Circuit, ufunc, values: np.ndarray, add=0) -> np.ndarray:
-    """Set each sum and product's row of ``values`` to ufunc over its children's
-    rows, plus ``add``, sweeping up from the leaves' rows; returns ``values``."""
-    internal = np.flatnonzero(circuit.kind >= SUM)
-    starts = circuit.ptr[internal]
-    while internal.size:
-        new = ufunc.reduceat(values[circuit.ids], starts, axis=0) + add
-        if np.array_equal(new, values[internal]):
-            break
-        values[internal] = new
+def _scopes(s: Structure) -> np.ndarray:
+    """:attr:`Structure.scopes` of a structure's arrays."""
+    words = -(-s.num_variables // 64)
+    S = np.zeros((s.kind.size, words), dtype=np.uint64)
+    leaves = np.flatnonzero(s.kind < SUM)
+    v = s.variable[leaves]
+    S[leaves, v // 64] = np.left_shift(np.uint64(1), (v % 64).astype(np.uint64))
+    internal = np.flatnonzero(s.kind >= SUM)
+    return _bottom_up(np.bitwise_or, S, _by_arity(s.ptr, s.ids, internal))
+
+
+def _by_arity(ptr: np.ndarray, ids: np.ndarray, nodes: np.ndarray) -> list:
+    """(nodes, (nodes, arity) children) of each arity among the nodes."""
+    arity = ptr[nodes + 1] - ptr[nodes]
+    return [(at, ids[ptr[at][:, None] + np.arange(k)])
+            for k in np.unique(arity) for at in [nodes[arity == k]]]
+
+
+def _bottom_up(ufunc, values: np.ndarray, rows: list, add=None) -> np.ndarray:
+    """For each (nodes, children) of ``rows``, set the nodes' rows of ``values``
+    to ufunc over their children's rows, plus ``add`` at the nodes, sweeping
+    up from the other rows until nothing changes; returns ``values``."""
+    changed = True
+    while changed:
+        changed = False
+        for nodes, children in rows:
+            new = ufunc.reduce(values[children], axis=1)
+            if add is not None:
+                new += add[nodes]
+            if not np.array_equal(new, values[nodes]):
+                values[nodes] = new
+                changed = True
     return values
 
 
@@ -254,20 +346,26 @@ def _node_arrays(nodes: list[dict]) -> dict[str, list]:
     }
 
 
-def validate(circuit: Circuit) -> None:
-    """Check every structural invariant of a circuit; raise on any violation.
+def validate(item: Structure | Circuit) -> None:
+    """Check a structure, or a circuit's parameters; raise on any violation.
 
-    Checks the array layout, node references and topological order,
-    smoothness of sum nodes, decomposability of product nodes, weight/prior
-    normalization, leaf parameter domains and class-root scopes.  One
-    ``ValueError`` lists every violation found, as ``[kind] node i: message;
-    ...``.  The :class:`Circuit` constructor calls this, so every circuit
-    that exists is valid.
+    A :class:`Structure` is checked for its array layout, node references
+    and topological order, leaf variables, smoothness of sum nodes,
+    decomposability of product nodes and class-root scopes.  A
+    :class:`Circuit`, whose structure was checked when it was made, is
+    checked for the lengths of its parameter arrays, leaf parameter domains
+    and weight and prior normalization.  One ``ValueError`` lists every
+    violation found, as ``[kind] node i: message; ...``.  The constructors
+    call this, so every structure and circuit that exists is valid.
     """
-    violations = [f"[{kind}] node {node}: {message}"
-                  for node, kind, message in _violations(circuit)]
+    of_structure = isinstance(item, Structure)
+    _raise(_violations(item, structure=of_structure, parameters=not of_structure))
+
+
+def _raise(violations: list) -> None:
     if violations:
-        raise ValueError("invalid circuit: " + "; ".join(violations))
+        raise ValueError("invalid circuit: " + "; ".join(
+            f"[{kind}] node {node}: {message}" for node, kind, message in violations))
 
 
 def _per_node(ufunc, values: np.ndarray, parent: np.ndarray):
@@ -276,139 +374,161 @@ def _per_node(ufunc, values: np.ndarray, parent: np.ndarray):
     return parent[starts], ufunc.reduceat(values, starts, axis=0)
 
 
-def _layout_violations(c: Circuit) -> list:
+def _layout_violations(c, structure: bool, parameters: bool) -> list:
     """Array lengths and CSR pointers; every other check relies on them."""
     n = c.kind.size
+    known = (c.kind >= 0) & (c.kind < len(KINDS))
     out = [(i, "structure", f"unknown kind code {c.kind[i]}")
-           for i in np.flatnonzero((c.kind < 0) | (c.kind >= len(KINDS)))]
-    count = np.bincount(c.kind[(c.kind >= 0) & (c.kind < len(KINDS))],
-                        minlength=len(KINDS))
+           for i in np.flatnonzero(~known)] if structure else []
+    count = np.bincount(c.kind[known], minlength=len(KINDS))
     sizes = {"variable": n, "ptr": n + 1, "log_weights": c.ids.size,
              "mean": count[GAUSSIAN], "variance": count[GAUSSIAN],
              "p": count[BERNOULLI], "probs_ptr": count[CATEGORICAL] + 1}
     out += [(None, "structure", f"{name} has {getattr(c, name).size} entries, "
                                 f"expected {size}")
-            for name, size in sizes.items() if getattr(c, name).size != size]
+            for name, size in sizes.items()
+            if (structure if name in _STRUCTURE_FIELDS else parameters)
+            and getattr(c, name).size != size]
     for name, target in (("ptr", "ids"), ("probs_ptr", "probs")):
-        ptr, end = getattr(c, name), getattr(c, target).size
-        if ptr.size == sizes[name] and (ptr[0] != 0 or ptr[-1] != end):
+        ptr = getattr(c, name)
+        # probs is a parameter: the end of probs_ptr is checked with the parameters.
+        ends = parameters if target == "probs" else structure
+        if ptr.size != sizes[name] or not (ends or structure):
+            continue
+        if ends and (ptr[0] != 0 or ptr[-1] != getattr(c, target).size):
             out.append((None, "structure", f"{name} runs from {ptr[0]} to {ptr[-1]}, "
-                                           f"not from 0 to len({target}) = {end}"))
-        elif ptr.size == sizes[name] and np.any(np.diff(ptr) < 0):
+                                           f"not from 0 to len({target}) = "
+                                           f"{getattr(c, target).size}"))
+        elif structure and ptr[0] != 0:
+            out.append((None, "structure", f"{name} starts at {ptr[0]}, not at 0"))
+        elif structure and np.any(np.diff(ptr) < 0):
             out.append((None, "structure", f"{name} decreases after entry "
                                            f"{np.argmax(np.diff(ptr) < 0)}"))
     return out
 
 
-def _violations(c: Circuit) -> list:
-    """(node or None, kind, message) of each violated invariant, by check, then node."""
+def _violations(c, structure: bool = True, parameters: bool = True) -> list:
+    """(node or None, kind, message) of each violated invariant, by check, then
+    node: the structure's, if ``structure``, and the parameters', if
+    ``parameters``; these alone need a valid structure."""
     n, d = c.kind.size, c.num_variables
-    if n == 0:
+    if structure and n == 0:
         return [(None, "structure", "circuit has no nodes")]
-    out = [] if d >= 1 else [(None, "structure", f"num_variables must be >= 1, got {d}")]
-    layout = _layout_violations(c)
+    out = [(None, "structure", f"num_variables must be >= 1, got {d}")
+           ] if structure and not d >= 1 else []
+    layout = _layout_violations(c, structure, parameters)
     if layout:
         return out + layout
 
     # Child references must resolve and respect children-before-parents order.
     arity = np.diff(c.ptr)
-    parent = np.repeat(np.arange(n), arity)
     internal = c.kind >= SUM
-    unresolved = (c.ids < 0) | (c.ids >= n)
-    refs = [(i, "structure", f"{KINDS[c.kind[i]]} node has no children")
-            for i in np.flatnonzero(internal & (arity == 0))]
-    refs += [(i, "structure", f"{KINDS[c.kind[i]]} leaf has children")
-             for i in np.flatnonzero(~internal & (arity > 0))]
-    refs += [(parent[e], "node-ref", f"child id {c.ids[e]} out of range")
-             for e in np.flatnonzero(unresolved)]
-    refs += [(parent[e], "topological-order",
-              f"child {c.ids[e]} does not precede parent {parent[e]}")
-             for e in np.flatnonzero(~unresolved & (c.ids >= parent))]
+    on_sum = np.repeat(c.kind == SUM, arity)
+    refs = []
+    if structure:
+        parent = np.repeat(np.arange(n), arity)
+        unresolved = (c.ids < 0) | (c.ids >= n)
+        refs += [(i, "structure", f"{KINDS[c.kind[i]]} node has no children")
+                 for i in np.flatnonzero(internal & (arity == 0))]
+        refs += [(i, "structure", f"{KINDS[c.kind[i]]} leaf has children")
+                 for i in np.flatnonzero(~internal & (arity > 0))]
+        refs += [(parent[e], "node-ref", f"child id {c.ids[e]} out of range")
+                 for e in np.flatnonzero(unresolved)]
+        refs += [(parent[e], "topological-order",
+                  f"child {c.ids[e]} does not precede parent {parent[e]}")
+                 for e in np.flatnonzero(~unresolved & (c.ids >= parent))]
     out += refs
 
-    # Leaf parameter domains.
+    # Leaf variables and parameter domains.
     v = c.variable
     stray = ~internal & ((v < 0) | (v >= d))
-    out += [(i, "leaf-domain", f"variable {v[i]} out of range")
-            for i in np.flatnonzero(stray)]
-    out += [(i, "structure", f"{KINDS[c.kind[i]]} node has variable {v[i]}")
-            for i in np.flatnonzero(internal & (v != -1))]
+    if structure:
+        out += [(i, "leaf-domain", f"variable {v[i]} out of range")
+                for i in np.flatnonzero(stray)]
+        out += [(i, "structure", f"{KINDS[c.kind[i]]} node has variable {v[i]}")
+                for i in np.flatnonzero(internal & (v != -1))]
     gaussians, bernoullis, categoricals = (
         np.flatnonzero(c.kind == code) for code in (GAUSSIAN, BERNOULLI, CATEGORICAL))
-    out += [(gaussians[k], "leaf-domain",
-             f"variance {float(c.variance[k])} is not positive")
-            for k in np.flatnonzero(~(c.variance > 0.0) | ~np.isfinite(c.variance))]
-    out += [(gaussians[k], "leaf-domain", f"mean {float(c.mean[k])} is not finite")
-            for k in np.flatnonzero(~np.isfinite(c.mean))]
-    out += [(bernoullis[k], "leaf-domain", f"p {float(c.p[k])} outside [0, 1]")
-            for k in np.flatnonzero(~((c.p >= 0.0) & (c.p <= 1.0)))]
-    owner = np.repeat(np.arange(categoricals.size), np.diff(c.probs_ptr))
-    out += [(categoricals[k], "leaf-domain", "probabilities must be a non-empty vector")
-            for k in np.flatnonzero(np.diff(c.probs_ptr) == 0)]
-    filled, negative = _per_node(np.logical_or, c.probs < 0.0, owner)
-    _, total = _per_node(np.add, c.probs, owner)
-    out += [(categoricals[k], "leaf-domain", "probabilities are not a simplex")
-            for k in filled[negative | ~(np.abs(total - 1.0) <= NORMALIZATION_TOL)]]
+    if parameters:
+        out += [(gaussians[k], "leaf-domain",
+                 f"variance {float(c.variance[k])} is not positive")
+                for k in np.flatnonzero(~(c.variance > 0.0) | ~np.isfinite(c.variance))]
+        out += [(gaussians[k], "leaf-domain", f"mean {float(c.mean[k])} is not finite")
+                for k in np.flatnonzero(~np.isfinite(c.mean))]
+        out += [(bernoullis[k], "leaf-domain", f"p {float(c.p[k])} outside [0, 1]")
+                for k in np.flatnonzero(~((c.p >= 0.0) & (c.p <= 1.0)))]
+    if structure:
+        out += [(categoricals[k], "leaf-domain", "probabilities must be a non-empty vector")
+                for k in np.flatnonzero(np.diff(c.probs_ptr) == 0)]
+    if parameters:
+        owner = np.repeat(np.arange(categoricals.size), np.diff(c.probs_ptr))
+        filled, negative = _per_node(np.logical_or, c.probs < 0.0, owner)
+        _, total = _per_node(np.add, c.probs, owner)
+        out += [(categoricals[k], "leaf-domain", "probabilities are not a simplex")
+                for k in filled[negative | ~(np.abs(total - 1.0) <= NORMALIZATION_TOL)]]
 
-    # Sum-weight normalization; product edges carry no weight.
-    lw = c.log_weights
-    on_sum = c.kind[parent] == SUM
-    out += [(i, "weight-normalization", "product node has log weights")
-            for i in np.unique(parent[~on_sum & (lw != 0.0)])]
-    sums, broken = _per_node(np.logical_or, np.isnan(lw[on_sum]) | (lw[on_sum] == np.inf),
-                             parent[on_sum])
-    with np.errstate(over="ignore"):
-        _, total = _per_node(np.add, np.exp(lw[on_sum]), parent[on_sum])
-    for i, bad, t in zip(sums, broken, total):
-        if bad:
-            out.append((i, "weight-normalization", "log weights contain nan or +inf"))
-        elif abs(t - 1.0) > NORMALIZATION_TOL:
-            out.append((i, "weight-normalization", f"weights sum to {float(t)!r}"))
+        # Sum-weight normalization; product edges carry no weight.
+        lw = c.log_weights
+        weighted = np.flatnonzero(~on_sum & (lw != 0.0))
+        out += [(i, "weight-normalization", "product node has log weights")
+                for i in np.unique(np.searchsorted(c.ptr, weighted, side="right") - 1)]
+        sums = np.flatnonzero((c.kind == SUM) & (arity > 0))
+        starts = np.cumsum(arity[sums]) - arity[sums]
+        lw = lw[on_sum]
+        broken = np.logical_or.reduceat(np.isnan(lw) | (lw == np.inf), starts)
+        with np.errstate(over="ignore"):
+            total = np.add.reduceat(np.exp(lw), starts)
+        for k in np.flatnonzero(broken | (np.abs(total - 1.0) > NORMALIZATION_TOL)):
+            out.append((sums[k], "weight-normalization",
+                        "log weights contain nan or +inf" if broken[k]
+                        else f"weights sum to {float(total[k])!r}"))
 
     if refs:
         # Scope-dependent checks need resolvable references.
         return out
-    # Bitsets need in-range variables, and covering d variables takes d leaves.
-    scopes = None if stray.any() or d > np.count_nonzero(~internal) else c.scopes
-    if scopes is not None:
-        edges = np.flatnonzero(on_sum)
-        first = c.ids[c.ptr[parent[edges]]]
-        differs = edges[np.any(scopes[c.ids[edges]] != scopes[first], axis=1)]
-        for i, e in zip(*np.unique(parent[differs], return_index=True)):
-            out.append((i, "smoothness", f"children {c.ids[c.ptr[i]]} and "
-                                         f"{c.ids[differs[e]]} differ in scope"))
-        edges = np.flatnonzero(c.kind[parent] == PRODUCT)
-        child_scopes = scopes[c.ids[edges]]
-        products, union = _per_node(np.bitwise_or, child_scopes, parent[edges])
-        _, size = _per_node(np.add, np.bitwise_count(child_scopes).sum(axis=1),
-                            parent[edges])
-        for i in products[np.bitwise_count(union).sum(axis=1) != size]:
-            seen = np.zeros_like(scopes[i])
-            for child in c.ids[c.ptr[i]:c.ptr[i + 1]]:
-                if np.any(seen & scopes[child]):
-                    out.append((i, "decomposability",
-                                f"child {child} overlaps the scope of a sibling"))
-                    break
-                seen |= scopes[child]
+    if structure:
+        # Bitsets need in-range variables, and covering d variables takes d leaves.
+        scopes = None if stray.any() or d > np.count_nonzero(~internal) else _scopes(c)
+        if scopes is not None:
+            edges = np.flatnonzero(on_sum)
+            first = c.ids[c.ptr[parent[edges]]]
+            differs = edges[np.any(scopes[c.ids[edges]] != scopes[first], axis=1)]
+            for i, e in zip(*np.unique(parent[differs], return_index=True)):
+                out.append((i, "smoothness", f"children {c.ids[c.ptr[i]]} and "
+                                             f"{c.ids[differs[e]]} differ in scope"))
+            edges = np.flatnonzero(c.kind[parent] == PRODUCT)
+            child_scopes = scopes[c.ids[edges]]
+            products, union = _per_node(np.bitwise_or, child_scopes, parent[edges])
+            _, size = _per_node(np.add, np.bitwise_count(child_scopes).sum(axis=1),
+                                parent[edges])
+            for i in products[np.bitwise_count(union).sum(axis=1) != size]:
+                seen = np.zeros_like(scopes[i])
+                for child in c.ids[c.ptr[i]:c.ptr[i + 1]]:
+                    if np.any(seen & scopes[child]):
+                        out.append((i, "decomposability",
+                                    f"child {child} overlaps the scope of a sibling"))
+                        break
+                    seen |= scopes[child]
 
-    # Class roots and prior.
-    if not c.class_roots:
-        out.append((None, "structure", "circuit has no class roots"))
-    for y, r in enumerate(c.class_roots):
-        if not (0 <= r < n):
-            out.append((None, "node-ref", f"class root {y} id {r} out of range"))
-        elif not stray.any() and (scopes is None
-                                  or np.bitwise_count(scopes[r]).sum() != d):
-            out.append((r, "scope", f"class root {y} does not cover all variables"))
+        # Class roots.
+        if not c.class_roots:
+            out.append((None, "structure", "circuit has no class roots"))
+        for y, r in enumerate(c.class_roots):
+            if not (0 <= r < n):
+                out.append((None, "node-ref", f"class root {y} id {r} out of range"))
+            elif not stray.any() and (scopes is None
+                                      or np.bitwise_count(scopes[r]).sum() != d):
+                out.append((r, "scope", f"class root {y} does not cover all variables"))
 
-    prior = c.log_prior
-    if prior.shape != (c.num_classes,):
-        out.append((None, "prior", f"log_prior length {prior.size} != "
-                                   f"{c.num_classes} classes"))
-    elif np.any(np.isnan(prior)) or np.any(prior == np.inf):
-        out.append((None, "prior", "log_prior contains nan or +inf"))
-    elif abs(np.exp(prior).sum() - 1.0) > NORMALIZATION_TOL:
-        out.append((None, "prior", f"prior sums to {float(np.exp(prior).sum())!r}"))
+    if parameters:
+        prior, classes = c.log_prior, len(c.class_roots)
+        if prior.shape != (classes,):
+            out.append((None, "prior", f"log_prior length {prior.size} != "
+                                       f"{classes} classes"))
+        elif np.any(np.isnan(prior)) or np.any(prior == np.inf):
+            out.append((None, "prior", "log_prior contains nan or +inf"))
+        elif abs(np.exp(prior).sum() - 1.0) > NORMALIZATION_TOL:
+            out.append((None, "prior", f"prior sums to {float(np.exp(prior).sum())!r}"))
     return out
 
 
@@ -427,14 +547,19 @@ def save(circuit: Circuit, destination: str | Path) -> None:
     so ``load(save(c))`` is bit-equal array by array, -0.0 and -inf
     included, and the same circuit always gives the same bytes.
     """
-    doc = {"format_version": FORMAT_VERSION, "num_variables": int(circuit.num_variables),
-           "class_roots": list(circuit.class_roots)}
-    doc.update((f.name, base64.b64encode(getattr(circuit, f.name).astype(
-                    _dtype(f.name), copy=False).tobytes()).decode("ascii"))
-               for f in fields(circuit) if f.name not in doc)
+    head = {"format_version": FORMAT_VERSION, "num_variables": int(circuit.num_variables),
+            "class_roots": list(circuit.class_roots)}
     with open(destination, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+        # The document json.dumps would write, written around the base64
+        # strings, which need no escaping, instead of copying them through it.
+        fh.write(json.dumps(head)[:-1])
+        for f in fields(circuit):
+            if f.name not in head:
+                fh.write(f', "{f.name}": "')
+                fh.write(base64.b64encode(getattr(circuit, f.name).astype(
+                    _dtype(f.name), copy=False)).decode("ascii"))
+                fh.write('"')
+        fh.write("}\n")
 
 
 def _typed(doc: dict, name: str) -> list:

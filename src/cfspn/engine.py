@@ -40,11 +40,17 @@ distribution's log value is theta . T, so a bucket's values are one batched
 matrix product of theta, (R, I, 3k), and T, (R, 3k, B), written to the
 distributions' rows.  The leaves themselves are never materialized.  Input
 gradients are 2(x - c) G_a + G_b with G = theta^T @ A, and parameter
-gradients come from A @ T^T.  theta and c are derived from the leaf means
-and variances, as are the sums' weights from their log-weights, once per
-instance: its parameters are read-only, and ``with_parameters`` gives a new
-instance, sharing the structure, for new ones.  The remaining products are
-summed per arity.
+gradients come from A @ T^T.  The remaining products are summed per
+arity.
+
+All of this is the lowering of a :class:`~cfspn.circuit.Structure`: groups,
+owners, blocks and leaf-region scopes are found by a few array passes per
+arity (each child row one value of a 1-D ``np.unique``), and the lowering is
+made once per structure and kept on it.  A :class:`CompiledCircuit` is that
+lowering plus one read-only parameter set.  theta and c are derived from the
+leaf means and variances, as are the sums' weights from their log-weights,
+on the instance's first evaluation, and kept; ``with_parameters`` gives a
+new instance of the same structure for new parameters.
 
 Every row gets the same bits in any batch.  The matrix products that run
 per row (``_contract``) multiply blocks of exactly ``_WIDTH`` columns,
@@ -78,7 +84,8 @@ from __future__ import annotations
 import copy
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -91,7 +98,9 @@ from .circuit import (
     PRODUCT,
     SUM,
     Circuit,
+    Structure,
     _bottom_up,
+    _by_arity,
     _points,
     logsumexp,
 )
@@ -181,7 +190,15 @@ def _scatter_add(A: np.ndarray, rows: np.ndarray, values: np.ndarray,
 
 
 def _is_unique(rows: np.ndarray) -> bool:
-    return np.unique(rows).size == rows.size
+    # Sorted, not np.unique: on 36k to 300k distinct integers, numpy 2.4's
+    # hash-table np.unique was 20 to 40 times slower (2-vCPU x86 host).
+    a = np.sort(rows, axis=None)
+    return not np.any(a[1:] == a[:-1])
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 class _ByVariable:
@@ -441,26 +458,45 @@ class _Sums:
                 np.add.at(grad, g * S + s, flow)
 
 
-def _blocks(pairs: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """Split (left, right) child pairs into runs that list L x R row-major.
+def _as_values(rows: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D array as one opaque value, so that a 1-D ``np.unique``
+    compares whole rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
-    Returns the (L, R) of each run, or None unless every run has the same
-    I x J shape.
+
+def _edges(ptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Indices into ``ids`` of the nodes' child edges, node by node."""
+    counts = ptr[nodes + 1] - ptr[nodes]
+    return np.repeat(ptr[nodes] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _blocks(pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Split (left, right) child pairs into K runs that list L x R row-major.
+
+    Returns the runs' (K, I) left and (K, J) right children, or None unless
+    every run has the same I x J shape.  A run starts with a chunk of J
+    pairs on one left child, J the length of the first such chunk, and takes
+    the chunks after it while they pair their left child with the same J
+    right children; the next chunk starts a run of its own, whose first left
+    child must not go on past its first chunk.
     """
-    blocks = []
-    p, n = 0, len(pairs)
-    while p < n:
-        J = int(np.argmax(np.append(pairs[p:, 0] != pairs[p, 0], True)))
-        R = pairs[p:p + J, 1]
-        q = p + J
-        while (q + J <= n and np.array_equal(pairs[q:q + J, 1], R)
-               and np.all(pairs[q:q + J, 0] == pairs[q, 0])):
-            q += J
-        blocks.append((pairs[p:q:J, 0], R))
-        p = q
-    if len({(len(L), len(R)) for L, R in blocks}) != 1:
+    left = pairs[:, 0]
+    J = int((left != left[0]).argmax()) or len(pairs)
+    if len(pairs) % J:
         return None
-    return blocks
+    chunks = pairs.reshape(-1, J, 2)
+    lefts, rights = chunks[:, 0, 0], chunks[:, :, 1]
+    if not (chunks[:, :, 0] == lefts[:, None]).all():
+        return None
+    new_run = (rights[1:] != rights[:-1]).any(axis=1)
+    starts = np.concatenate([[0], 1 + np.flatnonzero(new_run)])
+    I = len(chunks) // len(starts)
+    # every run I chunks long, and no run's first left child in its second chunk
+    if (len(chunks) % len(starts) or new_run[I - 1::I].sum() != len(starts) - 1
+            or (lefts[1:] == lefts[:-1])[starts[starts < len(chunks) - 1]].any()):
+        return None
+    return lefts.reshape(len(starts), I), rights[starts]
 
 
 @dataclass
@@ -474,107 +510,111 @@ class BackwardResult:
     bernoulli_p_grads: np.ndarray | None = None
 
 
-class CompiledCircuit:
-    """Bucketed-array form of a circuit, reusable across evaluations.
-
-    An instance holds one read-only parameter set: the circuit's parameter
-    arrays, taken as they are, and what every call evaluates with, each
-    leaf-region bucket's natural parameters and each sum step's weights,
-    derived from them once when it is made.  :meth:`with_parameters` gives
-    an instance with other parameters that shares every structure object;
-    a trainer swaps in one per step and reads the result back with
-    :meth:`to_circuit`.  A circuit holds its compiled form, which holds no
-    reference back, so both are freed as soon as the circuit is dropped.
+class _Lowering:
+    """What a structure compiles to, parameters aside: the materialized rows,
+    the steps that compute them level by level, the leaf regions and the
+    column-block width.  Made once per structure, from a few array passes
+    per arity and per bucket; every :class:`CompiledCircuit` of the
+    structure shares it.
     """
 
-    def __init__(self, circuit: Circuit):
-        # The circuit's fields, not the circuit: it holds this instance, and a
-        # reference back would make a cycle that only the garbage collector frees.
-        self._fields = {f.name: getattr(circuit, f.name) for f in fields(circuit)}
-        n = len(circuit.nodes)
-        self.d = circuit.num_variables
-        kind, ptr, ids = circuit.kind, circuit.ptr, circuit.ids
+    def __init__(self, s: Structure):
+        n = s.kind.size
+        self.d = s.num_variables
+        kind, ptr, ids = s.kind, s.ptr, s.ids
         arity = np.diff(ptr)
 
-        # Sum groups: the sums with equal children, keyed by the first of them.
+        # Sum groups: the sums with equal children, keyed by the first of them
+        # (the head); per arity, each sum's child row is one value.
         sums = np.flatnonzero(kind == SUM)
         first = np.empty(n, dtype=np.int64)
         for k in np.unique(arity[sums]):
             members = sums[arity[sums] == k]
-            _, at, inverse = np.unique(ids[ptr[members][:, None] + np.arange(k)], axis=0,
+            _, at, inverse = np.unique(_as_values(ids[ptr[members][:, None] + np.arange(k)]),
                                        return_index=True, return_inverse=True)
-            first[members] = members[at][inverse.ravel()]
-        heads = np.unique(first[sums])
-        group_sums = [sums[first[sums] == h] for h in heads]
-        group_children = [ids[ptr[h]:ptr[h + 1]] for h in heads]
+            first[members] = members[at[inverse]]
+        heads, group_of = np.unique(first[sums], return_inverse=True)
+        G = len(heads)
+        group_sums = np.split(sums[np.argsort(group_of, kind="stable")],
+                              np.cumsum(np.bincount(group_of, minlength=G))[:-1])
+        # every group's children, group by group
+        group_start = np.cumsum(arity[heads]) - arity[heads]
+        edge_group = np.repeat(np.arange(G), arity[heads])
+        children = ids[_edges(ptr, heads)]
 
-        # The one group (if any) that alone reads each node.
-        owner = np.full(n, -2, dtype=np.int64)
-        for g, children in enumerate(group_children):
-            children = np.unique(children)
-            owner[children] = np.where(owner[children] == -2, g, -1)
+        # The one group (if any) that alone reads each node: its first and
+        # last reader.
+        first_reader, last_reader = np.full(n, G), np.full(n, -1)
+        np.minimum.at(first_reader, children, edge_group)
+        np.maximum.at(last_reader, children, edge_group)
+        owner = np.where(last_reader < 0, -2,
+                         np.where(first_reader == last_reader, last_reader, -1))
         owner[ids[np.repeat(kind == PRODUCT, arity)]] = -1
-        owner[list(circuit.class_roots)] = -1
+        owner[list(s.class_roots)] = -1
 
         # Gaussian distributions: a product of Gaussian leaves, each on its own
         # variable and read by nothing else, is one over its children's scope
         # (the product is in a region and its leaves are absorbed); every other
         # Gaussian leaf is one over its own variable.
         readers = np.bincount(ids, minlength=n)
-        readers[list(circuit.class_roots)] += 1
+        readers[list(s.class_roots)] += 1
         gaussian = kind == GAUSSIAN
         in_region = np.zeros(n, dtype=bool)
         distributions: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
         all_products = np.flatnonzero(kind == PRODUCT)
         for k in np.unique(arity[all_products]):
             members = all_products[arity[all_products] == k]
-            children = ids[ptr[members][:, None] + np.arange(k)]
-            children = np.take_along_axis(
-                children, np.argsort(circuit.variable[children], axis=1, kind="stable"), axis=1)
-            ok = (np.all(gaussian[children] & (readers[children] == 1), axis=1)
-                  & np.all(np.diff(circuit.variable[children], axis=1) > 0, axis=1))
+            members = members[gaussian[ids[ptr[members]]]]      # a first factor that qualifies
+            factors = ids[ptr[members][:, None] + np.arange(k)]
+            factors = np.take_along_axis(
+                factors, np.argsort(s.variable[factors], axis=1, kind="stable"), axis=1)
+            ok = (np.all(gaussian[factors] & (readers[factors] == 1), axis=1)
+                  & np.all(np.diff(s.variable[factors], axis=1) > 0, axis=1))
             in_region[members[ok]] = True
-            gaussian[children[ok]] = False
-            distributions.setdefault(int(k), []).append((members[ok], children[ok]))
+            gaussian[factors[ok]] = False
+            distributions.setdefault(int(k), []).append((members[ok], factors[ok]))
         single = np.flatnonzero(gaussian)
         distributions.setdefault(1, []).append((single, single[:, None]))
 
+        # A group whose children are binary products that it alone reads, and
+        # that list L x R blocks, absorbs them.
         absorbed = np.zeros(n, dtype=bool)
-        group_blocks = []
-        for g, children in enumerate(group_children):
-            blocks = None
-            if np.all((kind[children] == PRODUCT) & (arity[children] == 2)
-                      & (owner[children] == g) & ~in_region[children]):
-                blocks = _blocks(ids[ptr[children][:, None] + np.arange(2)])
-                absorbed[children] = blocks is not None
-            group_blocks.append(blocks)
+        group_blocks = [None] * G
+        candidate = np.logical_and.reduceat(
+            (kind[children] == PRODUCT) & (arity[children] == 2)
+            & (owner[children] == edge_group) & ~in_region[children], group_start)
+        for g in np.flatnonzero(candidate):
+            products = children[group_start[g]:group_start[g] + arity[heads[g]]]
+            group_blocks[g] = _blocks(ids[ptr[products][:, None] + np.arange(2)])
+            absorbed[products] = group_blocks[g] is not None
 
         # Levels of the materialized nodes: leaves and leaf-region products are
         # level 0, and an absorbed product passes its children's level to the
-        # sums that absorb it.
-        level = _bottom_up(circuit, np.maximum, np.zeros(n, dtype=np.int64),
-                           ~(absorbed | in_region)[kind >= SUM])
+        # sums that absorb it.  A head stands for its group's sums.
+        rep = np.arange(n)
+        rep[sums] = first[sums]
+        level = _bottom_up(np.maximum, np.zeros(n, dtype=np.int64),
+                           [(at, rep[children]) for at, children
+                            in _by_arity(ptr, ids, np.concatenate([all_products, heads]))],
+                           (~(absorbed | in_region)).astype(np.int64))
         buckets: dict[tuple, list[int]] = {}
         for g, (head, blocks) in enumerate(zip(heads, group_blocks)):
             if blocks is None:
                 shape = (1, arity[head], 1, False)
             else:
-                shape = (len(blocks), len(blocks[0][0]), len(blocks[0][1]), True)
+                shape = (*blocks[0].shape, blocks[1].shape[1], True)
             buckets.setdefault((level[head], len(group_sums[g]), *shape), []).append(g)
         products = np.flatnonzero((kind == PRODUCT) & ~absorbed & ~in_region)
 
         self.gaussian_ids = np.flatnonzero(kind == GAUSSIAN)
-        self.gaussian_vars = circuit.variable[self.gaussian_ids]
+        self.gaussian_vars = s.variable[self.gaussian_ids]
         self.bernoulli_ids = np.flatnonzero(kind == BERNOULLI)
-        self.bernoulli_vars = circuit.variable[self.bernoulli_ids]
+        self.bernoulli_vars = s.variable[self.bernoulli_ids]
         self.categorical_ids = np.flatnonzero(kind == CATEGORICAL)
-        self.categorical_vars = circuit.variable[self.categorical_ids]
+        self.categorical_vars = s.variable[self.categorical_ids]
         # every leaf's log probabilities, concatenated; leaf r starts at offset r
-        self.categorical_offsets = circuit.probs_ptr[:-1]
-        self.categorical_sizes = np.diff(circuit.probs_ptr)
-        with np.errstate(divide="ignore"):
-            self.categorical_log_probs = np.log(circuit.probs)
-        self.categorical_log_probs.flags.writeable = False
+        self.categorical_offsets = s.probs_ptr[:-1]
+        self.categorical_sizes = np.diff(s.probs_ptr)
         self._bernoulli = _ByVariable(self.bernoulli_vars)
 
         # Rows: Gaussian distributions by bucket, the other leaves by family,
@@ -595,12 +635,11 @@ class CompiledCircuit:
         self._regions: list[_LeafRegions] = []
         for k, parts in sorted(distributions.items()):
             outputs, leaves = (np.concatenate(a) for a in zip(*parts))
-            scopes, region = np.unique(circuit.variable[leaves], axis=0,
-                                       return_inverse=True)
-            first = np.full(len(scopes), len(outputs))
-            np.minimum.at(first, region.ravel(), np.arange(len(outputs)))
+            scope = s.variable[leaves]
+            _, first, region = np.unique(_as_values(scope), return_index=True,
+                                         return_inverse=True)
             by_node = np.argsort(first)
-            scopes, region = scopes[by_node], np.argsort(by_node)[region.ravel()]
+            scopes, region = scope[first[by_node]], np.argsort(by_node)[region]
             by_region = np.argsort(region, kind="stable")
             sizes = np.bincount(region, minlength=len(scopes))
             starts = np.cumsum(sizes) - sizes
@@ -614,36 +653,31 @@ class CompiledCircuit:
         self._categorical_rows = take(self.categorical_ids)
         self._steps: list[_Products | _Sums] = []
         self._sums: list[_Sums] = []
-        sum_log_weights = []
         for lev in range(1, int(level.max(initial=0)) + 1):
             at_level = products[level[products] == lev]
             for k in np.unique(arity[at_level]):
                 members = at_level[arity[at_level] == k]
                 rows = take(members)
-                children = row_of[ids[ptr[members][:, None] + np.arange(k)]]
-                self._steps.append(_Products(
-                    rows, children, all(map(_is_unique, children.T))))
+                factors = row_of[ids[ptr[members][:, None] + np.arange(k)]]
+                self._steps.append(_Products(rows, factors, all(map(_is_unique, factors.T))))
             for key, members in buckets.items():
                 if key[0] != lev:
                     continue
                 sum_ids = np.concatenate([group_sums[g] for g in members])
                 rows = take(sum_ids)
                 if key[-1]:
-                    left = row_of[np.array([[L for L, _ in group_blocks[g]]
-                                            for g in members])]
-                    right = row_of[np.array([[R for _, R in group_blocks[g]]
-                                             for g in members])]
+                    left = row_of[np.stack([group_blocks[g][0] for g in members])]
+                    right = row_of[np.stack([group_blocks[g][1] for g in members])]
                 else:
-                    children = np.array([group_children[g] for g in members])
-                    left, right = row_of[children][:, None, :], None
-                sum_log_weights.append(circuit.log_weights[ptr[sum_ids][:, None]
-                                                           + np.arange(arity[sum_ids[0]])])
+                    left = row_of[np.stack([children[group_start[g]:group_start[g] + key[3]]
+                                            for g in members])][:, None, :]
+                    right = None
                 step = _Sums(rows, sum_ids, left, right,
                              _is_unique(left) and (right is None or _is_unique(right)))
                 self._steps.append(step)
                 self._sums.append(step)
         self.n_rows = top
-        self._root_rows = row_of[list(circuit.class_roots)]
+        self._root_rows = row_of[list(s.class_roots)]
         self._roots_unique = _is_unique(self._root_rows)
         # Batch columns per block, so that no temporary outgrows
         # _BLOCK_ELEMENTS; a multiple of _WIDTH, so that only a batch's last
@@ -652,39 +686,104 @@ class CompiledCircuit:
                      + [3 * r.variables.size for r in self._regions] + [self.n_rows])
         self._block_cols = max(_WIDTH, min(_BLOCK_COLS, _BLOCK_ELEMENTS // widest)
                                // _WIDTH * _WIDTH)
-        self._set_parameters(circuit.mean, circuit.variance, circuit.p, sum_log_weights)
+
+
+def _lowering(structure: Structure) -> _Lowering:
+    """A structure's lowering, made on first use and kept in the structure's
+    instance dict, as ``functools.cached_property`` keeps a value: it lives
+    as long as the structure, and holds no reference back to it."""
+    if "_lowering" not in vars(structure):
+        vars(structure)["_lowering"] = _Lowering(structure)
+    return vars(structure)["_lowering"]
+
+
+class CompiledCircuit:
+    """A structure's lowering plus one read-only parameter set, reusable
+    across evaluations.
+
+    An instance shares every attribute of its structure's lowering, made
+    once per structure, and holds the parameter arrays it was given: the
+    Gaussian and Bernoulli leaf parameters, the categorical leaves'
+    probabilities and the sums' log-weights, one (sums, children) array per
+    sum bucket.  What every call evaluates with, each leaf-region bucket's
+    natural parameters, each sum step's weights and the leaves' logs, is
+    derived from them on first use, once, and kept read-only.
+    :meth:`with_parameters` gives an instance of the same structure with
+    other parameters; a trainer swaps in one per step and reads the result
+    back with :meth:`to_circuit`.  An instance refers to its structure, not
+    to a circuit, so a circuit that holds its compiled form is freed as
+    soon as it is dropped.
+    """
+
+    def __init__(self, circuit: Circuit):
+        self._adopt(circuit.structure)
+        self._set_parameters(circuit.mean, circuit.variance, circuit.p, circuit.probs,
+                             [circuit.log_weights[edges] for edges in self._sum_edges()])
+
+    def _adopt(self, structure: Structure) -> None:
+        """Share every attribute of the structure's lowering."""
+        vars(self).update(vars(_lowering(structure)))
+        self.structure = structure
+
+    def _sum_edges(self) -> list[np.ndarray]:
+        """Per sum bucket, the (sums, children) indices of its log-weights in
+        the circuit's per-edge ``log_weights``."""
+        ptr = self.structure.ptr
+        return [ptr[step.ids][:, None] + np.arange(ptr[step.ids[0] + 1] - ptr[step.ids[0]])
+                for step in self._sums]
 
     def _set_parameters(self, gaussian_mean: np.ndarray, gaussian_variance: np.ndarray,
-                        bernoulli_p: np.ndarray, sum_log_weights: list[np.ndarray]) -> None:
-        """Take these arrays as the parameters and derive from them, once, what
-        every call evaluates with; all of it read-only, so none can go stale."""
+                        bernoulli_p: np.ndarray, categorical_probs: np.ndarray,
+                        sum_log_weights: list[np.ndarray]) -> None:
+        """Take these arrays, read-only, as the parameters."""
         self.gaussian_mean = gaussian_mean
         self.gaussian_variance = gaussian_variance
         self.bernoulli_p = bernoulli_p
+        self.categorical_probs = categorical_probs
         #: Sum-node log-weights as one (sums, children) array per bucket.
         self.sum_log_weights = tuple(sum_log_weights)
-        self._natural = [r.natural(gaussian_mean, gaussian_variance) for r in self._regions]
-        # per step: a sum bucket's log-weights and weights, None for products
-        log_weights = dict(zip(self._sums, sum_log_weights))
-        self._weights = [(log_weights[s], s.weights(log_weights[s])) if s in log_weights
-                         else None for s in self._steps]
-        # the Bernoulli leaves' p, log p and log(1 - p), (leaves, 1) in row order
-        p = bernoulli_p[self._bernoulli.order, None]
+        _read_only(gaussian_mean, gaussian_variance, bernoulli_p, *self.sum_log_weights)
+
+    @cached_property
+    def _natural(self) -> list[_Natural]:
+        """Each leaf-region bucket's natural parameters."""
+        natural = [r.natural(self.gaussian_mean, self.gaussian_variance) for r in self._regions]
+        _read_only(*(a for p in natural for a in p))
+        return natural
+
+    @cached_property
+    def _weights(self) -> list[tuple[np.ndarray, np.ndarray] | None]:
+        """Per step: a sum bucket's log-weights and their weights; None for products."""
+        log_weights = dict(zip(self._sums, self.sum_log_weights))
+        weights = [(log_weights[s], s.weights(log_weights[s])) if s in log_weights
+                   else None for s in self._steps]
+        _read_only(*(pair[1] for pair in weights if pair))
+        return weights
+
+    @cached_property
+    def _bernoulli_params(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Bernoulli leaves' p, log p and log(1 - p), (leaves, 1) in row order."""
+        p = self.bernoulli_p[self._bernoulli.order, None]
         with np.errstate(divide="ignore"):
-            self._bernoulli_params = (p, np.log(p), np.log1p(-p))
-        for a in (gaussian_mean, gaussian_variance, bernoulli_p, *self._bernoulli_params,
-                  *(a for p in self._natural for a in p),
-                  *(a for pair in self._weights if pair for a in pair)):
-            a.flags.writeable = False
+            params = (p, np.log(p), np.log1p(-p))
+        _read_only(*params)
+        return params
+
+    @cached_property
+    def categorical_log_probs(self) -> np.ndarray:
+        """Every categorical leaf's log probabilities, concatenated."""
+        with np.errstate(divide="ignore"):
+            log_probs = np.log(self.categorical_probs)
+        _read_only(log_probs)
+        return log_probs
 
     def with_parameters(self, gaussian_mean, gaussian_variance, bernoulli_p,
                         sum_log_weights) -> CompiledCircuit:
-        """A new instance with this one's structure and these parameters, in
-        the layout of this one's arrays.
+        """A new instance of this one's structure with these parameters, in
+        the layout of this one's arrays, and this one's categorical leaves.
 
         It holds copies of them, read-only, and derives what every call
-        evaluates with once; it shares every structure object with this
-        instance, which is left as it is.
+        evaluates with on first use; this instance is left as it is.
         """
         arrays = [np.array(a, dtype=np.float64) for a in
                   (gaussian_mean, gaussian_variance, bernoulli_p, *sum_log_weights)]
@@ -692,8 +791,9 @@ class CompiledCircuit:
                    *self.sum_log_weights)
         if [a.shape for a in arrays] != [a.shape for a in current]:
             raise ValueError("parameter shapes differ from the compiled circuit's")
-        new = copy.copy(self)
-        new._set_parameters(*arrays[:3], arrays[3:])
+        new = object.__new__(CompiledCircuit)
+        new._adopt(self.structure)
+        new._set_parameters(*arrays[:3], self.categorical_probs, arrays[3:])
         return new
 
     def per_sum_node(self, arrays: list[np.ndarray]) -> dict[int, np.ndarray]:
@@ -703,21 +803,18 @@ class CompiledCircuit:
                 for row, i in enumerate(step.ids)}
 
     def to_circuit(self, log_prior: np.ndarray) -> Circuit:
-        """A new circuit holding this instance's parameters.
-
-        Its structure arrays and categorical leaves are the source circuit's,
-        and a shallow copy of this instance is its compiled form for life.
-        """
-        source = self._fields
-        log_weights = np.array(source["log_weights"])
-        for step, w in zip(self._sums, self.sum_log_weights):
-            log_weights[source["ptr"][step.ids][:, None] + np.arange(w.shape[1])] = w
-        circuit = Circuit(**{**source, "log_weights": log_weights, "log_prior": log_prior,
-                             "mean": self.gaussian_mean, "variance": self.gaussian_variance,
-                             "p": self.bernoulli_p})
-        compiled = copy.copy(self)
-        compiled._fields = {f.name: getattr(circuit, f.name) for f in fields(circuit)}
-        vars(circuit)["_compiled"] = compiled
+        """A new circuit of this instance's structure and parameters, which
+        alone are checked; a copy of this instance is its compiled form for
+        life."""
+        log_weights = np.zeros(self.structure.ids.size)
+        for edges, w in zip(self._sum_edges(), self.sum_log_weights):
+            log_weights[edges] = w
+        _read_only(log_weights)
+        circuit = self.structure.circuit(
+            log_weights=log_weights, log_prior=log_prior, mean=self.gaussian_mean,
+            variance=self.gaussian_variance, p=self.bernoulli_p,
+            probs=self.categorical_probs)
+        vars(circuit)["_compiled"] = copy.copy(self)
         return circuit
 
     def _column_blocks(self, B: int) -> list[slice]:
@@ -819,7 +916,7 @@ class CompiledCircuit:
         X = _points(X, self.d)[0]
         if V.shape[1] != len(X):
             raise ValueError(f"V has {V.shape[1]} columns, X has {len(X)} rows")
-        roots = list(self._fields["class_roots"])
+        roots = list(self.structure.class_roots)
         seed = np.zeros((len(X), len(roots)))
         for node_id, vec in seeds.items():
             if node_id not in roots:

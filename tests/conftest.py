@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cfspn import circuit as cm
+from cfspn import engine
 from cfspn.engine import CompiledCircuit
 from cfspn.structure import StructureConfig, build_circuit
 
@@ -214,3 +215,25 @@ def passes(monkeypatch):
         monkeypatch.setattr(CompiledCircuit, name, counted(name))
     monkeypatch.setattr(CompiledCircuit, "evaluate", evaluate)
     return counts
+
+
+@pytest.fixture
+def structure_counts(monkeypatch):
+    """The structures checked, and those lowered, during a test, in order:
+    ``validate`` is called on a structure for its structural checks, and the
+    engine makes a ``_Lowering`` of it."""
+    checked, lowered = [], []
+    validate, lower = cm.validate, engine._Lowering.__init__
+
+    def counted_validate(item):
+        if isinstance(item, cm.Structure):
+            checked.append(item)
+        validate(item)
+
+    def counted_lower(self, structure):
+        lowered.append(structure)
+        lower(self, structure)
+
+    monkeypatch.setattr(cm, "validate", counted_validate)
+    monkeypatch.setattr(engine._Lowering, "__init__", counted_lower)
+    return checked, lowered

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from cfspn import circuit as cm
-from cfspn import inference
+from cfspn import inference, structure
 from conftest import (BernoulliLeaf, CategoricalLeaf, GaussianLeaf, ProductNode,
                       SumNode, blob, from_nodes, naive_log_value, nodes_of, random_circuit,
-                      set_blob, two_gaussian_classifier)
+                      randomize_parameters, set_blob, two_gaussian_classifier)
 
 
 def with_node(circuit, index, **changes):
@@ -284,6 +284,25 @@ def test_save_load_round_trip_is_bit_exact(tmp_path, rng):
         assert_bit_equal(back, c)
         cm.save(back, again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_writes_the_document_json_dumps_writes(tmp_path, rng):
+    # The README moons structure, depth 2 over 12 variables, and Bernoulli and
+    # categorical leaves.
+    moons = structure.build_circuit(2, structure.StructureConfig(num_classes=2, seed=7))
+    deep = structure.build_circuit(12, structure.StructureConfig(
+        depth=2, repetitions=2, sum_nodes_per_region=2, leaf_distributions_per_region=3,
+        num_classes=2, seed=5))
+    path = tmp_path / "model.json"
+    for c in [moons, randomize_parameters(deep, rng)] + [
+            random_circuit(rng, leaf_family=family) for family in ("bernoulli", "categorical")]:
+        cm.save(c, path)
+        doc = {"format_version": cm.FORMAT_VERSION, "num_variables": c.num_variables,
+               "class_roots": list(c.class_roots)}
+        doc.update((f.name, base64.b64encode(np.asarray(
+            getattr(c, f.name), dtype=cm._dtype(f.name)).tobytes()).decode("ascii"))
+            for f in dataclasses.fields(c) if f.name not in doc)
+        assert path.read_bytes() == (json.dumps(doc) + "\n").encode("utf-8")
 
 
 def test_save_refuses_invalid_circuit(tmp_path):

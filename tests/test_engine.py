@@ -520,6 +520,267 @@ def deep():
     return randomize_parameters(structure.build_circuit(12, cfg), np.random.default_rng(6))
 
 
+def reference_blocks(pairs):
+    """Product pairs split into L x R runs one row at a time: the lowering's
+    loop before it detected runs as array passes."""
+    blocks = []
+    p, n = 0, len(pairs)
+    while p < n:
+        J = int(np.argmax(np.append(pairs[p:, 0] != pairs[p, 0], True)))
+        R = pairs[p:p + J, 1]
+        q = p + J
+        while (q + J <= n and np.array_equal(pairs[q:q + J, 1], R)
+               and np.all(pairs[q:q + J, 0] == pairs[q, 0])):
+            q += J
+        blocks.append((pairs[p:q:J, 0], R))
+        p = q
+    if len({(len(L), len(R)) for L, R in blocks}) != 1:
+        return None
+    return blocks
+
+
+def reference_lowering(s):
+    """A structure's lowering as it was made before array passes: sum groups
+    and leaf-region scopes by np.unique(axis=0), each group's readers by its
+    own np.unique, reference_blocks per group and levels swept over every
+    edge."""
+    low = object.__new__(engine._Lowering)
+    n = len(s.kind)
+    low.d = s.num_variables
+    kind, ptr, ids = s.kind, s.ptr, s.ids
+    arity = np.diff(ptr)
+    sums = np.flatnonzero(kind == cm.SUM)
+    first = np.empty(n, dtype=np.int64)
+    for k in np.unique(arity[sums]):
+        members = sums[arity[sums] == k]
+        _, at, inverse = np.unique(ids[ptr[members][:, None] + np.arange(k)], axis=0,
+                                   return_index=True, return_inverse=True)
+        first[members] = members[at][inverse.ravel()]
+    heads = np.unique(first[sums])
+    group_sums = [sums[first[sums] == h] for h in heads]
+    group_children = [ids[ptr[h]:ptr[h + 1]] for h in heads]
+    owner = np.full(n, -2, dtype=np.int64)
+    for g, children in enumerate(group_children):
+        children = np.unique(children)
+        owner[children] = np.where(owner[children] == -2, g, -1)
+    owner[ids[np.repeat(kind == cm.PRODUCT, arity)]] = -1
+    owner[list(s.class_roots)] = -1
+    readers = np.bincount(ids, minlength=n)
+    readers[list(s.class_roots)] += 1
+    gaussian = kind == cm.GAUSSIAN
+    in_region = np.zeros(n, dtype=bool)
+    distributions = {}
+    all_products = np.flatnonzero(kind == cm.PRODUCT)
+    for k in np.unique(arity[all_products]):
+        members = all_products[arity[all_products] == k]
+        children = ids[ptr[members][:, None] + np.arange(k)]
+        children = np.take_along_axis(
+            children, np.argsort(s.variable[children], axis=1, kind="stable"), axis=1)
+        ok = (np.all(gaussian[children] & (readers[children] == 1), axis=1)
+              & np.all(np.diff(s.variable[children], axis=1) > 0, axis=1))
+        in_region[members[ok]] = True
+        gaussian[children[ok]] = False
+        distributions.setdefault(int(k), []).append((members[ok], children[ok]))
+    single = np.flatnonzero(gaussian)
+    distributions.setdefault(1, []).append((single, single[:, None]))
+    absorbed = np.zeros(n, dtype=bool)
+    group_blocks = []
+    for g, children in enumerate(group_children):
+        blocks = None
+        if np.all((kind[children] == cm.PRODUCT) & (arity[children] == 2)
+                  & (owner[children] == g) & ~in_region[children]):
+            blocks = reference_blocks(ids[ptr[children][:, None] + np.arange(2)])
+            absorbed[children] = blocks is not None
+        group_blocks.append(blocks)
+    internal = np.flatnonzero(kind >= cm.SUM)
+    level = np.zeros(n, dtype=np.int64)
+    while internal.size:
+        new = (np.maximum.reduceat(level[ids], ptr[internal])
+               + ~(absorbed | in_region)[internal])
+        if np.array_equal(new, level[internal]):
+            break
+        level[internal] = new
+    buckets = {}
+    for g, (head, blocks) in enumerate(zip(heads, group_blocks)):
+        if blocks is None:
+            shape = (1, arity[head], 1, False)
+        else:
+            shape = (len(blocks), len(blocks[0][0]), len(blocks[0][1]), True)
+        buckets.setdefault((level[head], len(group_sums[g]), *shape), []).append(g)
+    products = np.flatnonzero((kind == cm.PRODUCT) & ~absorbed & ~in_region)
+
+    low.gaussian_ids = np.flatnonzero(kind == cm.GAUSSIAN)
+    low.gaussian_vars = s.variable[low.gaussian_ids]
+    low.bernoulli_ids = np.flatnonzero(kind == cm.BERNOULLI)
+    low.bernoulli_vars = s.variable[low.bernoulli_ids]
+    low.categorical_ids = np.flatnonzero(kind == cm.CATEGORICAL)
+    low.categorical_vars = s.variable[low.categorical_ids]
+    low.categorical_offsets = s.probs_ptr[:-1]
+    low.categorical_sizes = np.diff(s.probs_ptr)
+    low._bernoulli = engine._ByVariable(low.bernoulli_vars)
+    row_of = np.full(n, -1, dtype=np.int64)
+    top = 0
+
+    def take(ids):
+        nonlocal top
+        row_of[ids] = np.arange(top, top + len(ids))
+        top += len(ids)
+        return slice(top - len(ids), top)
+
+    leaf_index = np.full(n, -1, dtype=np.int64)
+    leaf_index[low.gaussian_ids] = np.arange(low.gaussian_ids.size)
+    low._regions = []
+    for k, parts in sorted(distributions.items()):
+        outputs, leaves = (np.concatenate(a) for a in zip(*parts))
+        scopes, region = np.unique(s.variable[leaves], axis=0, return_inverse=True)
+        first = np.full(len(scopes), len(outputs))
+        np.minimum.at(first, region.ravel(), np.arange(len(outputs)))
+        by_node = np.argsort(first)
+        scopes, region = scopes[by_node], np.argsort(by_node)[region.ravel()]
+        by_region = np.argsort(region, kind="stable")
+        sizes = np.bincount(region, minlength=len(scopes))
+        starts = np.cumsum(sizes) - sizes
+        for I in np.unique(sizes):
+            members = by_region[starts[sizes == I][:, None] + np.arange(I)]
+            variables = scopes[sizes == I]
+            low._regions.append(engine._LeafRegions(
+                take(outputs[members].ravel()), leaf_index[leaves[members]],
+                variables, engine._ByVariable(variables.ravel())))
+    low._bernoulli_rows = take(low.bernoulli_ids[low._bernoulli.order])
+    low._categorical_rows = take(low.categorical_ids)
+    low._steps, low._sums = [], []
+    for lev in range(1, int(level.max(initial=0)) + 1):
+        at_level = products[level[products] == lev]
+        for k in np.unique(arity[at_level]):
+            members = at_level[arity[at_level] == k]
+            rows = take(members)
+            children = row_of[ids[ptr[members][:, None] + np.arange(k)]]
+            low._steps.append(engine._Products(
+                rows, children, all(np.unique(c).size == c.size for c in children.T)))
+        for key, members in buckets.items():
+            if key[0] != lev:
+                continue
+            sum_ids = np.concatenate([group_sums[g] for g in members])
+            rows = take(sum_ids)
+            if key[-1]:
+                left = row_of[np.array([[L for L, _ in group_blocks[g]] for g in members])]
+                right = row_of[np.array([[R for _, R in group_blocks[g]] for g in members])]
+            else:
+                children = np.array([group_children[g] for g in members])
+                left, right = row_of[children][:, None, :], None
+            step = engine._Sums(rows, sum_ids, left, right,
+                                np.unique(left).size == left.size
+                                and (right is None or np.unique(right).size == right.size))
+            low._steps.append(step)
+            low._sums.append(step)
+    low.n_rows = top
+    low._root_rows = row_of[list(s.class_roots)]
+    low._roots_unique = np.unique(low._root_rows).size == low._root_rows.size
+    widest = max([step.width for step in low._sums]
+                 + [3 * r.variables.size for r in low._regions] + [low.n_rows])
+    low._block_cols = max(engine._WIDTH, min(engine._BLOCK_COLS,
+                                             engine._BLOCK_ELEMENTS // widest)
+                          // engine._WIDTH * engine._WIDTH)
+    return low
+
+
+def assert_same_lowering(a, b):
+    """Every step, leaf region, row slice and block width of two lowerings."""
+    assert (a.d, a.n_rows, a._block_cols, a._roots_unique) == (
+        b.d, b.n_rows, b._block_cols, b._roots_unique)
+    for name in ("gaussian_ids", "gaussian_vars", "bernoulli_ids", "bernoulli_vars",
+                 "categorical_ids", "categorical_vars", "categorical_offsets",
+                 "categorical_sizes", "_root_rows"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert (a._bernoulli_rows, a._categorical_rows) == (b._bernoulli_rows, b._categorical_rows)
+    for x, y in [(a._bernoulli, b._bernoulli)] + [
+            (p.by_variable, q.by_variable) for p, q in zip(a._regions, b._regions)]:
+        assert all(np.array_equal(getattr(x, f), getattr(y, f))
+                   for f in ("order", "variables", "starts"))
+    assert len(a._regions) == len(b._regions)
+    for p, q in zip(a._regions, b._regions):
+        assert p.rows == q.rows
+        assert np.array_equal(p.leaves, q.leaves) and np.array_equal(p.variables, q.variables)
+    assert [type(x) for x in a._steps] == [type(y) for y in b._steps]
+    assert [a._steps.index(x) for x in a._sums] == [b._steps.index(y) for y in b._sums]
+    for x, y in zip(a._steps, b._steps):
+        assert (x.rows, x.unique) == (y.rows, y.unique)
+        if isinstance(x, engine._Products):
+            assert np.array_equal(x.children, y.children)
+        else:
+            assert np.array_equal(x.ids, y.ids) and np.array_equal(x.left, y.left)
+            assert (x.right is None) == (y.right is None)
+            assert x.right is None or np.array_equal(x.right, y.right)
+
+
+def shared_product_circuit():
+    """Binary products 4-7 listing {0, 1} x {2, 3}, read by class root 8 and,
+    products 4 and 5 only, by class root 9: no group reads 4 and 5 alone."""
+    nodes = [GaussianLeaf(v, m, 0.3) for v in (0, 1) for m in (0.2, 0.7)]
+    nodes += [ProductNode([a, b]) for a in (0, 1) for b in (2, 3)]
+    nodes += [SumNode([4, 5, 6, 7], np.log([0.1, 0.2, 0.3, 0.4])),
+              SumNode([4, 5], np.log([0.5, 0.5]))]
+    return from_nodes(nodes, class_roots=[8, 9], log_prior=cm.uniform_log_weights(2),
+                      num_variables=2)
+
+
+def lowering_cases():
+    """Structures of each kind: the benchmark's moons and a small wide one,
+    depth 2 over 12 variables, Bernoulli and categorical leaves, and
+    hand-built ones with shared children and mixed sums."""
+    rng = np.random.default_rng(11)
+    moons = structure.build_circuit(2, structure.StructureConfig(num_classes=2, seed=7))
+    small_wide = structure.build_circuit(16, structure.StructureConfig(
+        depth=3, repetitions=3, sum_nodes_per_region=3, leaf_distributions_per_region=4,
+        num_classes=2, seed=7))
+    deep = structure.build_circuit(12, structure.StructureConfig(
+        depth=2, repetitions=2, sum_nodes_per_region=2, leaf_distributions_per_region=3,
+        num_classes=2, seed=5))
+    return [randomize_parameters(c, rng) for c in (moons, small_wide, deep)] + [
+        random_circuit(rng, leaf_family=family, max_repetitions=4)
+        for family in ("gaussian", "bernoulli", "categorical")] + [
+        shared_child_circuit(), shared_product_circuit()]
+
+
+def test_lowering_equals_the_reference_lowering(rng, wide):
+    for c in lowering_cases() + [wide]:
+        assert_same_lowering(engine._lowering(c.structure), reference_lowering(c.structure))
+        # evaluated on the reference lowering, the values and gradients are the same bits
+        twin = cm.Circuit(**{f.name: getattr(c, f.name) for f in dataclasses.fields(c)})
+        vars(twin.structure)["_lowering"] = reference_lowering(twin.structure)
+        X = rng.integers(0, 3, size=(9, c.num_variables)).astype(float)
+        X[2, 0] = np.nan
+        adjoints = posterior_adjoints(c, rng, 9)
+        values, back = engine.CompiledCircuit(c).evaluate(X, adjoints, want_params=True)
+        twin_values, twin_back = engine.CompiledCircuit(twin).evaluate(
+            X, adjoints, want_params=True)
+        assert np.array_equal(values, twin_values)
+        for field in dataclasses.fields(back):
+            got, want = getattr(back, field.name), getattr(twin_back, field.name)
+            assert len(got) == len(want) and all(map(np.array_equal, got, want)), field.name
+
+
+def test_blocks_equal_the_reference_loop_on_random_pairs(rng):
+    # Runs of L x R pairs, some with a pair changed, and pairs drawn at random.
+    for _ in range(3000):
+        if rng.random() < 0.25:
+            pairs = rng.integers(0, 3, size=(int(rng.integers(1, 13)), 2))
+        else:
+            K, I, J = rng.integers(1, 4, size=3)
+            top = int(rng.choice([4, 20]))
+            pairs = np.concatenate([
+                np.stack(np.meshgrid(rng.integers(0, top, I), rng.integers(0, top, J),
+                                     indexing="ij"), axis=-1).reshape(-1, 2)
+                for _ in range(K)])
+            if rng.random() < 0.3:
+                pairs[rng.integers(len(pairs)), rng.integers(2)] = rng.integers(0, top)
+        got, want = engine._blocks(pairs), reference_blocks(pairs)
+        assert (got is None) == (want is None), pairs
+        if got is not None:
+            assert np.array_equal(got[0], [L for L, _ in want])
+            assert np.array_equal(got[1], [R for _, R in want])
+
+
 def test_leaf_regions_match_naive_with_missing_values(rng, deep):
     comp = engine.compile_circuit(deep)
     assert {k for _, _, k in region_shapes(comp)} == {3}
@@ -676,6 +937,46 @@ def test_to_circuit_refuses_invalid_parameters(rng):
                                        log_weights)
     with pytest.raises(ValueError, match=r"\[leaf-domain\].*\[weight-normalization\]"):
         invalid.to_circuit(c.log_prior)
+
+
+def _faulty(c, comp, fault):
+    """(with_parameters arguments, log prior) of the compiled form, with one fault."""
+    mean, variance = comp.gaussian_mean.copy(), comp.gaussian_variance.copy()
+    log_weights, log_prior = [w.copy() for w in comp.sum_log_weights], c.log_prior
+    if fault == "variance":
+        variance[0] = -1.0
+    elif fault == "mean":
+        mean[0] = np.nan
+    elif fault == "weights":
+        log_weights[0][0, 0] += 1.0
+    else:
+        log_prior = np.log([0.9, 0.9])
+    return (mean, variance, comp.bernoulli_p, log_weights), log_prior
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("variance", r"\[leaf-domain\] node 0: variance -1.0 is not positive"),
+    ("mean", r"\[leaf-domain\] node 0: mean nan is not finite"),
+    ("weights", r"\[weight-normalization\] node \d+: weights sum to"),
+    ("prior", r"\[prior\] node None: prior sums to 1.8"),
+])
+def test_parameter_faults_raise_without_checking_the_structure_again(
+        rng, structure_counts, fault, message):
+    c = random_circuit(rng, num_classes=2)
+    comp = engine.compile_circuit(c)
+    checked, lowered = structure_counts
+    counts = len(checked), len(lowered)
+    arrays, log_prior = _faulty(c, comp, fault)
+    with pytest.raises(ValueError, match=message):
+        comp.with_parameters(*arrays).to_circuit(log_prior)
+    mean, variance, _, log_weights = arrays
+    flat = np.array(c.log_weights)
+    for edges, w in zip(comp._sum_edges(), log_weights):
+        flat[edges] = w
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(c, mean=mean, variance=variance, log_weights=flat,
+                            log_prior=log_prior)
+    assert (len(checked), len(lowered)) == counts
 
 
 def test_dead_class_root_passes_no_adjoint():

@@ -342,7 +342,7 @@ def test_cross_validate_prefers_reasonable_variance_floor():
         assert len(point.fold_lls) == 2
 
 
-def test_cross_validate_lowers_each_structure_once(monkeypatch):
+def test_cross_validate_lowers_each_structure_once(monkeypatch, structure_counts):
     ds = data.make_moons(120, 0.1, seed=8)
     structures = [StructureConfig(num_classes=2, seed=8, repetitions=r,
                                   sum_nodes_per_region=2,
@@ -352,6 +352,29 @@ def test_cross_validate_lowers_each_structure_once(monkeypatch):
     built = count_compiles(monkeypatch)
     training.cross_validate(ds, structures, trains, folds=3, seed=8)
     assert len(built) == len(structures)
+    # 12 fits, each read back by to_circuit: one structural check and one
+    # lowering per structure
+    checked, lowered = structure_counts
+    assert checked == lowered == [c.structure for c in built]
+
+
+def test_a_structure_is_checked_and_lowered_once(tmp_path, structure_counts):
+    checked, lowered = structure_counts
+    ds = data.make_moons(200, 0.1, seed=3)
+    circuit = build_circuit(2, StructureConfig(num_classes=2, seed=3, repetitions=2,
+                                               sum_nodes_per_region=2,
+                                               leaf_distributions_per_region=3))
+    fitted, _ = training.fit(circuit, ds, training.TrainConfig(epochs=3, seed=3))
+    moved = dataclasses.replace(fitted, mean=fitted.mean + 0.01)
+    for c in (circuit, fitted, moved):
+        inference.accuracy(c, ds.features, ds.labels)
+        assert c.structure is circuit.structure
+    assert checked == lowered == [circuit.structure]
+    # a loaded model is a new structure, checked and lowered once
+    cm.save(fitted, tmp_path / "model.json")
+    loaded = cm.load(tmp_path / "model.json")
+    inference.accuracy(loaded, ds.features, ds.labels)
+    assert checked == lowered == [circuit.structure, loaded.structure]
 
 
 def test_fitted_circuit_comes_compiled_as_a_fresh_compile_would(monkeypatch):
