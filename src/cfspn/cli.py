@@ -24,7 +24,7 @@ from . import circuit as circuit_mod
 from . import counterfactual as cf
 from . import data as data_mod
 from . import grad, inference
-from .circuit import _classes, _integer
+from .circuit import _classes, _integer, _number
 from .structure import StructureConfig, build_circuit
 from .training import TrainConfig, fit
 
@@ -108,7 +108,8 @@ def _load_pair(cfg: dict, args, seed: int):
     _check_keys(f"{kind} dataset", given, _DATASET_KEYS[kind] | {"kind"})
     split_cfg = _section(cfg, "split")
     _check_keys("split", split_cfg, _SPLIT_KEYS)
-    fraction = float(split_cfg.get("train_fraction", 0.7))
+    fraction = _number(split_cfg.get("train_fraction", 0.7), "split.train_fraction", 0,
+                       strict=True, below=1)
     split_seed = _integer(split_cfg.get("seed", seed), "split.seed", 0)
 
     if kind == "mnist":
@@ -128,7 +129,7 @@ def _load_pair(cfg: dict, args, seed: int):
     elif kind in ("moons", "rings"):
         maker = data_mod.make_moons if kind == "moons" else data_mod.make_rings
         dataset = maker(_integer(section.get("n", 2000), "dataset.n", 2),
-                        float(section.get("noise", 0.1)),
+                        _number(section.get("noise", 0.1), "dataset.noise", 0),
                         _integer(section.get("seed", seed), "dataset.seed", 0))
     elif kind == "onehot":
         dataset = data_mod.make_onehot_tabular(
@@ -154,7 +155,8 @@ def cmd_train(args) -> int:
     seed = _global_seed(cfg, args)
     out = args.out or "model.json"
     train_ds, test_ds = _load_pair(cfg, args, seed)
-    _check_distinct([args.config, args.data, args.schema], [out])
+    _check_distinct([args.config, args.data, args.schema],
+                    [out, _sidecar(out, "report"), _sidecar(out, "meta")])
 
     structure = _build_config(
         StructureConfig, _section(cfg, "structure"),
@@ -284,7 +286,7 @@ def cmd_benchmark(args) -> int:
 def _interval(section: dict, key: str) -> tuple[float, float]:
     value = section.get(key, [0.0, 1.0])
     try:
-        lo, hi = map(float, value)
+        lo, hi = (_number(v, f"grid.{key}", -math.inf) for v in value)
         ok = math.isfinite(lo) and math.isfinite(hi) and lo < hi
     except (TypeError, ValueError):
         ok = False
@@ -324,11 +326,14 @@ def cmd_grid(args) -> int:
     g1, g2 = np.meshgrid(xs, ys, indexing="ij")
     points = np.column_stack([g1.ravel(), g2.ravel()])
 
-    logdens = inference.log_density(model, points)
-    cld = inference.class_log_densities(model, points)
+    # two fused passes: the log-ratio gradient's forward sweep gives the
+    # class-root log values, and so the log density and the log ratio too
+    ratio = grad.gradient(model, points, {y_prime: 1.0, y: -1.0})
+    cld = ratio.class_log_values
+    logdens = inference.log_density_of(model, cld)
     logratio = cld[:, y_prime] - cld[:, y]
-    dlr = grad.grad_log_ratio_batch(model, points, y, y_prime)
-    dld = grad.grad_log_density_batch(model, points)
+    dlr = ratio.values
+    dld = grad.grad_density(model, points, "log_density").values
 
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

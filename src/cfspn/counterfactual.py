@@ -105,25 +105,6 @@ class CfResult:
         return {**vars(self), "x": self.x.tolist(), "u": self.u.tolist(),
                 "x_prime": self.x_prime.tolist(), "elapsed": list(self.elapsed)}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CfResult":
-        return cls(
-            x=np.asarray(obj["x"], dtype=np.float64),
-            u=np.asarray(obj["u"], dtype=np.float64),
-            x_prime=np.asarray(obj["x_prime"], dtype=np.float64),
-            y=int(obj["y"]), y_prime=int(obj["y_prime"]),
-            pred_x=int(obj["pred_x"]), pred_u=int(obj["pred_u"]),
-            pred_x_prime=int(obj["pred_x_prime"]),
-            logdens_x=float(obj["logdens_x"]),
-            logdens_u=float(obj["logdens_u"]),
-            logdens_x_prime=float(obj["logdens_x_prime"]),
-            elapsed=[float(t) for t in obj["elapsed"]],
-            success=bool(obj["success"]),
-            grad_evals=int(obj.get("grad_evals", 0)),
-            iterations=obj.get("iterations"),
-            density_underflow=bool(obj.get("density_underflow", False)),
-        )
-
 
 @dataclass
 class CfMetrics:
@@ -378,16 +359,6 @@ def summarize(results: list[CfResult]) -> CfMetrics:
     )
 
 
-def evaluate(circuit: Circuit, queries, method: str = "two_step",
-             config: CfConfig | None = None,
-             baseline: BaselineConfig | None = None) -> CfMetrics:
-    """run_queries followed by summarize; the Tables 3-5 style protocol."""
-    queries = list(queries)
-    if not queries:
-        raise ValueError("empty query set")
-    return summarize(run_queries(circuit, queries, method, config, baseline))
-
-
 def metrics_record(metrics: CfMetrics, method: str, dataset: str,
                    config) -> dict:
     """JSON-ready record of one method's metrics on one dataset."""
@@ -441,13 +412,3 @@ def save_results(path: str | Path, results: list[CfResult]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in results:
             fh.write(json.dumps(r.to_dict()) + "\n")
-
-
-def load_results(path: str | Path) -> list[CfResult]:
-    results = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                results.append(CfResult.from_dict(json.loads(line)))
-    return results

@@ -343,7 +343,7 @@ def _two_curves(n: int, noise: float, seed, angles, inner) -> Dataset:
     unit square."""
     if n < 2:
         raise DataError(f"need n >= 2, got {n}")
-    if noise < 0:
+    if not noise >= 0:      # NaN too
         raise DataError(f"noise must be >= 0, got {noise}")
     n_out = n // 2
     t_out = angles(n_out)

@@ -123,11 +123,3 @@ def grad_density(circuit: Circuit, u, mode: str = "density") -> Gradient:
 def grad_log_density_batch(circuit: Circuit, X) -> np.ndarray:
     """grad log S(x) for every row of X in one engine call; shape (B, d)."""
     return grad_density(circuit, X, "log_density").values
-
-
-def grad_log_posterior(circuit: Circuit, x, y_prime: int) -> GradientVector:
-    """grad_x log P(y'|x), the ascent direction used by the iterative baseline.
-
-    log P(y'|x) = log S(x|y') + log P(y') - log S(x); one backward pass.
-    """
-    return gradient(circuit, x, {y_prime: 1.0}, density_weight=-1.0).values

@@ -1,9 +1,9 @@
 """Density evaluation, marginalization and Bayes-rule classification.
 
-Evidence is a length-d float vector; NaN marks a marginalized variable,
-and an infinite value raises ValueError.  Every operation accepts a single
-row or a (B, d) batch and returns a scalar or vector accordingly.  All
-quantities are log-space nats.
+Evidence is a length-d float vector; NaN (or None, in a list) marks a
+marginalized variable, and an infinite value raises ValueError.  Every
+operation accepts a single row or a (B, d) batch and returns a scalar or
+vector accordingly.  All quantities are log-space nats.
 """
 
 from __future__ import annotations
@@ -15,15 +15,6 @@ from .circuit import Circuit, _classes, _points, logsumexp
 
 #: A posterior is a length-C (or (B, C)) vector of normalized log probabilities.
 Posterior = np.ndarray
-
-
-def as_evidence(values, num_variables: int | None = None) -> np.ndarray:
-    """Build an evidence vector from a sequence with None for missing entries."""
-    x = np.array([np.nan if v is None else float(v) for v in values],
-                 dtype=np.float64)
-    if num_variables is not None:
-        _points(x, num_variables, what="evidence")
-    return x
 
 
 def _root_values(circuit: Circuit, X: np.ndarray) -> np.ndarray:
@@ -43,17 +34,11 @@ def class_log_densities(circuit: Circuit, evidence) -> np.ndarray:
     return values[0] if single else values
 
 
-def class_log_density(circuit: Circuit, y: int, evidence):
-    """log S(x|y), the log value at class root y."""
-    y = _classes(y, circuit.num_classes)
-    values = class_log_densities(circuit, evidence)
-    return float(values[y]) if values.ndim == 1 else values[:, y]
-
-
 def log_density(circuit: Circuit, evidence):
     """log S(x) = log sum_y exp(log S(x|y) + log P(y))."""
     X, single = _points(evidence, circuit.num_variables, what="evidence")
     values = log_density_of(circuit, _root_values(circuit, X))
+    # the prior mixture of the class roots' exact zeros may miss 0 by an ulp
     all_missing = np.all(np.isnan(X), axis=1)
     if np.any(all_missing):
         values[all_missing] = 0.0

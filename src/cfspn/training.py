@@ -134,10 +134,11 @@ class _Parameters:
 
     def ascend(self, result, lr: float) -> None:
         """One Adam ascent step from a backward result, then push."""
-        # chain rule through the softmax: g - w * sum(g), row by row
-        grads = [g - np.exp(_log_normalize(th)) * g.sum(axis=1, keepdims=True)
-                 for th, g in zip(self.theta, result.sum_log_weight_grads)]
-        p = _sigmoid(self.tau)
+        # chain rule through the softmax: g - w * sum(g), row by row, with the
+        # constrained values that the last push compiled
+        grads = [g - np.exp(w) * g.sum(axis=1, keepdims=True)
+                 for w, g in zip(self.compiled.sum_log_weights, result.sum_log_weight_grads)]
+        p = self.compiled.bernoulli_p
         grads += [result.gaussian_mean_grads,
                   result.gaussian_variance_grads * np.exp(self.rho),
                   result.bernoulli_p_grads * p * (1.0 - p)]

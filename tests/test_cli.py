@@ -6,7 +6,7 @@ import pytest
 
 from cfspn import circuit as cm
 from cfspn import counterfactual as cf
-from cfspn import data
+from cfspn import data, grad, inference
 from cfspn.cli import main
 from conftest import blob, set_blob
 
@@ -20,6 +20,13 @@ MOONS_CONFIG = {
     "counterfactual": {"epsilon1": 0.1, "epsilon2": 0.01},
     "baseline": {"max_iters": 40},
 }
+
+
+def read_results(path):
+    """The results of a JSON-lines file that ``save_results`` wrote."""
+    with open(path, encoding="utf-8") as fh:
+        return [cf.CfResult(**{**r, **{k: np.array(r[k]) for k in ("x", "u", "x_prime")}})
+                for r in map(json.loads, fh)]
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +125,7 @@ def test_counterfactual_writes_results(trained, tmp_path, capsys):
                  "--model", str(model), "--target-class", "1",
                  "--out", str(out)])
     assert code == 0
-    results = cf.load_results(out)
+    results = read_results(out)
     assert results
     assert all(r.y_prime == 1 for r in results)
     assert all(r.grad_evals == 2 for r in results)
@@ -134,7 +141,7 @@ def test_counterfactual_flag_overrides(trained, tmp_path):
                  "--grad-mode", "log_density",
                  "--out", str(out)])
     assert code == 0
-    assert cf.load_results(out)
+    assert read_results(out)
 
 
 @pytest.mark.parametrize("flag", ["--epsilon1", "--epsilon2"])
@@ -160,7 +167,7 @@ def test_benchmark_reports_mean_l1_distance(trained, tmp_path, capsys):
     assert main(["benchmark", "--config", str(config),
                  "--model", str(model), "--target-class", "1",
                  "--method", "two_step", "--out", str(bench)]) == 0
-    results = cf.load_results(results_path)
+    results = read_results(results_path)
     record = json.loads(bench.read_text())["records"][0]
     assert record["n"] == len(results)
     assert record["mean_l1_distance"] == np.mean(
@@ -193,7 +200,7 @@ def test_benchmark_reports_one_hot_consistency(tmp_path, capsys):
     meta = data.FeatureMeta.from_dict(
         json.loads((tmp_path / "model.meta.json").read_text()))
     assert meta.group_slices()
-    results = cf.load_results(results_path)
+    results = read_results(results_path)
     two_step, wachter = json.loads(bench.read_text())["records"]
     assert two_step["n"] == len(results) > 0
     assert two_step["median_abs_group_sum"] == cf.one_hot_consistency(
@@ -266,7 +273,8 @@ def test_unknown_grid_key_is_named(trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bounds", [[0], [1, 0], [0, 0], [0, float("nan")],
-                                    [0, float("inf")], "ab", 3])
+                                    [0, float("inf")], [float("-inf"), 0], "ab", 3,
+                                    [0, True], [0, "1"]])
 def test_bad_grid_bounds_are_named(trained, tmp_path, capsys, bounds):
     run_grid(tmp_path, trained[2], {"x1": [0, 1], "x2": bounds})
     assert "grid.x2 must be two finite numbers lo < hi" in capsys.readouterr().err
@@ -309,7 +317,7 @@ def test_counterfactual_with_no_queries_warns_and_succeeds(tmp_path, capsys):
                  "--out", str(out)])
     assert code == 0
     assert "no queries" in capsys.readouterr().err
-    assert cf.load_results(out) == []
+    assert read_results(out) == []
 
 
 @pytest.mark.parametrize("command", ["counterfactual", "benchmark"])
@@ -398,12 +406,14 @@ def test_max_queries_must_be_a_non_negative_integer(trained, tmp_path, capsys,
     assert not out.exists()
 
 
-def test_grid_exports_csv_fields(trained, tmp_path):
+def test_grid_exports_csv_fields(trained, tmp_path, passes):
     _, config, model = trained
     out = tmp_path / "grid.csv"
     code = main(["grid", "--model", str(model), "--resolution", "5",
                  "--out", str(out)])
     assert code == 0
+    # the log-ratio gradient's pass also gives the log density and log ratio
+    assert passes == {"forward": 2, "backward": 2}
     with open(out, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
@@ -415,6 +425,17 @@ def test_grid_exports_csv_fields(trained, tmp_path):
     assert np.all(np.isfinite(values))
     # the class boundary crosses the unit square
     assert values[:, 3].min() < 0 < values[:, 3].max()
+    # every value is the Python API's, bit for bit
+    circuit = cm.load(model)
+    points = values[:, :2]
+    g1, g2 = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5), indexing="ij")
+    assert np.array_equal(points, np.column_stack([g1.ravel(), g2.ravel()]))
+    cld = inference.class_log_densities(circuit, points)
+    assert np.array_equal(values[:, 2], inference.log_density(circuit, points))
+    assert np.array_equal(values[:, 3], cld[:, 1] - cld[:, 0])
+    assert np.array_equal(values[:, 4:6], grad.grad_log_ratio(circuit, points, 0, 1))
+    assert np.array_equal(values[:, 6:],
+                          grad.grad_density(circuit, points, "log_density").values)
 
 
 def test_grid_rejects_bad_resolution(trained, tmp_path, capsys):
@@ -472,6 +493,11 @@ def test_train_refuses_config_integers_that_are_not_integers(tmp_path, capsys,
     ("train", "variance_floor", True, "variance_floor must be a finite number > 0, got True"),
     ("counterfactual", "epsilon1", "0.1", "epsilon1 must be a finite number > 0, got '0.1'"),
     ("baseline", "lam", "1", "lam must be a finite number >= 0, got '1'"),
+    ("dataset", "noise", True, "dataset.noise must be a finite number >= 0, got True"),
+    ("dataset", "noise", "0.1", "dataset.noise must be a finite number >= 0, got '0.1'"),
+    ("dataset", "noise", float("nan"), "dataset.noise must be a finite number >= 0, got nan"),
+    ("split", "train_fraction", "0.5",
+     "split.train_fraction must be a finite number > 0 and < 1, got '0.5'"),
     ("structure", "categorical_cardinalities", 3,
      "categorical_cardinalities must be a list of integers, got 3"),
 ])
@@ -483,7 +509,7 @@ def test_config_numbers_of_the_wrong_type_exit_two(trained, tmp_path, capsys,
     config = tmp_path / "bad.json"
     config.write_text(json.dumps(cfg))
     command = (["train", "--out", str(tmp_path / "m.json")]
-               if section in ("train", "structure") else
+               if section in ("train", "structure", "dataset", "split") else
                ["benchmark", "--model", str(model), "--target-class", "1",
                 "--out", str(tmp_path / "bench.json")])
     assert main([command[0], "--config", str(config), *command[1:]]) == 2
@@ -501,11 +527,20 @@ def test_benchmark_refuses_a_fractional_iteration_cap(trained, tmp_path, capsys)
     assert "max_iters must be an integer >= 1, got 2.5" in capsys.readouterr().err
 
 
-def test_output_must_not_overwrite_inputs(trained, capsys):
+def test_output_must_not_overwrite_inputs(trained, tmp_path, capsys):
     _, config, model = trained
     code = main(["train", "--config", str(config), "--out", str(config)])
     assert code == 2
     assert "collides" in capsys.readouterr().err
+    # nor may a sidecar that train writes next to its model
+    for tag in ("report", "meta"):
+        sidecar = tmp_path / f"m.{tag}.json"
+        sidecar.write_bytes(config.read_bytes())
+        code = main(["train", "--config", str(sidecar), "--out", str(tmp_path / "m.json")])
+        assert code == 2
+        assert "collides" in capsys.readouterr().err
+        assert sidecar.read_bytes() == config.read_bytes()
+        assert not (tmp_path / "m.json").exists()
 
 
 def test_unknown_command_exits_with_usage_error(capsys):

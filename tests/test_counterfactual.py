@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -202,7 +203,7 @@ def test_wachter_update_rule_matches_hand_computation():
     lam, lr = 0.3, 0.05
     z = x.copy()
     for _ in range(2):
-        g = grad.grad_log_posterior(c, z, 1)
+        g = grad.gradient(c, z, {1: 1.0}, density_weight=-1.0).values
         z = z + lr * (g - lam * np.sign(z - x))
     cfg = cf.BaselineConfig(lam=lam, learning_rate=lr, max_iters=2,
                             early_stop=False)
@@ -459,8 +460,8 @@ def test_summarize_and_evaluate_reject_empty():
     with pytest.raises(ValueError):
         cf.summarize([])
     c = two_gaussian_classifier()
-    with pytest.raises(ValueError):
-        cf.evaluate(c, [], "two_step")
+    with pytest.raises(ValueError, match="no results to summarize"):
+        cf.summarize(cf.run_queries(c, [], "two_step"))
 
 
 def test_summarize_aggregates_fields():
@@ -477,10 +478,9 @@ def test_summarize_aggregates_fields():
 
 
 def test_metrics_record_is_json_ready():
-    import json
     c = two_gaussian_classifier()
     cfg = cf.CfConfig(epsilon1=0.25, epsilon2=0.01, clip_to_unit=False)
-    m = cf.evaluate(c, [(np.array([-1.0]), 0, 1)], "two_step", config=cfg)
+    m = cf.summarize(cf.run_queries(c, [(np.array([-1.0]), 0, 1)], "two_step", config=cfg))
     record = cf.metrics_record(m, "two_step", "toy", cfg)
     text = json.dumps(record)
     assert record["method"] == "two_step"
@@ -499,14 +499,13 @@ def test_results_round_trip_through_jsonl(tmp_path):
                               baseline=cf.BaselineConfig(max_iters=30))
     path = tmp_path / "results.jsonl"
     cf.save_results(path, results)
-    back = cf.load_results(path)
-    assert len(back) == 3
-    for a, b in zip(results, back):
-        assert np.allclose(a.x, b.x)
-        assert np.allclose(a.x_prime, b.x_prime)
-        assert a.success == b.success
-        assert a.grad_evals == b.grad_evals
-        assert a.iterations == b.iterations
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3
+    for r, line in zip(results, lines):
+        back, want = json.loads(line), r.to_dict()
+        assert list(back) == list(want)
+        for field in want:
+            assert back[field] == want[field], field
 
 
 def onehot_meta():

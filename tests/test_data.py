@@ -157,6 +157,14 @@ def test_rings_lie_on_circle_loci():
         assert radius == pytest.approx(1.0 if label == 0 else 0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("noise", [-0.1, float("nan")])
+def test_two_curves_refuse_a_negative_or_nan_noise(noise):
+    # a NaN noise would fail both noise < 0 and noise > 0, and add no noise
+    for maker in (data.make_moons, data.make_rings):
+        with pytest.raises(data.DataError, match="noise must be >= 0"):
+            maker(10, noise, 0)
+
+
 def test_onehot_tabular_rows_follow_their_rule():
     ds = data.make_onehot_tabular(500, seed=4)
     X = ds.features

@@ -24,6 +24,12 @@ def central_fd(f, x, h=H):
     return out
 
 
+def log_ratio(c, x):
+    """log S(x|1) - log S(x|0)."""
+    values = inference.class_log_densities(c, x)
+    return values[1] - values[0]
+
+
 def assert_close_to_fd(got, fd, rtol=1e-4):
     scale = max(np.linalg.norm(got), np.linalg.norm(fd), 1e-3)
     assert np.linalg.norm(got - fd) <= rtol * scale
@@ -34,8 +40,7 @@ def test_grad_log_ratio_matches_finite_differences(rng):
         c = random_circuit(rng, num_classes=2)
         x = rng.normal(0.5, 0.4, size=c.num_variables)
         got = grad.grad_log_ratio(c, x, 0, 1)
-        fd = central_fd(lambda v: inference.class_log_density(c, 1, v)
-                        - inference.class_log_density(c, 0, v), x)
+        fd = central_fd(lambda v: log_ratio(c, v), x)
         assert_close_to_fd(got, fd)
 
 
@@ -79,7 +84,7 @@ def test_grad_class_log_density_matches_finite_differences(rng):
     x = rng.normal(0.5, 0.4, size=c.num_variables)
     for y in range(3):
         got = grad.gradient(c, x, {y: 1.0}).values
-        fd = central_fd(lambda v: inference.class_log_density(c, y, v), x)
+        fd = central_fd(lambda v: inference.class_log_densities(c, v)[y], x)
         assert_close_to_fd(got, fd)
 
 
@@ -128,12 +133,12 @@ def test_grad_density_at_a_zero_density_point_is_zero():
         warnings.simplefilter("error")
         dens = grad.grad_density(c, np.array([0.0]), mode="density")
         logd = grad.grad_density(c, np.array([[0.0], [1.0]]), mode="log_density")
-        posterior = grad.grad_log_posterior(c, np.array([0.0]), 1)
+        posterior = grad.gradient(c, np.array([0.0]), {1: 1.0}, density_weight=-1.0)
     assert np.all(dens.class_log_values == -np.inf)
     assert dens.underflow
     assert np.array_equal(dens.values, np.zeros(1))
     assert np.array_equal(logd.values, np.zeros((2, 1)))
-    assert np.array_equal(posterior, np.zeros(1))
+    assert np.array_equal(posterior.values, np.zeros(1))
 
 
 def test_grad_density_rejects_unknown_mode(rng):
@@ -155,7 +160,7 @@ def test_grad_log_posterior_matches_finite_differences(rng):
     for _ in range(5):
         c = random_circuit(rng, num_classes=3)
         x = rng.normal(0.5, 0.4, size=c.num_variables)
-        got = grad.grad_log_posterior(c, x, 1)
+        got = grad.gradient(c, x, {1: 1.0}, density_weight=-1.0).values
         fd = central_fd(lambda v: inference.posterior(c, v)[1], x)
         assert_close_to_fd(got, fd)
 
@@ -169,7 +174,7 @@ def test_each_gradient_is_one_forward_and_one_backward_pass(rng, passes):
              lambda: grad.grad_density(c, x),
              lambda: grad.grad_density(c, x, "log_density"),
              lambda: grad.grad_log_density_batch(c, X),
-             lambda: grad.grad_log_posterior(c, x, 1)]
+             lambda: grad.gradient(c, x, {1: 1.0}, density_weight=-1.0)]
     for k, call in enumerate(calls, start=1):
         call()
         assert passes == {"forward": k, "backward": k}
@@ -184,8 +189,9 @@ def test_gradient_returns_the_class_log_values_of_its_forward_pass(rng):
     single = grad.grad_density(c, X[2], "log_density")
     assert np.array_equal(single.class_log_values,
                           inference.class_log_densities(c, X[2]))
-    with pytest.raises(ValueError):
-        grad.gradient(c, X, {3: 1.0})
+    for y in (3, -1):
+        with pytest.raises(ValueError, match=f"class {y} out of range"):
+            grad.gradient(c, X, {y: 1.0})
     # True is not class 1, nor a mask over every class
     for weights in ({True: 1.0}, {True: 1.0, 0: -1.0}, {1.0: 1.0}):
         with pytest.raises(ValueError, match="integer"):

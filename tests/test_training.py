@@ -314,7 +314,7 @@ def test_mean_joint_log_likelihood_matches_manual():
     c = build_circuit(2, cfg)
     got = training.mean_joint_log_likelihood(c, ds.features, ds.labels)
     manual = np.mean([
-        inference.class_log_density(c, int(y), x) + c.log_prior[int(y)]
+        inference.class_log_densities(c, x)[y] + c.log_prior[y]
         for x, y in zip(ds.features, ds.labels)])
     assert got == pytest.approx(manual, abs=1e-10)
     # label -1 is not the last class, and every row needs its own label
