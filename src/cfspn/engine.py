@@ -58,8 +58,11 @@ whatever the batch width, and every sum over a node axis adds its terms in
 order (``_sum_in_order``).
 
 A batch of any size is evaluated in column blocks of rows: at most
-``_BLOCK_COLS`` (256) columns, and few enough that no temporary array
-outgrows ``_BLOCK_ELEMENTS``.  ``evaluate`` makes one pass per block.  It
+``_BLOCK_COLS`` (128) columns, and few enough that no temporary array
+outgrows ``_BLOCK_ELEMENTS``.  Wider blocks were slower per row: their
+arrays more often outgrow the allocator's trim threshold, so blocks hand
+their memory back to the OS and fault it in again.  ``evaluate`` makes one
+pass per block, and adds the blocks' parameter gradients in block order.  It
 computes the log values of every materialized node (distributions of leaf
 regions, Bernoulli and categorical leaves, unabsorbed products, sums) and
 reads the block's class-root values.  Given adjoints, it then derives the
@@ -127,9 +130,19 @@ _LOW = math.exp(-250.0)
 _BLOCK_ELEMENTS = 1 << 20
 
 #: Most columns in one block; without it a small circuit would run a large
-#: batch as one block.  Rows get the same bits at any block width, so this
-#: and _BLOCK_ELEMENTS only bound memory.
-_BLOCK_COLS = 256
+#: batch as one block.  The cap sets speed, not only memory: a wider block's
+#: arrays more often outgrow glibc's dynamic trim threshold, so blocks hand
+#: their heap back to the OS and fault it in again.  On the 8,362-node moons
+#: model (2-vCPU x86 host), 128 columns instead of 256 cut the minor faults
+#: of a 1,600-row gradient call from 2.1k-6.1k to 0.6k-1.6k, brought a
+#: B=256 gradient's cost per row from 1.25-1.52x a B=32 one's to 0.97-1.10x,
+#: and raised the benchmark's infer_rows_per_s from 57k to 73k.  Values and
+#: input gradients get the same bits at any block width, but a batch's
+#: parameter gradients are summed block by block, so their bits, and with
+#: them a fit on batches wider than one block, depend on this cap and on
+#: _BLOCK_ELEMENTS.  A cap below 128 would split the trainer's default
+#: 128-row batch and so change every fit.
+_BLOCK_COLS = 128
 
 #: Columns of every matrix product that runs per row.  A BLAS picks its
 #: kernel, and with it the order in which each dot product adds its terms,
@@ -837,7 +850,9 @@ class CompiledCircuit:
         requested gradients, or None without adjoints.  Subtrees whose log
         value is -inf propagate a zero adjoint (the dead-branch convention).
         Input gradients of marginalized coordinates and of categorical leaves
-        are zero.  A non-finite adjoint raises ValueError.
+        are zero.  Parameter gradients are each block's own, added in block
+        order.  A non-finite adjoint, or a categorical value that is not an
+        integer in [0, size), raises ValueError.
         """
         X = _points(X, self.d)[0]
         values = np.empty((X.shape[0], len(self._root_rows)))
@@ -882,7 +897,8 @@ class CompiledCircuit:
 
     def _leaf_values(self, XT: np.ndarray, V: np.ndarray) -> None:
         """Bernoulli and categorical leaf log values from (d, B) inputs; a
-        marginalized leaf is log 1 = 0."""
+        marginalized leaf is log 1 = 0.  A categorical value that is not an
+        integer in [0, size) raises ValueError naming its variable."""
         if self.bernoulli_ids.size:
             Xb = XT[self._bernoulli.variables]
             _, lp, l1p = self._bernoulli_params
@@ -893,9 +909,16 @@ class CompiledCircuit:
         if self.categorical_ids.size:
             Xc = XT[self.categorical_vars]
             absent = np.isnan(Xc)
-            hi = (self.categorical_sizes - 1)[:, None]
-            k = np.clip(np.round(np.where(absent, 0.0, Xc)), 0, hi).astype(np.int64)
-            vals = self.categorical_log_probs[self.categorical_offsets[:, None] + k]
+            k = np.where(absent, 0.0, Xc)
+            bad = (k != np.floor(k)) | (k < 0) | (k >= self.categorical_sizes[:, None])
+            if bad.any():
+                leaf, col = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"variable {self.categorical_vars[leaf]} has categorical value "
+                    f"{float(k[leaf, col])!r}, not an integer in "
+                    f"[0, {self.categorical_sizes[leaf]})")
+            vals = self.categorical_log_probs[self.categorical_offsets[:, None]
+                                              + k.astype(np.int64)]
             V[self._categorical_rows] = np.where(absent, 0.0, vals)
 
     def root_values(self, V: np.ndarray) -> np.ndarray:

@@ -74,19 +74,30 @@ class _Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros(shape) for shape in shapes]
         self.v = [np.zeros(shape) for shape in shapes]
+        self.scratch = [np.empty(shape) for shape in shapes]
         self.t = 0
 
     def directions(self, grads: list[np.ndarray]) -> list[np.ndarray]:
+        """m_hat / (sqrt(v_hat) + eps) per array, as new arrays.  Updated in
+        place through one scratch array each, in the order of the plain
+        formula, so each step gives that formula's bits."""
         self.t += 1
+        m_scale, v_scale = 1.0 - self.beta1 ** self.t, 1.0 - self.beta2 ** self.t
         out = []
-        for m, v, g in zip(self.m, self.v, grads):
+        for m, v, tmp, g in zip(self.m, self.v, self.scratch, grads):
+            np.multiply(g, 1.0 - self.beta1, out=tmp)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += tmp
+            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            tmp *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            out.append(m_hat / (np.sqrt(v_hat) + self.eps))
+            v += tmp
+            np.divide(v, v_scale, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            d = m / m_scale
+            d /= tmp
+            out.append(d)
         return out
 
 
@@ -143,7 +154,8 @@ class _Parameters:
                   result.gaussian_variance_grads * np.exp(self.rho),
                   result.bernoulli_p_grads * p * (1.0 - p)]
         for a, g in zip(self.arrays, self.adam.directions(grads)):
-            a += lr * g
+            g *= lr
+            a += g
         self.push()
 
 

@@ -106,9 +106,8 @@ def _naive_log_value(nodes, node_id, evidence):
     if node.kind == "bernoulli":
         return x * math.log(node.p) + (1.0 - x) * math.log1p(-node.p)
     if node.kind == "categorical":
-        k = int(round(x))
-        k = min(max(k, 0), node.probabilities.size - 1)
-        return math.log(node.probabilities[k])
+        assert x == int(x) and 0 <= x < node.probabilities.size, x
+        return math.log(node.probabilities[int(x)])
     raise AssertionError(f"unknown node kind {node.kind!r}")
 
 
@@ -166,6 +165,15 @@ def random_circuit(rng, num_variables=None, leaf_family="gaussian",
         categorical_cardinalities=cards,
     )
     return randomize_parameters(build_circuit(d, cfg), rng)
+
+
+def categories(circuit, rng, rows):
+    """A (rows, d) batch whose every value is a category of its variable's
+    categorical leaves, for a circuit with such leaves on every variable."""
+    high = np.zeros(circuit.num_variables, dtype=np.int64)
+    leaves = np.flatnonzero(circuit.kind == cm.CATEGORICAL)
+    high[circuit.variable[leaves]] = np.diff(circuit.probs_ptr)
+    return rng.integers(0, high, size=(rows, circuit.num_variables)).astype(float)
 
 
 def two_gaussian_classifier(mean0=-1.0, mean1=1.0, variance=0.25):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cfspn import circuit as cm
-from cfspn import inference, structure
+from cfspn import grad, inference, structure
 from conftest import (BernoulliLeaf, CategoricalLeaf, GaussianLeaf, ProductNode,
                       SumNode, blob, from_nodes, naive_log_value, nodes_of, random_circuit,
                       randomize_parameters, set_blob, two_gaussian_classifier)
@@ -49,6 +49,32 @@ def test_categorical_leaf_log_value():
     got = inference.class_log_densities(c, np.array([[1.0], [2.0]]))[:, 0]
     assert got[0] == pytest.approx(math.log(0.5))
     assert got[1] == pytest.approx(math.log(0.3))
+
+
+def test_categorical_values_outside_the_categories_are_refused(rng):
+    # They used to be rounded and clamped: 2, 5 and 99 scored alike on a
+    # 3-category leaf, and -3 scored as category 0.
+    nodes = [CategoricalLeaf(variable=0, probabilities=np.array([0.2, 0.5, 0.3])),
+             CategoricalLeaf(variable=1, probabilities=np.array([0.4, 0.6])),
+             ProductNode(children=[0, 1])]
+    c = from_nodes(nodes=nodes, class_roots=[2], log_prior=np.array([0.0]), num_variables=2)
+    assert inference.log_density(c, [2.0, 1.0]) == pytest.approx(math.log(0.3 * 0.6))
+    for x, variable, value in (([5.0, 0.0], 0, "5.0"), ([99.0, 0.0], 0, "99.0"),
+                               ([-3.0, 0.0], 0, "-3.0"), ([1.5, 0.0], 0, "1.5"),
+                               ([0.0, 2.0], 1, "2.0")):
+        message = f"variable {variable} has categorical value {value}, not an integer"
+        with pytest.raises(ValueError, match=message):
+            inference.log_density(c, x)
+        with pytest.raises(ValueError, match=message):
+            grad.grad_density(c, np.array([x, [0.0, 0.0]]))
+    # NaN still marginalizes the variable
+    assert inference.log_density(c, [np.nan, 1.0]) == pytest.approx(math.log(0.6))
+    assert inference.log_density(c, [np.nan, np.nan]) == 0.0
+    random = random_circuit(rng, leaf_family="categorical")
+    X = np.zeros((3, random.num_variables))
+    X[1, -1] = 99.0
+    with pytest.raises(ValueError, match=f"variable {random.num_variables - 1} has"):
+        inference.class_log_densities(random, X)
 
 
 def test_sum_node_is_log_mixture():

@@ -8,6 +8,7 @@ from cfspn import circuit as cm
 from cfspn import counterfactual as cf
 from cfspn import data, grad, inference
 from cfspn.cli import main
+from cfspn.structure import StructureConfig, build_circuit
 from conftest import blob, set_blob
 
 MOONS_CONFIG = {
@@ -278,6 +279,18 @@ def test_unknown_grid_key_is_named(trained, tmp_path, capsys):
 def test_bad_grid_bounds_are_named(trained, tmp_path, capsys, bounds):
     run_grid(tmp_path, trained[2], {"x1": [0, 1], "x2": bounds})
     assert "grid.x2 must be two finite numbers lo < hi" in capsys.readouterr().err
+
+
+def test_grid_off_the_categories_of_a_categorical_model_exits_two(tmp_path, capsys):
+    # Grid points 0, 0.5 and 1 on x2: 0.5 is no category of variable 1.
+    model = tmp_path / "categorical.json"
+    cm.save(build_circuit(2, StructureConfig(
+        num_classes=2, seed=0, repetitions=2, sum_nodes_per_region=2,
+        leaf_distributions_per_region=2, leaf_family="categorical",
+        categorical_cardinalities=(3, 3))), model)
+    run_grid(tmp_path, model, {"x1": [0, 2]})
+    assert ("variable 1 has categorical value 0.5, not an integer in [0, 3)"
+            in capsys.readouterr().err)
 
 
 def test_invalid_model_document_exits_two(trained, tmp_path, capsys):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from cfspn import circuit as cm
-from cfspn import engine, grad, inference, structure
+from cfspn import engine, grad, inference, structure, training
 from conftest import (BernoulliLeaf, CategoricalLeaf, GaussianLeaf, ProductNode,
-                      SumNode, from_nodes, naive_log_value, nodes_of, random_circuit,
-                      randomize_parameters)
+                      SumNode, categories, from_nodes, naive_log_value, nodes_of,
+                      random_circuit, randomize_parameters)
 
 
 def forward_roots(circuit, X):
@@ -748,7 +748,8 @@ def test_lowering_equals_the_reference_lowering(rng, wide):
         # evaluated on the reference lowering, the values and gradients are the same bits
         twin = cm.Circuit(**{f.name: getattr(c, f.name) for f in dataclasses.fields(c)})
         vars(twin.structure)["_lowering"] = reference_lowering(twin.structure)
-        X = rng.integers(0, 3, size=(9, c.num_variables)).astype(float)
+        X = (categories(c, rng, 9) if cm.CATEGORICAL in c.kind
+             else rng.integers(0, 3, size=(9, c.num_variables)).astype(float))
         X[2, 0] = np.nan
         adjoints = posterior_adjoints(c, rng, 9)
         values, back = engine.CompiledCircuit(c).evaluate(X, adjoints, want_params=True)
@@ -1098,9 +1099,10 @@ def test_fused_pass_equals_forward_then_backward(rng, family):
         c = random_circuit(rng, leaf_family=family)
         if family == "gaussian":
             X = rng.normal(0.5, 0.5, size=(7, c.num_variables))
+        elif family == "categorical":
+            X = categories(c, rng, 7)
         else:
-            X = rng.integers(0, 4 if family == "categorical" else 2,
-                             size=(7, c.num_variables)).astype(float)
+            X = rng.integers(0, 2, size=(7, c.num_variables)).astype(float)
         X[0, 0] = np.nan
         X[3] = np.nan
         assert_fused_equals_unfused(c, X, rng)
@@ -1138,26 +1140,59 @@ def test_fused_pass_on_no_rows(rng):
     assert np.all(out.gaussian_mean_grads == 0.0)
 
 
-def test_column_blocks_are_at_most_256_wide(rng):
+def test_column_blocks_are_at_most_128_wide(rng):
     for _ in range(5):
         comp = engine.compile_circuit(random_circuit(rng))
         widths = [cols.stop - cols.start for cols in comp._column_blocks(1000)]
         assert sum(widths) == 1000
-        assert max(widths) == 256
+        assert max(widths) == 128
+
+
+def test_a_default_training_batch_is_one_column_block():
+    # A fit's parameter gradients are summed block by block, so a batch that
+    # spans blocks would make the fitted bits depend on the block width.
+    moons = structure.build_circuit(2, structure.StructureConfig(num_classes=2, seed=7))
+    B = training.TrainConfig().batch_size
+    assert engine.compile_circuit(moons)._column_blocks(B) == [slice(0, B)]
+
+
+def test_parameter_gradients_add_in_block_order(rng):
+    # 300 rows run as blocks of 128, 128 and 44; each parameter gradient is
+    # the sum, in block order, of the blocks' own gradients.
+    c = random_circuit(rng, num_variables=5, num_classes=2)
+    comp = engine.compile_circuit(c)
+    X = rng.normal(0.5, 0.5, size=(300, 5))
+    adjoints = posterior_adjoints(c, rng, 300)
+    _, whole = comp.evaluate(X, adjoints, want_params=True)
+    blocks = comp._column_blocks(300)
+    assert [cols.stop - cols.start for cols in blocks] == [128, 128, 44]
+    parts = [comp.evaluate(X[cols], lambda v, rows, cols=cols: adjoints(
+        v, slice(cols.start + rows.start, cols.start + rows.stop)), want_params=True)[1]
+        for cols in blocks]
+    for name in ("gaussian_mean_grads", "gaussian_variance_grads"):
+        total = np.zeros_like(getattr(whole, name))
+        for part in parts:
+            total += getattr(part, name)
+        assert np.array_equal(getattr(whole, name), total), name
+    for i, got in enumerate(whole.sum_log_weight_grads):
+        total = np.zeros_like(got)
+        for part in parts:
+            total += part.sum_log_weight_grads[i]
+        assert np.array_equal(got, total)
 
 
 def test_column_blocks_free_their_arrays_before_the_next_block(rng):
     # One block's node values, adjoints and saved factors are alive at a
-    # time, so four 256-row blocks peak no higher than one.
+    # time, so eight 128-row blocks peak no higher than one.
     cfg = structure.StructureConfig(repetitions=19, sum_nodes_per_region=10,
                                     leaf_distributions_per_region=10, num_classes=2,
                                     seed=1)
     comp = engine.compile_circuit(
         randomize_parameters(structure.build_circuit(2, cfg), rng))
     X = rng.normal(0.5, 0.4, size=(1024, 2))
-    assert len(comp._column_blocks(1024)) == 4
+    assert len(comp._column_blocks(1024)) == 8
     peaks = []
-    for B in (256, 1024):
+    for B in (128, 1024):
         tracemalloc.start()
         try:
             comp.evaluate(X[:B], lambda values, rows: np.ones_like(values))
@@ -1197,9 +1232,10 @@ def test_rows_equal_single_rows_bit_for_bit(rng, deep, family):
         if family in ("gaussian", "regions"):
             X = rng.normal(0.5, 0.5, size=(300, c.num_variables))
             X[::11, 0] = np.nan
+        elif family == "categorical":
+            X = categories(c, rng, 300)
         else:
-            X = rng.integers(0, 4 if family == "categorical" else 2,
-                             size=(300, c.num_variables)).astype(float)
+            X = rng.integers(0, 2, size=(300, c.num_variables)).astype(float)
         adjoints = posterior_adjoints(c, rng, 300)
         values, back = comp.evaluate(X, adjoints)
         for b in range(300):

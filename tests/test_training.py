@@ -238,6 +238,24 @@ def test_adam_step_on_mixed_fan_in_sums_matches_per_node_update():
         assert not np.allclose(got, lw, rtol=0, atol=1e-6)
 
 
+def test_adam_directions_equal_the_plain_formula_bit_for_bit():
+    shapes = [(3, 7), (5,), (2, 4, 6), (1,)]
+    adam = training._Adam(shapes)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = [np.zeros(shape) for shape in shapes]
+    v = [np.zeros(shape) for shape in shapes]
+    rng = np.random.default_rng(0)
+    for t in range(1, 6):
+        grads = [rng.normal(0.0, 10.0 ** rng.integers(-6, 3), size=shape) for shape in shapes]
+        got = adam.directions(grads)
+        for i, g in enumerate(grads):
+            m[i] = beta1 * m[i] + (1.0 - beta1) * g
+            v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+            m_hat = m[i] / (1.0 - beta1 ** t)
+            v_hat = v[i] / (1.0 - beta2 ** t)
+            assert np.array_equal(got[i], m_hat / (np.sqrt(v_hat) + eps))
+
+
 def test_patience_zero_disables_early_stopping():
     ds = data.make_moons(200, 0.1, seed=6)
     cfg = StructureConfig(num_classes=2, seed=6, repetitions=2,
