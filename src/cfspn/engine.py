@@ -59,9 +59,13 @@ order (``_sum_in_order``).
 
 A batch of any size is evaluated in column blocks of rows: at most
 ``_BLOCK_COLS`` (128) columns, and few enough that no temporary array
-outgrows ``_BLOCK_ELEMENTS``.  Wider blocks were slower per row: their
-arrays more often outgrow the allocator's trim threshold, so blocks hand
-their memory back to the OS and fault it in again.  ``evaluate`` makes one
+outgrows ``_BLOCK_ELEMENTS``.  Each call allocates one workspace
+(``_Workspace``), sized from the lowering for its widest block, and every
+block takes its large arrays from it: node values and adjoints, leaf
+statistics, each sum step's gathered factors, U and contractions, and the
+scratch of the steps, which each step gives back when it is done.  So no
+block allocates or frees anything large, and the allocator has no block
+memory to hand back to the OS and fault in again.  ``evaluate`` makes one
 pass per block, and adds the blocks' parameter gradients in block order.  It
 computes the log values of every materialized node (distributions of leaf
 regions, Bernoulli and categorical leaves, unabsorbed products, sums) and
@@ -70,10 +74,11 @@ block's class-root seeds from those values and runs the transposed
 contraction down to input coordinates and, optionally, to leaf and sum
 parameters; each sum step reuses the factors and contractions it built on
 the way up.  The node values never leave the block.  Without adjoints the
-pass is forward only: it keeps nothing for a backward pass and returns only
-the class-root values.  ``forward`` runs the forward sweep alone and
-returns the node values; ``backward`` seeds class-root nodes and runs
-``evaluate``'s pass, forward sweep and all.  The two are kept for timing.
+pass is forward only: each step's arrays go back to the workspace once the
+step is done, and it returns only the class-root values.  ``forward`` runs
+the forward sweep alone and returns the node values; ``backward`` seeds
+class-root nodes and runs ``evaluate``'s pass, forward sweep and all.  The
+two are kept for timing.
 
 Sum-node log-weights live in one (sums, children) array per bucket
 (``sum_log_weights``), columns in each node's own child order, and their
@@ -130,18 +135,13 @@ _LOW = math.exp(-250.0)
 _BLOCK_ELEMENTS = 1 << 20
 
 #: Most columns in one block; without it a small circuit would run a large
-#: batch as one block.  The cap sets speed, not only memory: a wider block's
-#: arrays more often outgrow glibc's dynamic trim threshold, so blocks hand
-#: their heap back to the OS and fault it in again.  On the 8,362-node moons
-#: model (2-vCPU x86 host), 128 columns instead of 256 cut the minor faults
-#: of a 1,600-row gradient call from 2.1k-6.1k to 0.6k-1.6k, brought a
-#: B=256 gradient's cost per row from 1.25-1.52x a B=32 one's to 0.97-1.10x,
-#: and raised the benchmark's infer_rows_per_s from 57k to 73k.  Values and
-#: input gradients get the same bits at any block width, but a batch's
-#: parameter gradients are summed block by block, so their bits, and with
-#: them a fit on batches wider than one block, depend on this cap and on
-#: _BLOCK_ELEMENTS.  A cap below 128 would split the trainer's default
-#: 128-row batch and so change every fit.
+#: batch as one block.  The cap bounds an evaluate call's workspace, which
+#: holds one block's arrays: about 4.3 MB for a gradient of the 8,362-node
+#: moons model.  Values and input gradients get the same bits at any block
+#: width, but a batch's parameter gradients are summed block by block, so
+#: their bits, and with them a fit on batches wider than one block, depend on
+#: this cap and on _BLOCK_ELEMENTS.  A cap below 128 would split the
+#: trainer's default 128-row batch and so change every fit.
 _BLOCK_COLS = 128
 
 #: Columns of every matrix product that runs per row.  A BLAS picks its
@@ -155,42 +155,91 @@ _BLOCK_COLS = 128
 _WIDTH = 4
 
 
+class _Workspace:
+    """The float64 memory of one :meth:`CompiledCircuit.evaluate` call, handed
+    out as a stack.
+
+    It is allocated once per call, at the size the lowering gives for the
+    call's widest column block (:meth:`CompiledCircuit._workspace`), and every
+    block takes its large arrays from it, starting again at the bottom: node
+    values, adjoints, leaf statistics, a sum step's factors and its scratch.
+    So no block allocates or frees anything large, and the allocator never
+    hands a block's memory back to the OS to fault it in again for the next.
+    What a step takes as scratch it gives back by resetting ``top``.  It is
+    never kept past the call, so a nested or concurrent call has its own.
+    """
+
+    def __init__(self, size: int):
+        self.buffer = np.empty(size)
+        self.top = 0
+
+    def take(self, *shape: int) -> np.ndarray:
+        """An uninitialized C-contiguous array of this shape, on top of the stack."""
+        start = self.top
+        self.top = stop = start + math.prod(shape)
+        return self.buffer[start:stop].reshape(shape)
+
+    def gather(self, a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """a[rows], the rows of a 2-D array at an array of indices."""
+        return a.take(rows, axis=0, out=self.take(*rows.shape, a.shape[1]), mode="clip")
+
+
+class _Slots(NamedTuple):
+    """Floats per batch column that a step takes from the workspace."""
+
+    kept: int       # what its forward keeps for its backward
+    forward: int    # scratch of its forward, beyond what it keeps
+    backward: int   # scratch of its backward
+    tail: int       # floats per column of its padded _WIDTH-column products
+
+
 def _exp_cut(a: np.ndarray) -> np.ndarray:
-    """exp(a) for a <= 0, with every a below -_CUT (or -inf) giving exactly 0."""
-    out = np.zeros_like(a)
-    return np.exp(a, out=out, where=a > -_CUT)
+    """exp(a) in place for a <= 0, with every a at or below -_CUT (or -inf)
+    giving exactly 0; returns a.  An element's exp does not depend on its
+    neighbours, so exp of all of them, then the flush, gives the bits of an
+    exp masked to the kept ones, at about half its cost."""
+    cut = a <= -_CUT
+    np.exp(a, out=a)
+    np.copyto(a, 0.0, where=cut)
+    return a
 
 
 def _finite_or_zero(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(a), a, 0.0)
 
 
-def _contract(M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M @ X for stacked matrices, (R, m, n) @ (R, n, B), as products of
-    exactly _WIDTH columns; the last is padded with zeros."""
+def _contract(M: np.ndarray, X: np.ndarray, out: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """out = M @ X for stacked matrices, (R, m, n) @ (R, n, B), as products of
+    exactly _WIDTH columns; returns out, which must be C-contiguous.  The
+    last B % _WIDTH columns are multiplied as a copy padded with zeros, in
+    scratch of (R, n, _WIDTH) and (R, m, _WIDTH) from ws."""
     R, n, B = X.shape
-    blocks = -(-B // _WIDTH)
-    if B != blocks * _WIDTH:
-        padded = np.zeros((R, n, blocks * _WIDTH))
-        padded[..., :B] = X
-        X = padded
     m = M.shape[1]
-    out = np.empty((R, m, blocks * _WIDTH))
-    np.matmul(M[:, None], X.reshape(R, n, blocks, _WIDTH).swapaxes(1, 2),
-              out=out.reshape(R, m, blocks, _WIDTH).swapaxes(1, 2))
-    return out[..., :B]
+    full = B - B % _WIDTH
+    if full:
+        np.matmul(M[:, None], X[..., :full].reshape(R, n, -1, _WIDTH).swapaxes(1, 2),
+                  out=out[..., :full].reshape(R, m, -1, _WIDTH).swapaxes(1, 2))
+    if full < B:
+        top = ws.top
+        padded = ws.take(R, n, _WIDTH)
+        padded.fill(0.0)
+        padded[..., :B - full] = X[..., full:]
+        out[..., full:] = np.matmul(M, padded, out=ws.take(R, m, _WIDTH))[..., :B - full]
+        ws.top = top
+    return out
 
 
-def _sum_in_order(a: np.ndarray, axis: int) -> np.ndarray:
-    """a, C-contiguous, summed along axis, first term to last.
+def _sum_in_order(a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """a, C-contiguous, summed along axis into out, first term to last.
 
     np.add.reduce adds in order along an axis with more elements after it,
     but pairwise along one that is innermost, as an axis followed by a batch
     axis of length 1 is; there the sum is accumulated instead.
     """
     if math.prod(a.shape[axis + 1:]) > 1:
-        return np.add.reduce(a, axis=axis)
-    return np.add.accumulate(a, axis=axis)[(slice(None),) * axis + (-1,)]
+        return np.add.reduce(a, axis=axis, out=out)
+    out[...] = np.add.accumulate(a, axis=axis)[(slice(None),) * axis + (-1,)]
+    return out
 
 
 def _scatter_add(A: np.ndarray, rows: np.ndarray, values: np.ndarray,
@@ -280,34 +329,43 @@ class _LeafRegions:
         c *= -0.5
         return _Natural(theta, center, delta, var)
 
-    def forward(self, V: np.ndarray, XT: np.ndarray, p: _Natural) -> np.ndarray:
-        """Write the distributions' log values on (d, B) inputs into V; return
-        the statistics T, (R, 3k, B)."""
+    def slots(self) -> _Slots:
         R, I, k = self.leaves.shape
-        T = np.empty((R, 3 * k, XT.shape[1]))
+        return _Slots(kept=3 * k * R, forward=k * R, backward=4 * k * R, tail=R * (I + 3 * k))
+
+    def forward(self, ws: _Workspace, V: np.ndarray, XT: np.ndarray, p: _Natural) -> np.ndarray:
+        """Write the distributions' log values on (d, B) inputs into V; return
+        the statistics T, (R, 3k, B), on top of ws."""
+        R, I, k = self.leaves.shape
+        T = ws.take(R, 3 * k, XT.shape[1])
         u = T[:, k:2 * k]
-        np.subtract(XT[self.variables], p.center[:, :, None], out=u)
+        top = ws.top
+        np.subtract(ws.gather(XT, self.variables), p.center[:, :, None], out=u)
+        ws.top = top
         T[:, 2 * k:] = 1.0
         missing = np.isnan(u)
         if missing.any():
             u[missing] = 0.0
             T[:, 2 * k:][missing] = 0.0
         np.multiply(u, u, out=T[:, :k])
-        V[self.rows].reshape(R, I, -1)[...] = _contract(p.theta.transpose(0, 2, 1), T)
+        _contract(p.theta.transpose(0, 2, 1), T, V[self.rows].reshape(R, I, -1), ws)
         return T
 
-    def backward(self, A: np.ndarray, T: np.ndarray, p: _Natural,
+    def backward(self, ws: _Workspace, A: np.ndarray, T: np.ndarray, p: _Natural,
                  gx: np.ndarray | None, result: BackwardResult) -> None:
         """Add input gradients to gx, (d, B), and leaf-parameter gradients to result."""
         R, I, k = self.leaves.shape
-        adjoint = A[self.rows].reshape(R, I, -1)
+        B = A.shape[1]
+        adjoint = A[self.rows].reshape(R, I, B)
         if gx is not None:
-            G = _contract(p.theta[:, :2 * k], adjoint)
-            dx = G[:, :k] * T[:, k:2 * k]
+            top = ws.top
+            G = _contract(p.theta[:, :2 * k], adjoint, ws.take(R, 2 * k, B), ws)
+            dx = np.multiply(G[:, :k], T[:, k:2 * k], out=ws.take(R, k, B))
             dx *= 2.0
             dx += G[:, k:]
             dx *= T[:, 2 * k:]      # 0 where x is missing
-            self.by_variable.add_to(gx, dx.reshape(R * k, -1)[self.by_variable.order])
+            self.by_variable.add_to(gx, ws.gather(dx.reshape(R * k, B), self.by_variable.order))
+            ws.top = top
         if result.gaussian_mean_grads is not None:
             G = T @ adjoint.transpose(0, 2, 1)      # (R, 3k, I)
             ga, gb, gc = G[:, :k], G[:, k:2 * k], G[:, 2 * k:]
@@ -326,13 +384,16 @@ class _Products:
     children: np.ndarray     # (n, arity) child rows
     unique: bool             # no row repeats within a column of children
 
-    def forward(self, V: np.ndarray, params: None) -> None:
+    def slots(self) -> _Slots:
+        return _Slots(0, 0, 0, 0)
+
+    def forward(self, ws: _Workspace, V: np.ndarray, params: None) -> None:
         out = V[self.rows]
         out[...] = V[self.children[:, 0]]
         for column in self.children.T[1:]:
             out += V[column]
 
-    def backward(self, V: np.ndarray, A: np.ndarray, params: None,
+    def backward(self, ws: _Workspace, V: np.ndarray, A: np.ndarray, params: None,
                  grad: None, saved: None) -> None:
         adjoint = A[self.rows]
         for column in self.children.T:
@@ -371,8 +432,18 @@ class _Sums:
         log_weights = log_weights.reshape(G, S, K, I, -1).swapaxes(1, 2)
         return np.exp(log_weights, out=np.empty(log_weights.shape)).reshape(G * K, S * I, -1)
 
-    def _factors(self, V: np.ndarray, W: np.ndarray) -> tuple[_Factors, np.ndarray]:
-        """The factors, U and the contractions T on V, and the shift M, (G, B).
+    def slots(self) -> _Slots:
+        G, K, I = self.left.shape
+        S = len(self.ids) // G
+        J = 0 if self.right is None else self.right.shape[2]
+        return _Slots(kept=G * (K * I + K * J + (K * S * I if J else 0) + S),
+                      forward=G * K * S * (I + 1), backward=G * K * (S * I + max(I, J)),
+                      tail=G * K * (S * I + J) if J else 0)
+
+    def _factors(self, ws: _Workspace, V: np.ndarray,
+                 W: np.ndarray) -> tuple[_Factors, np.ndarray]:
+        """The factors, U and the contractions T on V, on top of ws, and the
+        shift M, (G, B).
 
         l * r = exp(L + R - M) are the child products: M is the largest
         block shift m_L + m_R, so every product is at most 1; where every
@@ -381,20 +452,26 @@ class _Sums:
         G, K, I = self.left.shape
         B = V.shape[1]
         S = len(self.ids) // G
-        L = V[self.left]
-        m = L.max(axis=2)
+        left = ws.gather(V, self.left)
+        m = left.max(axis=2)
         if self.right is None:
             M = _finite_or_zero(m.max(axis=1))
-            left, right = _exp_cut(L - M[:, None, None, :]), None
-            U = W.reshape(G, K, S, I, 1)
+            left -= M[:, None, None, :]
+            right, U = None, W.reshape(G, K, S, I, 1)
         else:
-            R = V[self.right]
-            m_right = R.max(axis=2)
+            right = ws.gather(V, self.right)
+            m_right = right.max(axis=2)
             M = _finite_or_zero((m + m_right).max(axis=1))
-            left = _exp_cut(L + (m_right - M[:, None, :])[:, :, None, :])
-            right = _exp_cut(R - _finite_or_zero(m_right)[:, :, None, :])
-            U = _contract(W, right.reshape(G * K, R.shape[2], B)).reshape(G, K, S, I, B)
-        T = _sum_in_order(_sum_in_order(left[:, :, None] * U, axis=3), axis=1)
+            left += (m_right - M[:, None, :])[:, :, None, :]
+            right -= _finite_or_zero(m_right)[:, :, None, :]
+            U = _contract(W, _exp_cut(right).reshape(G * K, right.shape[2], B),
+                          ws.take(G * K, S * I, B), ws).reshape(G, K, S, I, B)
+        _exp_cut(left)
+        T = ws.take(G, S, B)
+        top = ws.top
+        terms = np.multiply(left[:, :, None], U, out=ws.take(G, K, S, I, B))
+        _sum_in_order(_sum_in_order(terms, axis=3, out=ws.take(G, K, S, B)), axis=1, out=T)
+        ws.top = top
         return _Factors(left, right, U, T), M
 
     def _log_terms(self, V: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -411,23 +488,26 @@ class _Sums:
         lw = log_weights.reshape(low.shape[0], low.shape[1], -1)[g, s]
         return g, s, b, lw + self._log_terms(V, g, b)
 
-    def forward(self, V: np.ndarray, params: tuple[np.ndarray, np.ndarray]) -> _Factors:
+    def forward(self, ws: _Workspace, V: np.ndarray,
+                params: tuple[np.ndarray, np.ndarray]) -> _Factors:
         """Write the sums' log values into V, given ``params``, the log-weights
-        and their :meth:`weights`; return the factors for :meth:`backward`."""
+        and their :meth:`weights`; return the factors for :meth:`backward`,
+        on top of ws."""
         log_weights, W = params
-        factors, M = self._factors(V, W)
+        factors, M = self._factors(ws, V, W)
         T = factors.T
+        out = V[self.rows].reshape(T.shape)
         with np.errstate(divide="ignore"):
-            out = np.log(T)
+            np.log(T, out=out)
         out += M[:, None, :]
         low = T < _LOW
         if low.any():
             g, s, b, terms = self._exact(V, log_weights, low)
             out[g, s, b] = logsumexp(terms, axis=1)
-        V[self.rows] = out.reshape(len(self.ids), V.shape[1])
         return factors
 
-    def backward(self, V: np.ndarray, A: np.ndarray, params: tuple[np.ndarray, np.ndarray],
+    def backward(self, ws: _Workspace, V: np.ndarray, A: np.ndarray,
+                 params: tuple[np.ndarray, np.ndarray],
                  grad: np.ndarray | None, saved: _Factors) -> None:
         """Add the children's adjoints to A, and the log-weight gradients to grad;
         ``saved`` is what :meth:`forward` returned on the same V."""
@@ -437,16 +517,23 @@ class _Sums:
         S = T.shape[1]
         low = T < _LOW
         adjoint = A[self.rows].reshape(T.shape)
-        Q = np.zeros_like(T)
+        Q = np.zeros(T.shape)
         np.divide(adjoint, T, out=Q, where=~low)
         Q = Q[:, None, :, None]
+        top = ws.top
         # d T[s] / d l[k, i] = U[k, s, i]; d T[s] / d r[k, j] = sum_i l[k, i] W[k, s, i, j]
-        _scatter_add(A, self.left, left * _sum_in_order(U * Q, axis=2), self.unique)
-        lq = (left[:, :, None] * Q).reshape(G * K, S * I, B)
+        UQ = np.multiply(U, Q, out=ws.take(G, K, S, I, B))
+        flow = _sum_in_order(UQ, axis=2, out=ws.take(G, K, I, B))
+        flow *= left
+        _scatter_add(A, self.left, flow, self.unique)
+        ws.top = top
+        lq = np.multiply(left[:, :, None], Q, out=ws.take(G, K, S, I, B)).reshape(G * K, S * I, B)
         if right is not None:
             J = right.shape[2]
-            flow = _contract(W.transpose(0, 2, 1), lq).reshape(G, K, J, B)
-            _scatter_add(A, self.right, right * flow, self.unique)
+            flow = _contract(W.transpose(0, 2, 1), lq, ws.take(G * K, J, B), ws)
+            flow = flow.reshape(G, K, J, B)
+            flow *= right
+            _scatter_add(A, self.right, flow, self.unique)
         if grad is not None:
             if right is None:
                 gw = lq.sum(axis=2)[:, :, None]
@@ -455,6 +542,7 @@ class _Sums:
             gw *= W
             gw = gw.reshape(G, K, S, I, -1).transpose(0, 2, 1, 3, 4)
             grad.reshape(gw.shape)[...] += gw
+        ws.top = top
         # The sums recomputed in log space; a dead one (-inf) passes nothing.
         if not low.any():
             return
@@ -469,6 +557,15 @@ class _Sums:
                 np.add.at(A, (self.right[g], b[:, None, None]), per_child.sum(axis=2))
             if grad is not None:
                 np.add.at(grad, g * S + s, flow)
+
+
+def _kept(ws: _Workspace, keep: bool, forward: Callable, *args):
+    """forward(ws, *args); unless ``keep``, what it took from ws goes back."""
+    top = ws.top
+    saved = forward(ws, *args)
+    if not keep:
+        ws.top = top
+    return saved
 
 
 def _as_values(rows: np.ndarray) -> np.ndarray:
@@ -834,6 +931,27 @@ class CompiledCircuit:
         return [slice(b, min(b + self._block_cols, B))
                 for b in range(0, max(B, 1), self._block_cols)]
 
+    @cached_property
+    def _workspace_floats(self) -> tuple[dict[bool, int], int]:
+        """Workspace floats per column, of a forward and of a fused pass, and
+        the padded products' floats.
+
+        Per column a block holds its node values, and its adjoints in a fused
+        pass; then every leaf-region bucket's statistics and every
+        step's kept arrays, all at once in a fused pass, one step's at a time
+        in a forward pass; and on top, one step's scratch.
+        """
+        slots = [part.slots() for part in (*self._regions, *self._steps)] or [_Slots(0, 0, 0, 0)]
+        return ({False: self.n_rows + max(s.kept + s.forward for s in slots),
+                 True: 2 * self.n_rows + sum(s.kept for s in slots)
+                 + max(max(s.forward, s.backward) for s in slots)},
+                _WIDTH * max(s.tail for s in slots))
+
+    def _workspace(self, B: int, fused: bool) -> _Workspace:
+        """A workspace for the column blocks of B rows."""
+        per_column, tail = self._workspace_floats
+        return _Workspace(min(B, self._block_cols) * per_column[fused] + tail)
+
     def evaluate(self, X: np.ndarray,
                  adjoints: Callable[[np.ndarray, slice], np.ndarray] | None = None,
                  want_input: bool = True,
@@ -852,24 +970,28 @@ class CompiledCircuit:
         Input gradients of marginalized coordinates and of categorical leaves
         are zero.  Parameter gradients are each block's own, added in block
         order.  A non-finite adjoint, or a categorical value that is not an
-        integer in [0, size), raises ValueError.
+        integer in [0, size), raises ValueError, and so does an ``adjoints``
+        result of another shape than (b, C).
         """
         X = _points(X, self.d)[0]
-        values = np.empty((X.shape[0], len(self._root_rows)))
+        C = len(self._root_rows)
+        values = np.empty((X.shape[0], C))
         result = None if adjoints is None else self._result(X.shape[0], want_input, want_params)
+        # Every block's arrays come from one workspace, sized before the first.
+        ws = self._workspace(X.shape[0], fused=result is not None)
         for cols in self._column_blocks(X.shape[0]):
-            XT = np.ascontiguousarray(X[cols].T)
-            V = np.empty((self.n_rows, XT.shape[1]))
-            # Free the last block's arrays once this block's V is made: below V,
-            # their memory is reused, not handed back to the OS and faulted in again.
-            A = saved = None
-            saved = self._forward_block(V, XT, keep=result is not None)
+            ws.top = 0
+            XT, V, saved = self._forward_block(ws, X[cols], keep=result is not None)
             values[cols] = V[self._root_rows].T
             if result is not None:
-                A = np.zeros_like(V)
-                _scatter_add(A, self._root_rows, np.transpose(adjoints(values[cols], cols)),
-                             self._roots_unique)
-                self._backward_block(V, A, XT, result, cols, saved)
+                seeds = adjoints(values[cols], cols)
+                if np.shape(seeds) != (V.shape[1], C):
+                    raise ValueError(f"adjoints returned an array of shape {np.shape(seeds)} "
+                                     f"for values of shape {(V.shape[1], C)}")
+                A = ws.take(*V.shape)
+                A.fill(0.0)
+                _scatter_add(A, self._root_rows, np.transpose(seeds), self._roots_unique)
+                self._backward_block(ws, V, A, XT, result, cols, saved)
         return values, result
 
     def forward(self, X: np.ndarray) -> np.ndarray:
@@ -880,20 +1002,27 @@ class CompiledCircuit:
         (materialized nodes, B); read it with :meth:`root_values`.
         """
         X = _points(X, self.d)[0]
+        ws = self._workspace(X.shape[0], fused=False)
         parts = []
         for cols in self._column_blocks(X.shape[0]):
-            parts.append(np.empty((self.n_rows, cols.stop - cols.start)))
-            self._forward_block(parts[-1], np.ascontiguousarray(X[cols].T), keep=False)
+            ws.top = 0
+            parts.append(self._forward_block(ws, X[cols], keep=False)[1].copy())
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
-    def _forward_block(self, V: np.ndarray, XT: np.ndarray, keep: bool) -> tuple | None:
-        """Write V, (materialized nodes, b), of one column block from its (d, b)
-        inputs; if ``keep``, return the statistics T of each leaf-region bucket
-        and what each step saves for the backward pass (else None)."""
-        stats = [r.forward(V, XT, p) for r, p in zip(self._regions, self._natural)]
+    def _forward_block(self, ws: _Workspace, X: np.ndarray,
+                       keep: bool) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+        """The (d, b) inputs XT of the column block X, (b, d), its node values
+        V, (materialized nodes, b), taken from ws, and if ``keep``, the
+        statistics T of each leaf-region bucket and what each step saves for
+        the backward pass, left on top of ws (else None, and ws holds only V)."""
+        XT = np.ascontiguousarray(X.T)
+        V = ws.take(self.n_rows, X.shape[0])
+        stats = [_kept(ws, keep, region.forward, V, XT, p)
+                 for region, p in zip(self._regions, self._natural)]
         self._leaf_values(XT, V)
-        kept = [step.forward(V, params) for step, params in zip(self._steps, self._weights)]
-        return (stats, kept) if keep else None
+        kept = [_kept(ws, keep, step.forward, V, params)
+                for step, params in zip(self._steps, self._weights)]
+        return XT, V, (stats, kept) if keep else None
 
     def _leaf_values(self, XT: np.ndarray, V: np.ndarray) -> None:
         """Bernoulli and categorical leaf log values from (d, B) inputs; a
@@ -957,7 +1086,7 @@ class CompiledCircuit:
             result.bernoulli_p_grads = np.zeros(self.bernoulli_ids.size)
         return result
 
-    def _backward_block(self, V: np.ndarray, A: np.ndarray, XT: np.ndarray,
+    def _backward_block(self, ws: _Workspace, V: np.ndarray, A: np.ndarray, XT: np.ndarray,
                         result: BackwardResult, cols: slice, saved: tuple) -> None:
         """Propagate one column block's seeded adjoints A down to result;
         ``saved`` is what :meth:`_forward_block` kept for this V."""
@@ -965,13 +1094,13 @@ class CompiledCircuit:
         grads = dict(zip(self._sums, result.sum_log_weight_grads or []))
         for step, params, factors in zip(reversed(self._steps), reversed(self._weights),
                                          reversed(kept)):
-            step.backward(V, A, params, grads.get(step), factors)
+            step.backward(ws, V, A, params, grads.get(step), factors)
         if not np.all(np.isfinite(A)):
             raise ValueError("non-finite adjoint in the backward pass; "
                              "check the seeds and the circuit's parameters")
         gx = None if result.input_grads is None else result.input_grads[cols].T
         for region, p, T in zip(self._regions, self._natural, stats):
-            region.backward(A, T, p, gx, result)
+            region.backward(ws, A, T, p, gx, result)
         self._leaf_grads(XT, A, result, gx)
 
     def _leaf_grads(self, XT: np.ndarray, A: np.ndarray, result: BackwardResult,

@@ -3,6 +3,9 @@ import dataclasses
 import gc
 import math
 import pickle
+import re
+import sys
+import threading
 import tracemalloc
 import types
 import warnings
@@ -1181,9 +1184,9 @@ def test_parameter_gradients_add_in_block_order(rng):
         assert np.array_equal(got, total)
 
 
-def test_column_blocks_free_their_arrays_before_the_next_block(rng):
-    # One block's node values, adjoints and saved factors are alive at a
-    # time, so eight 128-row blocks peak no higher than one.
+def block_peaks(rng, adjoints):
+    """tracemalloc peaks of a 128-row and a 1,024-row (eight-block) evaluate
+    call on a 2,282-node circuit."""
     cfg = structure.StructureConfig(repetitions=19, sum_nodes_per_region=10,
                                     leaf_distributions_per_region=10, num_classes=2,
                                     seed=1)
@@ -1195,11 +1198,94 @@ def test_column_blocks_free_their_arrays_before_the_next_block(rng):
     for B in (128, 1024):
         tracemalloc.start()
         try:
-            comp.evaluate(X[:B], lambda values, rows: np.ones_like(values))
+            comp.evaluate(X[:B], adjoints)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_column_blocks_free_their_arrays_before_the_next_block(rng):
+    # One block's node values, adjoints and saved factors are alive at a
+    # time, so eight 128-row blocks peak no higher than one.
+    peaks = block_peaks(rng, lambda values, rows: np.ones_like(values))
     assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_a_forward_only_batch_peaks_no_higher_than_one_block(rng):
+    # The workspace holds one block's arrays, and without adjoints each step
+    # gives its arrays back to it before the next step.
+    peaks = block_peaks(rng, None)
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_adjoints_of_another_shape_raise(rng):
+    # Broadcast along the batch axis, [1, -1] would weigh row j by w[j] on
+    # every class: the gradient of another quantity.
+    comp = engine.compile_circuit(
+        structure.build_circuit(2, structure.StructureConfig(repetitions=3, seed=1)))
+    with pytest.raises(ValueError, match=re.escape(
+            "adjoints returned an array of shape (2,) for values of shape (2, 2)")):
+        comp.evaluate(rng.uniform(size=(2, 2)), lambda values, rows: np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match=re.escape(
+            "adjoints returned an array of shape (2,) for values of shape (3, 2)")):
+        comp.evaluate(rng.uniform(size=(3, 2)), lambda values, rows: np.array([1.0, -1.0]))
+
+
+def assert_same_pass(got, want):
+    """Two evaluate results, values and every gradient, bit for bit."""
+    assert np.array_equal(got[0], want[0])
+    for field in dataclasses.fields(want[1]):
+        a, b = getattr(got[1], field.name), getattr(want[1], field.name)
+        if isinstance(b, list):
+            assert all(np.array_equal(u, v) for u, v in zip(a, b)), field.name
+        else:
+            assert np.array_equal(a, b), field.name
+
+
+def test_an_adjoints_function_that_evaluates_again_gets_the_same_bits(rng):
+    # Each call has its own workspace: a call made from inside another's
+    # adjoints, on the same compiled circuit, writes none of the outer
+    # call's arrays.
+    c = random_circuit(rng, num_variables=5, num_classes=2)
+    comp = engine.compile_circuit(c)
+    X, other = rng.normal(0.5, 0.5, size=(300, 5)), rng.normal(0.5, 0.5, size=(200, 5))
+    adjoints = posterior_adjoints(c, rng, 300)
+
+    def nested(values, rows):
+        comp.evaluate(other)
+        comp.evaluate(other, lambda v, r: np.ones_like(v), want_params=True)
+        return adjoints(values, rows)
+    assert_same_pass(comp.evaluate(X, nested, want_params=True),
+                     comp.evaluate(X, adjoints, want_params=True))
+
+
+def test_two_threads_sharing_a_compiled_circuit_get_the_sequential_bits(rng):
+    c = random_circuit(rng, num_variables=5, num_classes=2)
+    comp = engine.compile_circuit(c)
+    Xs = [rng.normal(0.5, 0.5, size=(300, 5)) for _ in range(2)]
+    adjoints = [posterior_adjoints(c, rng, 300) for _ in range(2)]
+    want = [comp.evaluate(X, a, want_params=True) for X, a in zip(Xs, adjoints)]
+    got = [[], []]
+
+    def run(i):
+        for _ in range(5):
+            got[i].append(comp.evaluate(Xs[i], adjoints[i], want_params=True))
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results, expected in zip(got, want):
+        assert len(results) == 5
+        for result in results:
+            assert_same_pass(result, expected)
 
 
 def test_large_batch_equals_its_256_row_slices(rng):
@@ -1220,6 +1306,28 @@ def test_large_batch_equals_its_256_row_slices(rng):
                                                         start + block.stop)))
         assert np.array_equal(values[rows], part_values)
         assert np.array_equal(back.input_grads[rows], part.input_grads)
+
+
+@pytest.mark.parametrize("B", [259, 262])
+def test_a_padded_last_block_equals_single_rows(rng, deep, B):
+    # Blocks of 128, 128 and 3 or 6 rows: the last block's products run
+    # their last columns padded to _WIDTH, as a single row's do.
+    comp = engine.compile_circuit(deep)
+    widths = [cols.stop - cols.start for cols in comp._column_blocks(B)]
+    assert widths == [128, 128, B - 256] and widths[-1] % engine._WIDTH
+    X = rng.normal(0.5, 0.5, size=(B, deep.num_variables))
+    X[::11, 0] = np.nan
+    adjoints = posterior_adjoints(deep, rng, B)
+    forward, _ = comp.evaluate(X)
+    values, back = comp.evaluate(X, adjoints)
+    assert np.array_equal(forward, values)
+    for b in range(B):
+        row_forward, _ = comp.evaluate(X[b:b + 1])
+        row_values, row = comp.evaluate(
+            X[b:b + 1], lambda v, rows, b=b: adjoints(v, slice(b, b + 1)))
+        assert np.array_equal(values[b], row_forward[0])
+        assert np.array_equal(values[b], row_values[0])
+        assert np.array_equal(back.input_grads[b], row.input_grads[0])
 
 
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli", "categorical", "regions"])
