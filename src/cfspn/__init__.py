@@ -13,7 +13,7 @@ from .circuit import (
     validate,
 )
 from .structure import StructureConfig, build_circuit
-from .training import TrainConfig, TrainReport, cross_validate, fit
+from .training import TrainConfig, TrainReport, fit
 from .counterfactual import CfConfig, CfResult, generate, wachter_baseline
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "build_circuit",
-    "cross_validate",
     "fit",
     "generate",
     "load",

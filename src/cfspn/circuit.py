@@ -116,6 +116,14 @@ def _integer(value, what: str, minimum: int) -> int:
     return int(value)
 
 
+def _flag(value, what: str) -> bool:
+    """value, a Python or NumPy bool, as a bool.  Anything else, a string
+    such as "false" included, is refused."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be true or false, got {value!r}")
+    return bool(value)
+
+
 def _number(value, what: str, minimum: float, *, strict: bool = False,
             below: float = math.inf) -> float:
     """value, a Python or NumPy real number, finite, at least ``minimum``

@@ -30,9 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from . import grad, inference
-from .circuit import Circuit, _classes, _integer, _number, _points
+from .circuit import Circuit, _classes, _flag, _integer, _number, _points
 
 METHODS = ("two_step", "wachter")
+
+#: The multiples of eps1 that retry_epsilon_schedule scans, smallest first.
+_SCAN = np.array([1.0, 2.0, 4.0, 8.0])
 
 
 @dataclass
@@ -48,13 +51,17 @@ class CfConfig:
     epsilon2: float = 1.0
     grad_mode: str = "density"
     clip_to_unit: bool = True
-    # Optional Table-5-style tuning: on failure, retry with eps1 doubled,
-    # up to three times.  Off by default; the plain method takes single steps.
+    # Optional Table-5-style tuning of eps1: step 1 goes to the first of
+    # x + f * eps1 * g1, f = 1, 2, 4, 8, that the model predicts as y' (else
+    # to f = 8), judged at u, not at x'.  One forward pass of 4B rows scores
+    # them and still two gradient evaluations per query.  Off by default.
     retry_epsilon_schedule: bool = False
 
     def __post_init__(self):
         for name in ("epsilon1", "epsilon2"):
             setattr(self, name, _number(getattr(self, name), name, 0, strict=True))
+        for name in ("clip_to_unit", "retry_epsilon_schedule"):
+            setattr(self, name, _flag(getattr(self, name), name))
         if self.grad_mode not in grad.GRAD_MODES:
             raise ValueError(f"grad_mode must be one of {grad.GRAD_MODES}")
 
@@ -70,6 +77,7 @@ class BaselineConfig:
         self.lam = _number(self.lam, "lam", 0)
         self.learning_rate = _number(self.learning_rate, "learning_rate", 0, strict=True)
         self.max_iters = _integer(self.max_iters, "max_iters", 1)
+        self.early_stop = _flag(self.early_stop, "early_stop")
 
 
 @dataclass
@@ -173,12 +181,15 @@ def generate(circuit: Circuit, x, y, y_prime,
     passes of one query: the forward pass of each gradient step also scores
     its points (the prediction and log density at x and at u), and one more
     forward pass scores x', so 3 forward and 2 backward passes in all.  With
-    retry_epsilon_schedule, step 2 is retried from a doubled eps1 for the
-    rows short of their target; each retry adds 2 forward and 1 backward
-    pass, and one gradient evaluation to each row it retries.  Warns
-    (without failing) once for each row whose y differs from the model's
-    prediction at x.  With clip_to_unit, both steps clamp to [0, 1]^d, the
-    range of min-max scaled features.
+    retry_epsilon_schedule, step 1 scans eps1, 2 eps1, 4 eps1 and 8 eps1 in
+    one more forward pass, of 4B rows, and takes each row's smallest that
+    the model predicts as y' at u (not at x'), else 8 eps1; each row's
+    result is then the one a plain call at that eps1 gives.  The scan's
+    time counts toward the first stage of ``elapsed``, and ``grad_evals``
+    is 2 on every row either way.  Warns (without failing) once for each
+    row whose y differs from the model's prediction at x.  With
+    clip_to_unit, both steps clamp to [0, 1]^d, the range of min-max scaled
+    features.
     """
     X, Y, Y_prime, single = _check(circuit, x, y, y_prime)
     results = _two_step(circuit, [np.asarray(x, dtype=np.float64)] if single else X,
@@ -199,41 +210,25 @@ def _two_step(circuit: Circuit, points, X: np.ndarray, Y: np.ndarray,
     t0 = time.perf_counter()
     step1 = grad.gradient(circuit, X, weights)
     g1 = _finite_or_raise(step1.values, "gradient in step 1")
-    elapsed = [time.perf_counter() - t0, 0.0]
+    U = _first_step(circuit, X, g1, Y_prime, config)
+    elapsed = [time.perf_counter() - t0]
     pred_x, logdens_x = _score(circuit, step1.class_log_values)
     for y, pred in zip(Y.tolist(), pred_x.tolist()):
         if pred != y:
             warnings.warn(f"query is labeled class {y} but the model predicts "
                           f"{pred}", RuntimeWarning, stacklevel=3)
 
-    # Each round of step 2 runs on the rows still short of their target (at
-    # first, every row); a row's result is its last round's.
-    factors = (1.0, 2.0, 4.0, 8.0) if config.retry_epsilon_schedule else (1.0,)
-    todo, out = slice(None), None
-    for grad_evals, factor in enumerate(factors, start=2):
-        t1 = time.perf_counter()
-        u = _clip(X[todo] + factor * config.epsilon1 * g1[todo], config)
-        step2 = grad.grad_density(circuit, u, config.grad_mode)
-        x_prime = _clip(u + config.epsilon2 * _finite_or_raise(
-            step2.values, "gradient in step 2"), config)
-        elapsed[1] += time.perf_counter() - t1
-        _finite_or_raise(x_prime, "counterfactual")
-        pred_x_prime, logdens_x_prime = _score(
-            circuit, inference.class_log_densities(circuit, x_prime))
-        found = (u, x_prime, *_score(circuit, step2.class_log_values),
-                 pred_x_prime, logdens_x_prime,
-                 np.full(len(u), step2.underflow), np.full(len(u), grad_evals))
-        if out is None:
-            out = found
-        else:
-            for column, values in zip(out, found):
-                column[todo] = values
-        todo = rows[todo][pred_x_prime != Y_prime[todo]]
-        if not todo.size:
-            break
+    t1 = time.perf_counter()
+    step2 = grad.grad_density(circuit, U, config.grad_mode)
+    X_prime = _clip(U + config.epsilon2 * _finite_or_raise(
+        step2.values, "gradient in step 2"), config)
+    elapsed.append(time.perf_counter() - t1)
+    _finite_or_raise(X_prime, "counterfactual")
+    pred_u, logdens_u = _score(circuit, step2.class_log_values)
+    pred_x_prime, logdens_x_prime = _score(
+        circuit, inference.class_log_densities(circuit, X_prime))
 
     # Each result owns its arrays, so that none keeps the batch's alive.
-    U, X_prime, *scores = out
     elapsed = [t / B for t in elapsed]
     return [CfResult(x=x, u=u.copy(), x_prime=x_prime.copy(), y=y, y_prime=y_prime,
                      pred_x=pred_x, pred_u=pred_u, pred_x_prime=pred_x_prime,
@@ -241,12 +236,30 @@ def _two_step(circuit: Circuit, points, X: np.ndarray, Y: np.ndarray,
                      logdens_x_prime=logdens_x_prime,
                      elapsed=list(elapsed),
                      success=pred_x_prime == y_prime,
-                     grad_evals=grad_evals,
+                     grad_evals=2,
                      density_underflow=underflow)
             for (x, u, x_prime, y, y_prime, pred_x, logdens_x, pred_u, logdens_u,
-                 pred_x_prime, logdens_x_prime, underflow, grad_evals)
-            in zip(points, U, X_prime, *(a.tolist() for a in (Y, Y_prime, pred_x, logdens_x,
-                                                               *scores)))]
+                 pred_x_prime, logdens_x_prime, underflow)
+            in zip(points, U, X_prime, *(a.tolist() for a in (
+                Y, Y_prime, pred_x, logdens_x, pred_u, logdens_u, pred_x_prime,
+                logdens_x_prime, np.full(B, step2.underflow))))]
+
+
+def _first_step(circuit: Circuit, X: np.ndarray, g1: np.ndarray, Y_prime: np.ndarray,
+                config: CfConfig) -> np.ndarray:
+    """u = clip(x + eps1 * g1), (B, d).  With retry_epsilon_schedule, each
+    row's u is its candidate clip(x + f * eps1 * g1) of the smallest f in
+    _SCAN that the model predicts as y', or of the largest f if none is; one
+    forward pass scores all 4B candidates.  g1 does not depend on eps1, so
+    each row's u is the one a plain step at f * eps1 takes."""
+    if not config.retry_epsilon_schedule:
+        return _clip(X + config.epsilon1 * g1, config)
+    candidates = _clip(X + (_SCAN * config.epsilon1)[:, None, None] * g1, config)
+    pred = _score(circuit, inference.class_log_densities(
+        circuit, candidates.reshape(-1, X.shape[1])))[0]
+    reached = pred.reshape(len(_SCAN), len(X)) == Y_prime
+    f = np.where(reached.any(axis=0), reached.argmax(axis=0), len(_SCAN) - 1)
+    return candidates[f, np.arange(len(X))]
 
 
 def wachter_baseline(circuit: Circuit, x, y_prime,

@@ -999,7 +999,7 @@ class CompiledCircuit:
         forward sweep alone, so that it can be timed on its own.
 
         X is checked as :meth:`evaluate` checks it.  Returns V of shape
-        (materialized nodes, B); read it with :meth:`root_values`.
+        (materialized nodes, B); :meth:`evaluate` gives the class-root values.
         """
         X = _points(X, self.d)[0]
         ws = self._workspace(X.shape[0], fused=False)
@@ -1049,10 +1049,6 @@ class CompiledCircuit:
             vals = self.categorical_log_probs[self.categorical_offsets[:, None]
                                               + k.astype(np.int64)]
             V[self._categorical_rows] = np.where(absent, 0.0, vals)
-
-    def root_values(self, V: np.ndarray) -> np.ndarray:
-        """Class-root log values, (B, C), from a :meth:`forward` result."""
-        return V[self._root_rows].T
 
     def backward(self, V: np.ndarray, X: np.ndarray,
                  seeds: dict[int, np.ndarray],

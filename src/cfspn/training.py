@@ -9,13 +9,13 @@ a sigmoid.  The class prior is set to the empirical class frequencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import CATEGORICAL, Circuit, _classes, _integer, _number, _points, logsumexp
+from .circuit import (CATEGORICAL, Circuit, _classes, _flag, _integer, _number, _points,
+                      logsumexp)
 from .engine import CompiledCircuit, compile_circuit
-from .structure import StructureConfig, build_circuit
 
 
 @dataclass
@@ -41,6 +41,7 @@ class TrainConfig:
             setattr(self, name, _number(getattr(self, name), name, 0, strict=True))
         self.validation_fraction = _number(self.validation_fraction,
                                            "validation_fraction", 0, below=1)
+        self.init_from_data = _flag(self.init_from_data, "init_from_data")
 
 
 @dataclass
@@ -282,51 +283,3 @@ def fit(circuit: Circuit, dataset, config: TrainConfig) -> tuple[Circuit, TrainR
     )
     return fitted, report
 
-
-@dataclass
-class GridPoint:
-    structure: StructureConfig
-    train: TrainConfig
-    mean_validation_ll: float
-    fold_lls: list[float] = field(default_factory=list)
-
-
-@dataclass
-class CrossValidationResult:
-    best: GridPoint
-    results: list[GridPoint]
-
-
-def cross_validate(dataset, structure_grid, train_grid, folds: int,
-                   seed: int = 0) -> CrossValidationResult:
-    """k-fold model selection over a structure x training grid.
-
-    Scores each grid point by mean held-out joint log-likelihood across
-    folds; fold assignment is a deterministic function of the seed.  Returns
-    the first best point plus per-point scores.
-    """
-    if folds < 2:
-        raise ValueError(f"folds must be >= 2, got {folds}")
-    structure_grid = list(structure_grid)
-    train_grid = list(train_grid)
-    if not structure_grid or not train_grid:
-        raise ValueError("empty configuration grid")
-    n = len(dataset)
-    if folds > n:
-        raise ValueError(f"{folds} folds for {n} rows")
-
-    perm = np.random.default_rng(seed).permutation(n)
-    results: list[GridPoint] = []
-    for sc in structure_grid:
-        circuit = build_circuit(dataset.dimension, sc)
-        for tc in train_grid:
-            fold_lls = []
-            for j in range(folds):
-                held = perm[j::folds]
-                rest = np.concatenate([perm[k::folds] for k in range(folds) if k != j])
-                fitted, _ = fit(circuit, dataset.subset(rest), tc)
-                fold_lls.append(mean_joint_log_likelihood(
-                    fitted, dataset.features[held], dataset.labels[held]))
-            results.append(GridPoint(sc, tc, float(np.mean(fold_lls)), fold_lls))
-    best = max(results, key=lambda g: g.mean_validation_ll)
-    return CrossValidationResult(best=best, results=results)

@@ -529,6 +529,19 @@ def test_config_numbers_of_the_wrong_type_exit_two(trained, tmp_path, capsys,
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_a_config_flag_that_is_not_a_boolean_exits_two(trained, tmp_path, capsys):
+    # "false" is a non-empty string, which Python reads as true
+    _, _, model = trained
+    bad = {**MOONS_CONFIG, "counterfactual": {"clip_to_unit": "false"}}
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(bad))
+    code = main(["benchmark", "--config", str(config), "--model", str(model),
+                 "--target-class", "1", "--out", str(tmp_path / "bench.json")])
+    assert code == 2
+    assert "error: clip_to_unit must be true or false, got 'false'" in capsys.readouterr().err
+    assert not (tmp_path / "bench.json").exists()
+
+
 def test_benchmark_refuses_a_fractional_iteration_cap(trained, tmp_path, capsys):
     _, _, model = trained
     bad = {**MOONS_CONFIG, "baseline": {"max_iters": 2.5}}

@@ -1,12 +1,13 @@
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from cfspn import counterfactual as cf
-from cfspn import data, grad, inference, training
+from cfspn import data, engine, grad, inference, training
 from cfspn.data import FeatureColumn, FeatureMeta
 from cfspn.structure import StructureConfig, build_circuit
 from conftest import CategoricalLeaf, SumNode, from_nodes, two_gaussian_classifier
@@ -55,22 +56,22 @@ def test_two_step_uses_exactly_two_gradient_evaluations(passes):
     assert res.grad_evals == 2
 
 
-def test_each_retry_adds_one_gradient_evaluation(passes):
+def test_the_eps1_scan_adds_one_forward_pass(passes):
     c = two_gaussian_classifier()
     x = np.array([-2.0])
-    seen = []
+    chosen = []
     for eps1 in (0.05, 0.1, 0.2, 0.4):
-        before = dict(passes)
+        passes.update(forward=0, backward=0)
         res = cf.generate(c, x, 0, 1,
                           cf.CfConfig(epsilon1=eps1, epsilon2=1e-6,
                                       clip_to_unit=False,
                                       retry_epsilon_schedule=True))
-        retries = res.grad_evals - 2
-        assert passes["backward"] - before["backward"] == 2 + retries
-        assert passes["forward"] - before["forward"] == 3 + 2 * retries
-        seen.append(retries)
-    # u = -2 + 8 * factor * eps1 crosses the boundary at 0 once factor * eps1 > 0.25
-    assert seen == [3, 2, 1, 0]
+        # step 1, the scan of 4 candidates, step 2 and the pass at x'
+        assert passes == {"forward": 4, "backward": 2}
+        assert res.grad_evals == 2
+        chosen.append(round((res.u[0] - x[0]) / (8 * eps1)))
+    # u = -2 + 8 * f * eps1 crosses the boundary at 0 once f * eps1 > 0.25
+    assert chosen == [8, 4, 2, 1]
 
 
 def assert_fields_match_inference(circuit, res):
@@ -165,10 +166,10 @@ def test_retry_schedule_recovers_a_short_first_step():
     cfg = cf.CfConfig(epsilon1=0.05, epsilon2=1e-6, clip_to_unit=False,
                       retry_epsilon_schedule=True)
     res = cf.generate(c, np.array([-2.0]), 0, 1, cfg)
-    # 0.05 * 8 = 0.4 falls short; the x8 retry reaches -2 + 3.2 = 1.2.
+    # 0.05 * 8 = 0.4 falls short; the scan's x8 candidate reaches -2 + 3.2 = 1.2.
     assert res.success
     assert res.u[0] == pytest.approx(1.2, abs=1e-9)
-    assert res.grad_evals == 5
+    assert res.grad_evals == 2
 
     plain = cf.generate(c, np.array([-2.0]), 0, 1,
                         cf.CfConfig(epsilon1=0.05, epsilon2=1e-6,
@@ -282,12 +283,43 @@ def test_run_queries_equals_generate_one_by_one(three_class_model, grad_mode,
     assert_same_results(batch, singles)
     X, Y, Y_prime = (np.array(a) for a in zip(*queries))
     assert_same_results(cf.generate(circuit, X, Y, Y_prime, cfg), singles)
-    # the set covers every source and target class, retries and underflow
+    # the set covers every source and target class and underflow
     assert {r.y for r in singles} == {r.y_prime for r in singles} == {0, 1, 2}
-    evals = {r.grad_evals for r in singles}
-    assert evals == ({2, 3, 4, 5} if retry else {2})
+    assert {r.grad_evals for r in singles} == {2}
     underflow = grad_mode == "density" and not clip_to_unit
     assert [r.density_underflow for r in singles] == [False] * 11 + [underflow]
+
+
+@pytest.mark.parametrize("grad_mode", grad.GRAD_MODES)
+@pytest.mark.parametrize("clip_to_unit", [True, False])
+def test_each_scanned_row_is_a_plain_query_at_its_eps1(three_class_model, grad_mode,
+                                                       clip_to_unit):
+    circuit, queries = three_class_model
+    cfg = cf.CfConfig(epsilon1=0.03, epsilon2=0.01, grad_mode=grad_mode,
+                      clip_to_unit=clip_to_unit)
+    scanned = cf.run_queries(circuit, queries, "two_step",
+                             dataclasses.replace(cfg, retry_epsilon_schedule=True))
+    plain = {f: cf.run_queries(circuit, queries, "two_step",
+                               dataclasses.replace(cfg, epsilon1=f * cfg.epsilon1))
+             for f in (1, 2, 4, 8)}
+    # each row's smallest f whose u the model predicts as y', else 8
+    chosen = [next((f for f in plain if plain[f][i].pred_u == y_prime), 8)
+              for i, (_, _, y_prime) in enumerate(queries)]
+    assert_same_results(scanned, [plain[f][i] for i, f in enumerate(chosen)])
+    assert len(set(chosen)) > 2
+
+
+def test_a_scanned_batch_of_several_column_blocks_equals_its_rows(three_class_model):
+    circuit, _ = three_class_model
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0.0, 1.0, (200, 2))
+    Y = inference.predict(circuit, X)
+    Y_prime = (Y + 1 + rng.integers(0, 2, len(Y))) % 3
+    queries = list(zip(X, Y.tolist(), Y_prime.tolist()))
+    assert engine.compile_circuit(circuit)._block_cols < len(queries)
+    cfg = cf.CfConfig(epsilon1=0.03, epsilon2=0.01, retry_epsilon_schedule=True)
+    assert_same_results(cf.run_queries(circuit, queries, "two_step", cfg),
+                        [cf.generate(circuit, *q, cfg) for q in queries])
 
 
 def test_batched_wachter_equals_single_runs(moons_model):
@@ -568,6 +600,19 @@ def test_cf_config_validation():
 def test_configs_reject_non_finite_step_sizes(cls, field, value):
     with pytest.raises(ValueError, match=field):
         cls(**{field: value})
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cf.CfConfig, "clip_to_unit"), (cf.CfConfig, "retry_epsilon_schedule"),
+    (cf.BaselineConfig, "early_stop"), (training.TrainConfig, "init_from_data")])
+def test_config_flags_are_booleans(cls, field):
+    for good in (False, True, np.bool_(False), np.bool_(True)):
+        kept = getattr(cls(**{field: good}), field)
+        assert kept == good and type(kept) is bool
+    for bad in ("false", "true", 0, 1, None, np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{field} must be true or false, got {bad!r}")):
+            cls(**{field: bad})
 
 
 @pytest.mark.parametrize("cls, field", [

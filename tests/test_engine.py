@@ -28,8 +28,7 @@ def forward_roots(circuit, X):
 
 
 def assert_roots_match_naive(circuit, X, atol=1e-10):
-    comp, V = forward_roots(circuit, X)
-    R = comp.root_values(V)
+    R = engine.compile_circuit(circuit).evaluate(X)[0]
     for b in range(X.shape[0]):
         for k, root in enumerate(circuit.class_roots):
             assert R[b, k] == pytest.approx(
@@ -52,7 +51,7 @@ def central_difference(circuit, array_of, j, h, objective, X):
         array_of(p)[j] += delta
         moved = compiled.with_parameters(p.gaussian_mean, p.gaussian_variance,
                                          p.bernoulli_p, p.sum_log_weights)
-        values.append(objective(moved.root_values(moved.forward(X))))
+        values.append(objective(moved.evaluate(X)[0]))
     return (values[0] - values[1]) / (2 * h)
 
 
@@ -281,7 +280,7 @@ def test_circuits_are_immutable_so_the_cache_cannot_go_stale(rng):
     changed = dataclasses.replace(c, mean=mean)
     mean[0] = -3.0      # the new circuit holds a copy
     comp = engine.compile_circuit(changed)
-    got = comp.root_values(comp.forward(x[None, :]))
+    got = comp.evaluate(x[None, :])[0]
     for y, root in enumerate(c.class_roots):
         expected = naive_log_value(changed, root, x)
         assert got[0, y] == pytest.approx(expected, abs=1e-10)
@@ -1000,7 +999,7 @@ def test_dead_class_root_passes_no_adjoint():
     X = np.array([[0.0, 0.3], [1.0, 0.3]])
     assert_roots_match_naive(c, X[1:])
     V = comp.forward(X)
-    assert comp.root_values(V)[0, 0] == -np.inf
+    assert comp.evaluate(X)[0][0, 0] == -np.inf
     dead = comp.backward(V, X, {8: np.array([1.0, 0.0])}, want_params=True)
     assert np.all(dead.input_grads == 0.0)
     assert np.all(comp.per_sum_node(dead.sum_log_weight_grads)[8] == 0.0)
@@ -1056,10 +1055,11 @@ def test_sums_whose_heaviest_children_have_zero_weight_are_exact():
 
 
 def unfused(comp, circuit, X, adjoints, **wanted):
-    """evaluate's reference: forward, root_values and backward, with each
-    class root seeded by the adjoints of every class it serves."""
+    """evaluate's reference: the class-root rows of forward's node values,
+    and backward, with each class root seeded by the adjoints of every class
+    it serves."""
     V = comp.forward(X)
-    values = comp.root_values(V)
+    values = V[comp._root_rows].T
     adjoint = adjoints(values, slice(0, X.shape[0]))
     seeds = {}
     for k, root in enumerate(circuit.class_roots):
@@ -1083,7 +1083,7 @@ def assert_fused_equals_unfused(circuit, X, rng):
     values, none = comp.evaluate(X)
     assert none is None
     assert values.shape == (X.shape[0], circuit.num_classes)
-    assert np.array_equal(values, comp.root_values(comp.forward(X)))
+    assert np.array_equal(values, comp.forward(X)[comp._root_rows].T)
     for wanted in ({}, {"want_params": True}, {"want_input": False, "want_params": True}):
         got_values, got = comp.evaluate(X, adjoints, **wanted)
         ref_values, ref = unfused(comp, circuit, X, adjoints, **wanted)

@@ -344,49 +344,24 @@ def test_mean_joint_log_likelihood_matches_manual():
         training.mean_joint_log_likelihood(c, ds.features, ds.labels[1:])
 
 
-def test_cross_validate_prefers_reasonable_variance_floor():
-    ds = data.make_moons(240, 0.1, seed=8)
-    structures = [StructureConfig(num_classes=2, seed=8, repetitions=2,
-                                  sum_nodes_per_region=2,
-                                  leaf_distributions_per_region=3)]
-    trains = [training.TrainConfig(epochs=6, seed=8, variance_floor=10.0),
-              training.TrainConfig(epochs=6, seed=8, variance_floor=1e-3)]
-    out = training.cross_validate(ds, structures, trains, folds=2, seed=8)
-    assert len(out.results) == 2
-    assert out.best.train.variance_floor == 1e-3
-    assert out.best.mean_validation_ll == max(r.mean_validation_ll
-                                              for r in out.results)
-    for point in out.results:
-        assert len(point.fold_lls) == 2
-
-
-def test_cross_validate_lowers_each_structure_once(monkeypatch, structure_counts):
-    ds = data.make_moons(120, 0.1, seed=8)
-    structures = [StructureConfig(num_classes=2, seed=8, repetitions=r,
-                                  sum_nodes_per_region=2,
-                                  leaf_distributions_per_region=3) for r in (1, 2)]
-    trains = [training.TrainConfig(epochs=2, seed=8),
-              training.TrainConfig(epochs=2, seed=8, patience=0)]
-    built = count_compiles(monkeypatch)
-    training.cross_validate(ds, structures, trains, folds=3, seed=8)
-    assert len(built) == len(structures)
-    # 12 fits, each read back by to_circuit: one structural check and one
-    # lowering per structure
-    checked, lowered = structure_counts
-    assert checked == lowered == [c.structure for c in built]
-
-
-def test_a_structure_is_checked_and_lowered_once(tmp_path, structure_counts):
+def test_a_structure_is_checked_and_lowered_once(monkeypatch, tmp_path, structure_counts):
     checked, lowered = structure_counts
     ds = data.make_moons(200, 0.1, seed=3)
     circuit = build_circuit(2, StructureConfig(num_classes=2, seed=3, repetitions=2,
                                                sum_nodes_per_region=2,
                                                leaf_distributions_per_region=3))
+    built = count_compiles(monkeypatch)
     fitted, _ = training.fit(circuit, ds, training.TrainConfig(epochs=3, seed=3))
+    # fits with other settings on other rows of the same circuit compile it
+    # no more, and each fitted circuit comes compiled
+    refits = [training.fit(circuit, ds.subset(np.arange(k, 200, 3)),
+                           training.TrainConfig(epochs=2, seed=3, patience=p))[0]
+              for k, p in ((0, 10), (1, 0))]
     moved = dataclasses.replace(fitted, mean=fitted.mean + 0.01)
-    for c in (circuit, fitted, moved):
+    for c in (circuit, fitted, *refits, moved):
         inference.accuracy(c, ds.features, ds.labels)
         assert c.structure is circuit.structure
+    assert built == [circuit, moved]
     assert checked == lowered == [circuit.structure]
     # a loaded model is a new structure, checked and lowered once
     cm.save(fitted, tmp_path / "model.json")
@@ -420,17 +395,3 @@ def test_fitted_circuit_comes_compiled_as_a_fresh_compile_would(monkeypatch):
             assert all(map(np.array_equal, got, want)) and len(got) == len(want)
         else:
             assert np.array_equal(got, want)
-
-
-def test_cross_validate_rejects_bad_arguments():
-    ds = data.make_moons(40, 0.1, seed=0)
-    s = [StructureConfig(num_classes=2, seed=0, repetitions=2,
-                         sum_nodes_per_region=2,
-                         leaf_distributions_per_region=2)]
-    t = [training.TrainConfig(epochs=1)]
-    with pytest.raises(ValueError):
-        training.cross_validate(ds, s, t, folds=1)
-    with pytest.raises(ValueError):
-        training.cross_validate(ds, [], t, folds=2)
-    with pytest.raises(ValueError):
-        training.cross_validate(ds, s, [], folds=2)
